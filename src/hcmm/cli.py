@@ -8,9 +8,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .core import ConfigError
-from .harness import (build_config, emit_plot, grid_search, load_config,
-                      parse_config_text, rate_study, run_experiment,
-                      validate_config)
+from .harness import (build_config, build_schedule, emit_plot, grid_search,
+                      load_config, parse_config_text, rate_study,
+                      run_experiment, validate_config)
 
 
 def _load(args) -> "ExperimentConfig":
@@ -54,12 +54,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            issues = validate_config(parse_config_text(
-                Path(args.config).read_text()))
+            mapping = parse_config_text(Path(args.config).read_text())
+            issues = validate_config(mapping)
             if issues:
                 for issue in issues:
                     print(f"error: {issue}", file=sys.stderr)
                 return 1
+            # the schedule checks, with the first grid combo filled in
+            config = build_config(mapping)
+            build_schedule(config, overrides={k: v[0] for k, v in
+                                              config.grid.items() if v})
             print("config ok")
             return 0
         if args.command == "plot":

@@ -1,4 +1,4 @@
-"""Vector arithmetic, optimizer state containers, and hyperparameter schedules.
+"""Euclidean norm, optimizer state containers, and hyperparameter schedules.
 
 Schedules implement the theorem-prescribed step-size/smoothing-factor choices
 for the clipped (HCMM-1) and normalized (HCMM-2) Hessian-corrected momentum
@@ -22,41 +22,12 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# vector primitives
+# norm
 # ---------------------------------------------------------------------------
 
 def norm2(v: Vec) -> float:
     """Euclidean norm."""
     return float(np.linalg.norm(v))
-
-
-def dot(u: Vec, v: Vec) -> float:
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.dot(u, v))
-
-
-def axpy(a: float, x: Vec, y: Vec) -> Vec:
-    """a*x + y."""
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return a * x + y
-
-
-def add(u: Vec, v: Vec) -> Vec:
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return u + v
-
-
-def sub(u: Vec, v: Vec) -> Vec:
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return u - v
-
-
-def scale(a: float, v: Vec) -> Vec:
-    return a * v
 
 
 # ---------------------------------------------------------------------------

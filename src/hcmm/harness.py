@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -271,6 +271,12 @@ def build_schedule(config: ExperimentConfig, T: Optional[int] = None,
     if config.schedule_kind == "theorem2":
         return schedule_hcmm2(T, config.constants)
     needs_clip = isinstance(config.optimizer, Hcmm1)
+    required = ("mu_x", "mu_y", "N", "N1") if needs_clip else ("mu_x", "mu_y")
+    missing = [f"schedule.{k}" for k in required if k not in params]
+    if missing:
+        raise ConfigError(f"explicit {optimizer_label(config.optimizer)} "
+                          f"schedule needs {', '.join(missing)} (or the "
+                          f"matching grid.* key)")
     return HyperSchedule(
         mu_x=params["mu_x"], mu_y=params["mu_y"],
         beta_x=params.get("beta_x", 1.0), beta_y=params.get("beta_y", 1.0),
@@ -301,7 +307,11 @@ def run_single(config: ExperimentConfig, seed: int,
                x0: Optional[np.ndarray] = None, y0: Optional[np.ndarray] = None,
                schedule: Optional[HyperSchedule] = None,
                collect_rows: bool = True):
-    """Run one (config, seed) pair; returns (rows, final diagnostics)."""
+    """Run one (config, seed) pair; returns (trace rows, final iterates).
+
+    With collect_rows=False no row is built and nothing is evaluated: only
+    the final iterates are returned.
+    """
     if problem is None:
         problem, x0, y0 = build_problem(config)
     if schedule is None:
@@ -310,13 +320,14 @@ def run_single(config: ExperimentConfig, seed: int,
     is_hcmm1 = isinstance(config.optimizer, Hcmm1)
 
     rows: List[List[str]] = []
-    last_p: Optional[float] = None
-    x_last, y_last = np.asarray(x0), np.asarray(y0)
+    x_i, y_i = np.asarray(x0), np.asarray(y0)
     t0 = time.monotonic_ns()
     for out in iterate_steps(config.optimizer, problem, schedule, x0, y0,
                              config.T, seed, project_y=config.project_y):
-        i = out.next_state.iter
         x_i, y_i = out.next_state.x_curr, out.next_state.y_curr
+        if not collect_rows:
+            continue
+        i = out.next_state.iter
         p_x = grad_p = m_ci = None
         if (i - 1) % config.eval_every == 0:
             if synthetic:
@@ -329,17 +340,14 @@ def run_single(config: ExperimentConfig, seed: int,
                 rep = evaluate_P(problem, x_i, tol=config.inner_tol,
                                  max_iters=2000, y0=y_i)
                 p_x = rep.p_value
-            last_p = p_x
-        if collect_rows:
-            wall = str(time.monotonic_ns() - t0) if config.record_wall else ""
-            d = out.diagnostics
-            rows.append([str(i), _fmt_float(p_x), _fmt_float(grad_p),
-                         _fmt_float(m_ci), _fmt_float(d["m_x_norm"]),
-                         _fmt_float(d["m_y_norm"]),
-                         "1" if d["clipped_x"] else "0",
-                         "1" if d["clipped_y"] else "0", wall])
-        x_last, y_last = x_i, y_i
-    return rows, {"final_x": x_last, "final_y": y_last, "last_p": last_p}
+        wall = str(time.monotonic_ns() - t0) if config.record_wall else ""
+        d = out.diagnostics
+        rows.append([str(i), _fmt_float(p_x), _fmt_float(grad_p),
+                     _fmt_float(m_ci), _fmt_float(d["m_x_norm"]),
+                     _fmt_float(d["m_y_norm"]),
+                     "1" if d["clipped_x"] else "0",
+                     "1" if d["clipped_y"] else "0", wall])
+    return rows, {"final_x": x_i, "final_y": y_i}
 
 
 def final_p(config: ExperimentConfig, problem: MinimaxProblem,
@@ -356,10 +364,10 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, float]:
     Returns {seed: final P(x)} keyed by the seed as a string, plus
     'mean'/'std' aggregate keys.
     """
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     problem, x0, y0 = build_problem(config)
     schedule = build_schedule(config)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     label = optimizer_label(config.optimizer)
 
     finals: Dict[str, float] = {}
@@ -413,7 +421,8 @@ def read_trace(path: str) -> Dict[str, list]:
 def grid_search(config: ExperimentConfig) -> Tuple[Dict[str, float], List[dict]]:
     """Cross-product search over grid.* value lists.
 
-    Selects the combo with the lowest final mean P(x) over seeds; emits a
+    Selects the combo with the lowest final mean P(x) over seeds; combos
+    whose mean is nan or infinite rank after every finite one. Emits a
     leaderboard CSV. Returns (best_overrides, leaderboard_rows).
     """
     if not config.grid:
@@ -433,7 +442,9 @@ def grid_search(config: ExperimentConfig) -> Tuple[Dict[str, float], List[dict]]
         leaderboard.append({**overrides,
                             "mean_final_p": float(np.mean(finals)),
                             "std_final_p": float(np.std(finals))})
-    leaderboard.sort(key=lambda r: r["mean_final_p"])
+    # diverged combos (P nan or infinite) rank last, in grid order
+    leaderboard.sort(key=lambda r: (0, r["mean_final_p"])
+                     if np.isfinite(r["mean_final_p"]) else (1, 0.0))
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

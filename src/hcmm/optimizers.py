@@ -1,11 +1,18 @@
-"""Step functions for the four iterative methods.
+"""The four iterative methods, as one step function.
 
-HCMM-1: Hessian-corrected momentum with clipping; HCMM-2: the normalized
-variant; STORM-GDA: recursive-momentum baseline (same sample evaluated at
-the current and previous iterate); SAGDA: stochastic alternating GDA.
+HCMM-1, HCMM-2 and STORM-GDA share one corrected-momentum recursion,
 
-Each step is a pure function of (state, momentum, schedule, problem, rng);
-`run`/`iterate_steps` thread the state and own the single RNG stream.
+    m <- (1 - beta) (m + c) + beta g,
+
+with g a stochastic gradient at z_i = (x_i, y_i) and c the correction for the
+move from z_{i-1}: the sample Hessian-vector product H (z_i - z_{i-1}) for
+HCMM, and the same-sample gradient difference g(z_i) - g(z_{i-1}) for STORM.
+They differ only in how m becomes a step: HCMM-1 clips it, HCMM-2 normalizes
+it and STORM-GDA uses it as is. SAGDA (stochastic alternating GDA) keeps no
+momentum and takes its ascent gradient at the already-updated x.
+
+`step` is a pure function of (kind, state, momentum, schedule, problem,
+rng); `run`/`iterate_steps` thread the state and own the single RNG stream.
 """
 
 from __future__ import annotations
@@ -63,111 +70,6 @@ def hcmm_momentum_update(prev_m: Vec, beta: float, grad_sample: Vec,
     return (1.0 - beta) * (prev_m + hvp_sample) + beta * grad_sample
 
 
-def _advance(state: IterateState, x_next: Vec, y_next: Vec) -> IterateState:
-    return IterateState(x_curr=x_next, y_curr=y_next,
-                        x_prev=state.x_curr, y_prev=state.y_curr,
-                        iter=state.iter + 1)
-
-
-def hcmm1_step(state: IterateState, momentum: MomentumState,
-               schedule: HyperSchedule, problem: MinimaxProblem,
-               rng: np.random.Generator, update_from_clipped: bool = False,
-               project_y: bool = True) -> StepOutput:
-    if momentum.m_x_clipped is None or momentum.m_y_clipped is None:
-        raise ValueError("hcmm1_step requires momentum with clipped fields")
-    xi = problem.draw_sample(rng)
-    dx = state.x_curr - state.x_prev
-    dy = state.y_curr - state.y_prev
-    g = problem.sample_gradient(state.x_curr, state.y_curr, xi)
-    H = problem.sample_hvp(state.x_curr, state.y_curr, xi, dx, dy)
-    base_x = momentum.m_x_clipped if update_from_clipped else momentum.m_x
-    base_y = momentum.m_y_clipped if update_from_clipped else momentum.m_y
-    m_x = hcmm_momentum_update(base_x, schedule.beta_x, g.gx, H.hx)
-    m_y = hcmm_momentum_update(base_y, schedule.beta_y, g.gy, H.hy)
-    N, N1 = schedule.clip_threshold, schedule.clip_norm
-    if N is None or N1 is None:
-        raise ValueError("HCMM-1 needs clip_threshold and clip_norm on the schedule")
-    mc_x = clip_momentum(m_x, N, N1)
-    mc_y = clip_momentum(m_y, N, N1)
-    x_next = state.x_curr - schedule.mu_x * mc_x
-    y_next = state.y_curr + schedule.mu_y * mc_y
-    if project_y:
-        y_next = problem.project_y(y_next)
-    return StepOutput(
-        next_state=_advance(state, x_next, y_next),
-        next_momentum=MomentumState(m_x, m_y, mc_x, mc_y),
-        samples_used=(xi,),
-        diagnostics={"m_x_norm": norm2(m_x), "m_y_norm": norm2(m_y),
-                     "clipped_x": mc_x is not m_x, "clipped_y": mc_y is not m_y})
-
-
-def hcmm2_step(state: IterateState, momentum: MomentumState,
-               schedule: HyperSchedule, problem: MinimaxProblem,
-               rng: np.random.Generator, norm_floor: float = 1e-12,
-               project_y: bool = True) -> StepOutput:
-    xi = problem.draw_sample(rng)
-    dx = state.x_curr - state.x_prev
-    dy = state.y_curr - state.y_prev
-    g = problem.sample_gradient(state.x_curr, state.y_curr, xi)
-    H = problem.sample_hvp(state.x_curr, state.y_curr, xi, dx, dy)
-    m_x = hcmm_momentum_update(momentum.m_x, schedule.beta_x, g.gx, H.hx)
-    m_y = hcmm_momentum_update(momentum.m_y, schedule.beta_y, g.gy, H.hy)
-    nx, ny = norm2(m_x), norm2(m_y)
-    # the normalized update is undefined at m = 0; skip that block instead
-    x_next = state.x_curr - schedule.mu_x * m_x / nx if nx > norm_floor \
-        else state.x_curr
-    y_next = state.y_curr + schedule.mu_y * m_y / ny if ny > norm_floor \
-        else state.y_curr
-    if project_y:
-        y_next = problem.project_y(y_next)
-    return StepOutput(
-        next_state=_advance(state, x_next, y_next),
-        next_momentum=MomentumState(m_x, m_y),
-        samples_used=(xi,),
-        diagnostics={"m_x_norm": nx, "m_y_norm": ny,
-                     "clipped_x": False, "clipped_y": False})
-
-
-def storm_gda_step(state: IterateState, momentum: MomentumState,
-                   schedule: HyperSchedule, problem: MinimaxProblem,
-                   rng: np.random.Generator, project_y: bool = True) -> StepOutput:
-    xi = problem.draw_sample(rng)
-    g_curr = problem.sample_gradient(state.x_curr, state.y_curr, xi)
-    g_prev = problem.sample_gradient(state.x_prev, state.y_prev, xi)
-    m_x = g_curr.gx + (1.0 - schedule.beta_x) * (momentum.m_x - g_prev.gx)
-    m_y = g_curr.gy + (1.0 - schedule.beta_y) * (momentum.m_y - g_prev.gy)
-    x_next = state.x_curr - schedule.mu_x * m_x
-    y_next = state.y_curr + schedule.mu_y * m_y
-    if project_y:
-        y_next = problem.project_y(y_next)
-    return StepOutput(
-        next_state=_advance(state, x_next, y_next),
-        next_momentum=MomentumState(m_x, m_y),
-        samples_used=(xi,),
-        diagnostics={"m_x_norm": norm2(m_x), "m_y_norm": norm2(m_y),
-                     "clipped_x": False, "clipped_y": False})
-
-
-def sagda_step(state: IterateState, momentum: MomentumState,
-               schedule: HyperSchedule, problem: MinimaxProblem,
-               rng: np.random.Generator, project_y: bool = True) -> StepOutput:
-    xi1 = problem.draw_sample(rng)
-    gx = problem.sample_gradient(state.x_curr, state.y_curr, xi1).gx
-    x_next = state.x_curr - schedule.mu_x * gx
-    # alternating: the ascent gradient is taken at the already-updated x
-    xi2 = problem.draw_sample(rng)
-    gy = problem.sample_gradient(x_next, state.y_curr, xi2).gy
-    y_next = state.y_curr + schedule.mu_y * gy
-    if project_y:
-        y_next = problem.project_y(y_next)
-    return StepOutput(
-        next_state=_advance(state, x_next, y_next),
-        next_momentum=momentum,
-        samples_used=(xi1, xi2),
-        diagnostics={"m_x_norm": norm2(gx), "m_y_norm": norm2(gy),
-                     "clipped_x": False, "clipped_y": False})
-
-
 def init_run(kind: OptimizerKind, problem: MinimaxProblem,
              schedule: HyperSchedule, x0: Vec, y0: Vec,
              rng: np.random.Generator) -> Tuple[IterateState, MomentumState]:
@@ -194,20 +96,68 @@ def init_run(kind: OptimizerKind, problem: MinimaxProblem,
 def step(kind: OptimizerKind, state: IterateState, momentum: MomentumState,
          schedule: HyperSchedule, problem: MinimaxProblem,
          rng: np.random.Generator, project_y: bool = True) -> StepOutput:
-    if isinstance(kind, Hcmm1):
-        return hcmm1_step(state, momentum, schedule, problem, rng,
-                          update_from_clipped=kind.update_from_clipped,
-                          project_y=project_y)
-    if isinstance(kind, Hcmm2):
-        return hcmm2_step(state, momentum, schedule, problem, rng,
-                          norm_floor=kind.norm_floor, project_y=project_y)
-    if isinstance(kind, StormGda):
-        return storm_gda_step(state, momentum, schedule, problem, rng,
-                              project_y=project_y)
+    """One iteration of `kind` from `state`; the shared recursion is in the
+    module docstring."""
+    if not isinstance(kind, (Hcmm1, Hcmm2, StormGda, Sagda)):
+        raise TypeError(f"unknown optimizer kind: {kind!r}")
+    hcmm1 = isinstance(kind, Hcmm1)
+    if hcmm1 and (momentum.m_x_clipped is None or momentum.m_y_clipped is None):
+        raise ValueError("HCMM-1 step requires momentum with clipped fields")
+    x, y = state.x_curr, state.y_curr
+    xi = problem.draw_sample(rng)
+    samples: Tuple[int, ...] = (xi,)
+    g = problem.sample_gradient(x, y, xi)
+    mc_x = mc_y = None
     if isinstance(kind, Sagda):
-        return sagda_step(state, momentum, schedule, problem, rng,
-                          project_y=project_y)
-    raise TypeError(f"unknown optimizer kind: {kind!r}")
+        # alternating: the ascent gradient is taken at the already-updated x
+        m_x = g.gx
+        x_next = x - schedule.mu_x * m_x
+        xi2 = problem.draw_sample(rng)
+        samples = (xi, xi2)
+        m_y = problem.sample_gradient(x_next, y, xi2).gy
+        y_next = y + schedule.mu_y * m_y
+    elif isinstance(kind, StormGda):
+        # g + (1 - beta)(m - g_prev), not the HCMM form: the last bits of
+        # every STORM trace depend on this operation order
+        g_prev = problem.sample_gradient(state.x_prev, state.y_prev, xi)
+        m_x = g.gx + (1.0 - schedule.beta_x) * (momentum.m_x - g_prev.gx)
+        m_y = g.gy + (1.0 - schedule.beta_y) * (momentum.m_y - g_prev.gy)
+    else:
+        H = problem.sample_hvp(x, y, xi, x - state.x_prev, y - state.y_prev)
+        from_clipped = hcmm1 and kind.update_from_clipped
+        m_x = hcmm_momentum_update(
+            momentum.m_x_clipped if from_clipped else momentum.m_x,
+            schedule.beta_x, g.gx, H.hx)
+        m_y = hcmm_momentum_update(
+            momentum.m_y_clipped if from_clipped else momentum.m_y,
+            schedule.beta_y, g.gy, H.hy)
+    nx, ny = norm2(m_x), norm2(m_y)
+    if isinstance(kind, Hcmm2):
+        # the normalized update is undefined at m = 0; skip that block instead
+        x_next = x - schedule.mu_x * m_x / nx if nx > kind.norm_floor else x
+        y_next = y + schedule.mu_y * m_y / ny if ny > kind.norm_floor else y
+    elif not isinstance(kind, Sagda):
+        d_x, d_y = m_x, m_y
+        if hcmm1:
+            N, N1 = schedule.clip_threshold, schedule.clip_norm
+            if N is None or N1 is None:
+                raise ValueError("HCMM-1 needs clip_threshold and clip_norm "
+                                 "on the schedule")
+            d_x = mc_x = clip_momentum(m_x, N, N1)
+            d_y = mc_y = clip_momentum(m_y, N, N1)
+        x_next = x - schedule.mu_x * d_x
+        y_next = y + schedule.mu_y * d_y
+    if project_y:
+        y_next = problem.project_y(y_next)
+    return StepOutput(
+        next_state=IterateState(x_curr=x_next, y_curr=y_next, x_prev=x,
+                                y_prev=y, iter=state.iter + 1),
+        next_momentum=momentum if isinstance(kind, Sagda)
+        else MomentumState(m_x, m_y, mc_x, mc_y),
+        samples_used=samples,
+        diagnostics={"m_x_norm": nx, "m_y_norm": ny,
+                     "clipped_x": hcmm1 and mc_x is not m_x,
+                     "clipped_y": hcmm1 and mc_y is not m_y})
 
 
 def iterate_steps(kind: OptimizerKind, problem: MinimaxProblem,

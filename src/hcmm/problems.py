@@ -166,6 +166,11 @@ def _sample_noise(xi: SampleId, sizes: Tuple[int, ...], scale: float):
     return [scale * rng.standard_normal(s) for s in sizes]
 
 
+def _joint_hessian_norm(A: np.ndarray, B: np.ndarray, Hyy: np.ndarray) -> float:
+    """Spectral norm of [[A, B], [B', Hyy]]: L_f of a quadratic J."""
+    return float(np.linalg.norm(np.block([[A, B], [B.T, Hyy]]), 2))
+
+
 class QuadraticMinimaxProblem(MinimaxProblem):
     """J(x, y) = 0.5 x'Ax + x'By - 0.5 nu ||y||^2 with additive oracle noise.
 
@@ -191,13 +196,7 @@ class QuadraticMinimaxProblem(MinimaxProblem):
         self.noise_sigma_h = float(noise_sigma_h)
         self.dim_x, self.dim_y = B.shape
         self.y_curvature = self.nu
-        d, m = B.shape
-        H = np.zeros((d + m, d + m))
-        H[:d, :d] = A
-        H[:d, d:] = B
-        H[d:, :d] = B.T
-        H[d:, d:] = -nu * np.eye(m)
-        self.lipschitz_L_f = float(np.linalg.norm(H, 2))
+        self.lipschitz_L_f = _joint_hessian_norm(A, B, -nu * np.eye(self.dim_y))
         self._p_hessian = A + B @ B.T / nu
 
     @classmethod
@@ -288,6 +287,7 @@ class PlToyProblem(MinimaxProblem):
         self.noise_sigma = float(noise_sigma)
         self.dim_x, self.dim_y = B.shape
         self.y_curvature = float(evals.max())
+        self.lipschitz_L_f = _joint_hessian_norm(A, B, -C)
         self._p_hessian = A + B @ self.C_pinv @ B.T
 
     def sample_gradient(self, x: Vec, y: Vec, xi: SampleId) -> GradPair:

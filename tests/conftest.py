@@ -30,6 +30,18 @@ def make_quadratic(d=4, m=3, nu=1.0, seed=0, noise_sigma=0.0):
     return QuadraticMinimaxProblem(A, B, nu, noise_sigma=noise_sigma)
 
 
+def simplex_grid_3(resolution=1e-3):
+    """Rows (a, b, 1 - a - b) of a grid on the 3-simplex, in the order of a
+    scan over a = 0, res, ..., 1 with an inner scan over b = 0, res, ...,
+    1 - a; np.argmin/np.argmax over rows then keep the scan's first optimum.
+    """
+    ticks = np.arange(0.0, 1.0 + resolution / 2, resolution)
+    bs = [np.arange(0.0, 1.0 - a + resolution / 2, resolution) for a in ticks]
+    a = np.repeat(ticks, [len(b) for b in bs])
+    b = np.concatenate(bs)
+    return np.column_stack([a, b, 1.0 - a - b])
+
+
 def write_libsvm(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)

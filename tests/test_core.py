@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hcmm.core import (ConfigError, HyperSchedule, ProblemConstants, axpy,
-                       clip_momentum, dot, norm2, schedule_hcmm1,
-                       schedule_hcmm2)
+from hcmm.core import (ConfigError, HyperSchedule, ProblemConstants,
+                       clip_momentum, norm2, schedule_hcmm1, schedule_hcmm2)
 
 
 def constants(**kw):
@@ -16,18 +15,6 @@ def constants(**kw):
 class TestVectorPrimitives:
     def test_norm2(self):
         assert norm2(np.array([3.0, 4.0])) == 5.0
-
-    def test_axpy(self):
-        np.testing.assert_array_equal(
-            axpy(2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-            np.array([2.0, 1.0]))
-
-    def test_dot(self):
-        assert dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dot(np.zeros(2), np.zeros(3))
 
 
 class TestClipMomentum:

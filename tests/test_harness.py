@@ -131,6 +131,30 @@ class TestRunExperiment:
         assert cols["clipped_x"][0] is True
 
 
+class TestPlToy:
+    def mapping(self, out_dir, **extra):
+        return {"problem.kind": "pl_toy", "problem.d": "4", "problem.m": "4",
+                "problem.noise_sigma": "0.1", "optimizer.kind": "hcmm2",
+                "schedule.kind": "explicit", "schedule.mu_x": "0.02",
+                "schedule.mu_y": "0.05", "schedule.beta_x": "0.2",
+                "schedule.beta_y": "0.2", "run.T": "30", "run.seeds": "1,2",
+                "run.eval_every": "10", "run.output_dir": str(out_dir),
+                **extra}
+
+    def test_run_experiment(self, tmp_path):
+        finals = run_experiment(build_config(self.mapping(tmp_path)))
+        assert math.isfinite(finals["mean"])
+        cols = read_trace(str(tmp_path / "trace_hcmm2_seed1.csv"))
+        ci = [c for c in cols["metric_ci"] if c is not None]
+        assert len(ci) == 3 and all(math.isfinite(c) for c in ci)
+
+    def test_grid_search(self, tmp_path):
+        best, board = grid_search(build_config(self.mapping(
+            tmp_path, **{"grid.mu_x": "0.01,0.02"})))
+        assert len(board) == 2
+        assert best["mu_x"] in (0.01, 0.02)
+
+
 class TestGridSearch:
     def test_cross_product_size_and_best(self, tmp_path):
         cfg = build_config(quad_mapping(
@@ -152,6 +176,20 @@ class TestGridSearch:
         best, board = grid_search(cfg)
         assert best == {"mu_x": 0.02}
         assert len(board) == 1
+
+    def test_diverged_combos_rank_last(self, tmp_path):
+        # mu_x = 50 ends at P = nan and mu_x = 5 at P = -inf; neither may
+        # be reported as best or ranked above the finite combo
+        cfg = build_config(quad_mapping(
+            tmp_path, **{"grid.mu_x": "50,0.01,5", "run.T": "400"}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            best, board = grid_search(cfg)
+        assert best == {"mu_x": 0.01}
+        assert [r["mu_x"] for r in board] == [0.01, 50.0, 5.0]
+        assert math.isfinite(board[0]["mean_final_p"])
+        assert not any(math.isfinite(r["mean_final_p"]) for r in board[1:])
+        text = (tmp_path / "leaderboard_storm_gda.csv").read_text()
+        assert text.splitlines()[1].startswith("0.01,")
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = build_config(quad_mapping(tmp_path))
@@ -223,6 +261,34 @@ class TestCli:
                        "run.T = 5\nrun.seeds = 0\n")
         rc = cli.main(["validate", "--config", str(bad)])
         assert rc == 1
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("optimizer,drop,named", [
+        ("storm_gda", "schedule.mu_x", "schedule.mu_x"),
+        ("storm_gda", "schedule.mu_y", "schedule.mu_y"),
+        ("hcmm1", "schedule.N", "schedule.N1"),
+    ])
+    def test_incomplete_explicit_schedule(self, tmp_path, capsys, command,
+                                          optimizer, drop, named):
+        # hcmm1's clip pair is absent from the base mapping altogether
+        m = quad_mapping(tmp_path / "out", **{"optimizer.kind": optimizer})
+        m.pop(drop, None)
+        cfg = tmp_path / "incomplete.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in m.items()))
+        rc = cli.main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_grid_supplies_schedule_value(self, tmp_path, capsys):
+        m = quad_mapping(tmp_path / "out", **{"grid.mu_x": "0.01,0.02"})
+        del m["schedule.mu_x"]
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in m.items()))
+        assert cli.main(["validate", "--config", str(cfg)]) == 0
+        assert "ok" in capsys.readouterr().out.lower()
 
     def test_plot_subcommand(self, tmp_path):
         cli.main(["run", "--config", self.write_cfg(tmp_path)])

@@ -3,9 +3,7 @@ import pytest
 
 from hcmm.core import HyperSchedule, IterateState, MomentumState
 from hcmm.optimizers import (Hcmm1, Hcmm2, Sagda, StormGda,
-                             hcmm_momentum_update, hcmm1_step, hcmm2_step,
-                             iterate_steps, run, sagda_step, step,
-                             storm_gda_step)
+                             hcmm_momentum_update, iterate_steps, run, step)
 from hcmm.problems import QuadraticMinimaxProblem
 
 from conftest import make_logistic, make_quadratic
@@ -96,7 +94,8 @@ class TestHcmm1:
         state = IterateState(x, y, x, y, 0)
         momentum = MomentumState(np.zeros(3), np.zeros(3),
                                  np.zeros(3), np.zeros(3))
-        out = hcmm1_step(state, momentum, sched, q, np.random.default_rng(0))
+        out = step(Hcmm1(), state, momentum, sched, q,
+                   np.random.default_rng(0))
         np.testing.assert_array_equal(out.next_state.x_curr, x)
         np.testing.assert_array_equal(out.next_state.y_curr, y)
 
@@ -109,7 +108,8 @@ class TestHcmm1:
         state = IterateState(np.zeros(1), y, np.zeros(1), y, 0)
         momentum = MomentumState(np.zeros(1), np.zeros(1),
                                  np.zeros(1), np.zeros(1))
-        out = hcmm1_step(state, momentum, sched, q, np.random.default_rng(0))
+        out = step(Hcmm1(), state, momentum, sched, q,
+                   np.random.default_rng(0))
         assert out.next_momentum.m_y[0] == pytest.approx(-1.0)
         assert out.next_state.y_curr[0] == pytest.approx(0.9)
 
@@ -138,8 +138,8 @@ class TestHcmm1:
         state = IterateState(np.zeros(4), np.zeros(3), np.zeros(4),
                              np.zeros(3), 0)
         with pytest.raises(ValueError, match="clipped"):
-            hcmm1_step(state, MomentumState(np.zeros(4), np.zeros(3)),
-                       sched, q, np.random.default_rng(0))
+            step(Hcmm1(), state, MomentumState(np.zeros(4), np.zeros(3)),
+                 sched, q, np.random.default_rng(0))
 
 
 class TestHcmm2:
@@ -163,9 +163,9 @@ class TestHcmm2:
         # point only if gradients vanish; use the exact saddle instead
         state0 = IterateState(np.zeros(3), np.zeros(3), np.zeros(3),
                               np.zeros(3), 0)
-        out = hcmm2_step(state0, MomentumState(np.zeros(3), np.zeros(3)),
-                         explicit_schedule(beta=1.0), q,
-                         np.random.default_rng(0), norm_floor=1e-12)
+        out = step(Hcmm2(norm_floor=1e-12), state0,
+                   MomentumState(np.zeros(3), np.zeros(3)),
+                   explicit_schedule(beta=1.0), q, np.random.default_rng(0))
         np.testing.assert_array_equal(out.next_state.x_curr, np.zeros(3))
 
     def test_direction_invariance(self):
@@ -178,8 +178,9 @@ class TestHcmm2:
         state = IterateState(x, y, x, y, 0)
         m = MomentumState(np.array([1.0, 2, 3, 4]), np.array([1.0, 1, 1]))
         m_scaled = MomentumState(10 * m.m_x, 10 * m.m_y)
-        a = hcmm2_step(state, m, explicit_schedule(beta=1e-9), q, rng_a)
-        b = hcmm2_step(state, m_scaled, explicit_schedule(beta=1e-9), q, rng_b)
+        a = step(Hcmm2(), state, m, explicit_schedule(beta=1e-9), q, rng_a)
+        b = step(Hcmm2(), state, m_scaled, explicit_schedule(beta=1e-9), q,
+                 rng_b)
         np.testing.assert_allclose(a.next_state.x_curr, b.next_state.x_curr,
                                    atol=1e-7)
 
@@ -193,7 +194,7 @@ class TestStormGda:
         state = IterateState(x, y, 0.5 * x, 0.5 * y, 0)
         m = MomentumState(np.full(3, 99.0), np.full(2, 99.0))
         sched = explicit_schedule(beta=1.0)
-        out = storm_gda_step(state, m, sched, q, rng)
+        out = step(StormGda(), state, m, sched, q, rng)
         xi = out.samples_used[0]
         g = q.sample_gradient(x, y, xi)
         np.testing.assert_allclose(out.next_momentum.m_x, g.gx)
@@ -206,8 +207,8 @@ class TestStormGda:
         state = IterateState(x, y, x, y, 0)
         m = MomentumState(np.array([1.0, 2, 3]), np.array([4.0, 5]))
         beta = 0.25
-        out = storm_gda_step(state, m, explicit_schedule(beta=beta), q,
-                             np.random.default_rng(2))
+        out = step(StormGda(), state, m, explicit_schedule(beta=beta), q,
+                   np.random.default_rng(2))
         g = q.sample_gradient(x, y, out.samples_used[0])
         np.testing.assert_allclose(out.next_momentum.m_x,
                                    g.gx + (1 - beta) * (m.m_x - g.gx))
@@ -218,8 +219,8 @@ class TestSagda:
         q = make_quadratic(d=3, m=3, seed=1)
         state = IterateState(np.zeros(3), np.zeros(3), np.zeros(3),
                              np.zeros(3), 0)
-        out = sagda_step(state, MomentumState(np.zeros(3), np.zeros(3)),
-                         explicit_schedule(), q, np.random.default_rng(0))
+        out = step(Sagda(), state, MomentumState(np.zeros(3), np.zeros(3)),
+                   explicit_schedule(), q, np.random.default_rng(0))
         np.testing.assert_array_equal(out.next_state.x_curr, np.zeros(3))
         np.testing.assert_array_equal(out.next_state.y_curr, np.zeros(3))
 
@@ -230,9 +231,9 @@ class TestSagda:
         mu = 0.1
         state = IterateState(np.array([1.0]), np.array([1.0]),
                              np.array([1.0]), np.array([1.0]), 0)
-        out = sagda_step(state, MomentumState(np.zeros(1), np.zeros(1)),
-                         explicit_schedule(mu_x=mu, mu_y=mu), q,
-                         np.random.default_rng(0))
+        out = step(Sagda(), state, MomentumState(np.zeros(1), np.zeros(1)),
+                   explicit_schedule(mu_x=mu, mu_y=mu), q,
+                   np.random.default_rng(0))
         assert out.next_state.x_curr[0] == pytest.approx(1 - mu)
         assert out.next_state.y_curr[0] == pytest.approx(1 + mu * (1 - mu),
                                                          rel=1e-9)
@@ -246,9 +247,9 @@ class TestSagda:
         x = rng.standard_normal(d)
         y = rng.standard_normal(d)
         state = IterateState(x, y, x, y, 0)
-        out = sagda_step(state, MomentumState(np.zeros(d), np.zeros(d)),
-                         explicit_schedule(mu_x=0.1, mu_y=0.1), q,
-                         np.random.default_rng(1))
+        out = step(Sagda(), state, MomentumState(np.zeros(d), np.zeros(d)),
+                   explicit_schedule(mu_x=0.1, mu_y=0.1), q,
+                   np.random.default_rng(1))
         np.testing.assert_allclose(out.next_state.x_curr, x - 0.1 * (A @ x))
         np.testing.assert_allclose(out.next_state.y_curr, y + 0.1 * (-y))
 

@@ -6,7 +6,7 @@ from hcmm.oracle import (CapabilityError, evaluate_P, finite_difference_hvp,
 from hcmm.problems import QuadraticMinimaxProblem, RobustLogisticProblem
 from hcmm.simplex import project_simplex
 
-from conftest import make_logistic, make_quadratic
+from conftest import make_logistic, make_quadratic, simplex_grid_3
 
 
 def joint_norm(ax, ay):
@@ -162,16 +162,19 @@ class TestEvaluateP:
     def test_matches_grid_search_n3(self):
         p = make_logistic(n=3, d=4, seed=2)
         rng = np.random.default_rng(4)
+        Y = simplex_grid_3(1e-3)
         for _ in range(5):
             x = rng.standard_normal(p.d)
             rep = evaluate_P(p, x, tol=1e-10)
-            best = -np.inf
-            res = 1e-3
-            for a in np.arange(0, 1 + res / 2, res):
-                for b in np.arange(0, 1 - a + res / 2, res):
-                    val = p.objective(x, np.array([a, b, 1 - a - b]))
-                    if val > best:
-                        best = val
+            # J(x, y) minus the y-free g(x), on every grid row at once
+            q = np.logaddexp(0.0, -p.labels * (p.X @ x))
+            vals = Y @ q - 0.5 * p.lambda1 * np.sum((p.n * Y - 1.0) ** 2,
+                                                    axis=1)
+            k = int(np.argmax(vals))
+            best = p.objective(x, Y[k])
+            for j in (0, len(Y) - 1):
+                assert best - p.objective(x, Y[j]) == pytest.approx(
+                    vals[k] - vals[j], rel=1e-9, abs=1e-12)
             assert abs(rep.p_value - best) <= 1e-4
 
     def test_residual_contract(self):

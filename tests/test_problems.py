@@ -240,6 +240,13 @@ class TestPlToy:
         ys = p.y_argmax(np.array([3.0]))
         np.testing.assert_allclose(ys, [6.0, 0.0])
 
+    def test_lipschitz_is_joint_hessian_norm(self):
+        # the metric_ci column needs L_f, as on the quadratic testbed
+        p = self.make()
+        H = np.block([[p.A, p.B], [p.B.T, -p.C]])
+        assert p.lipschitz_L_f == pytest.approx(np.linalg.norm(H, 2),
+                                                rel=1e-12)
+
     def test_rejects_coupling_outside_range(self):
         C = np.diag([1.0, 0.0])
         B = np.array([[1.0, 1.0]])  # second column hits the null space

@@ -6,28 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from hcmm.simplex import project_simplex
 
+from conftest import simplex_grid_3
+
 
 def grid_search_simplex(v, resolution=1e-3):
-    """Dense search over the simplex for the closest point to v (n <= 3)."""
+    """Dense search over the simplex for the closest point to v (n <= 3);
+    the first minimum in scan order wins."""
     n = len(v)
-    ticks = np.arange(0.0, 1.0 + resolution / 2, resolution)
-    best, best_d = None, np.inf
     if n == 1:
         return np.array([1.0])
     if n == 2:
-        for a in ticks:
-            w = np.array([a, 1.0 - a])
-            d = np.sum((w - v) ** 2)
-            if d < best_d:
-                best, best_d = w, d
-        return best
-    for a in ticks:
-        for b in np.arange(0.0, 1.0 - a + resolution / 2, resolution):
-            w = np.array([a, b, 1.0 - a - b])
-            d = np.sum((w - v) ** 2)
-            if d < best_d:
-                best, best_d = w, d
-    return best
+        ticks = np.arange(0.0, 1.0 + resolution / 2, resolution)
+        W = np.column_stack([ticks, 1.0 - ticks])
+    else:
+        W = simplex_grid_3(resolution)
+    return W[np.argmin(np.sum((W - v) ** 2, axis=1))]
 
 
 class TestExamples:
