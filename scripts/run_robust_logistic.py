@@ -25,7 +25,6 @@ def base_mapping(args):
         "run.T": str(args.T),
         "run.seeds": "0,1,2",
         "run.eval_every": str(max(1, args.T // 100)),
-        "run.inner_tol": "1e-7",
         "run.output_dir": args.out,
     }
 

@@ -26,8 +26,7 @@ def main():
     q = QuadraticMinimaxProblem.random(d, m, nu=4.0, noise_sigma=args.sigma,
                                        seed=0, a_eigs=(2.0, 4.0), b_scale=0.1)
     consts = ProblemConstants(L_f=q.lipschitz_L_f, L_h=1e-3, nu=4.0,
-                              delta=0.0, sigma=args.sigma,
-                              sigma_h=args.sigma * np.sqrt(d + m), G=0.0)
+                              delta=0.0, sigma_h=args.sigma * np.sqrt(d + m))
     sched = schedule_hcmm1(args.T, consts, N1=1.0)
     print(f"schedule: mu_x={sched.mu_x:.3g} mu_y={sched.mu_y:.3g} "
           f"beta={sched.beta_x:.3g}")

@@ -63,7 +63,7 @@ def main(argv=None) -> int:
             # the schedule checks, with the first grid combo filled in
             config = build_config(mapping)
             build_schedule(config, overrides={k: v[0] for k, v in
-                                              config.grid.items() if v})
+                                              config.grid.items()})
             print("config ok")
             return 0
         if args.command == "plot":

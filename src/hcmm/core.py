@@ -73,9 +73,7 @@ class ProblemConstants:
     L_h: float = 0.0
     nu: float = 0.0
     delta: float = 0.0
-    sigma: float = 0.0
     sigma_h: float = 0.0
-    G: float = 0.0
 
 
 @dataclass(frozen=True)

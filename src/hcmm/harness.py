@@ -56,7 +56,6 @@ class ExperimentConfig:
     seeds: Tuple[int, ...]
     eval_every: int
     output_dir: str
-    inner_tol: float
     record_wall: bool = False
     grid: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
     raw: Dict[str, str] = field(default_factory=dict)
@@ -120,9 +119,12 @@ def validate_config(mapping: Dict[str, str]) -> List[str]:
         if key.startswith(("schedule.", "constants.", "grid.")) \
                 and key != "schedule.kind":
             try:
-                _floats(value)
+                values = _floats(value)
             except ValueError:
                 issues.append(f"{key} is not numeric: {value!r}")
+            else:
+                if key.startswith("grid.") and not values:
+                    issues.append(f"{key} lists no values")
     return issues
 
 
@@ -149,9 +151,7 @@ def build_config(mapping: Dict[str, str]) -> ExperimentConfig:
         L_h=float(mapping.get("constants.L_h", "0")),
         nu=float(mapping.get("constants.nu", "0")),
         delta=float(mapping.get("constants.delta", "0")),
-        sigma=float(mapping.get("constants.sigma", "0")),
-        sigma_h=float(mapping.get("constants.sigma_h", "0")),
-        G=float(mapping.get("constants.G", "0")))
+        sigma_h=float(mapping.get("constants.sigma_h", "0")))
 
     schedule_params = {k.split(".", 1)[1]: float(v) for k, v in mapping.items()
                        if k.startswith("schedule.") and k != "schedule.kind"}
@@ -172,7 +172,6 @@ def build_config(mapping: Dict[str, str]) -> ExperimentConfig:
         seeds=_ints(mapping["run.seeds"]),
         eval_every=int(mapping.get("run.eval_every", "10")),
         output_dir=mapping.get("run.output_dir", "out"),
-        inner_tol=float(mapping.get("run.inner_tol", "1e-6")),
         record_wall=mapping.get("run.record_wall", "false").lower() == "true",
         grid=grid,
         raw=dict(mapping))
@@ -316,7 +315,6 @@ def run_single(config: ExperimentConfig, seed: int,
         problem, x0, y0 = build_problem(config)
     if schedule is None:
         schedule = build_schedule(config)
-    synthetic = problem.has_closed_form()
     is_hcmm1 = isinstance(config.optimizer, Hcmm1)
 
     rows: List[List[str]] = []
@@ -330,16 +328,11 @@ def run_single(config: ExperimentConfig, seed: int,
         i = out.next_state.iter
         p_x = grad_p = m_ci = None
         if (i - 1) % config.eval_every == 0:
-            if synthetic:
-                p_x = problem.p_value(x_i)
-                grad_p = float(np.linalg.norm(problem.grad_p(x_i)))
-                mc = out.next_momentum.m_x_clipped if is_hcmm1 \
-                    else out.next_momentum.m_x
-                m_ci = metric_ci(problem, x_i, y_i, mc)
-            else:
-                rep = evaluate_P(problem, x_i, tol=config.inner_tol,
-                                 max_iters=2000, y0=y_i)
-                p_x = rep.p_value
+            p_x = evaluate_P(problem, x_i).p_value
+            grad_p = float(np.linalg.norm(problem.grad_p(x_i)))
+            mc = out.next_momentum.m_x_clipped if is_hcmm1 \
+                else out.next_momentum.m_x
+            m_ci = metric_ci(problem, x_i, y_i, mc)
         wall = str(time.monotonic_ns() - t0) if config.record_wall else ""
         d = out.diagnostics
         rows.append([str(i), _fmt_float(p_x), _fmt_float(grad_p),
@@ -352,10 +345,8 @@ def run_single(config: ExperimentConfig, seed: int,
 
 def final_p(config: ExperimentConfig, problem: MinimaxProblem,
             x: np.ndarray, y: np.ndarray) -> float:
-    if problem.has_closed_form():
-        return problem.p_value(x)
-    return evaluate_P(problem, x, tol=config.inner_tol,
-                      max_iters=5000, y0=y).p_value
+    """P(x) at a run's final x; the inner max is exact, so y is not used."""
+    return evaluate_P(problem, x).p_value
 
 
 def run_experiment(config: ExperimentConfig) -> Dict[str, float]:
@@ -488,8 +479,6 @@ def rate_study(config: ExperimentConfig, T_values: Sequence[int]) -> RateReport:
     if len(T_values) < 3:
         raise ConfigError("rate study needs at least 3 horizon values")
     problem, x0, y0 = build_problem(config)
-    if not problem.has_closed_form():
-        raise ConfigError("rate study needs a problem with closed-form grad P")
     averages = []
     for T in T_values:
         schedule = build_schedule(config, T=T)

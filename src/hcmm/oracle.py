@@ -1,9 +1,9 @@
-"""Minimax problem interface and verification oracles.
+"""Minimax problem interface, the worst-case evaluator and the metrics.
 
 A problem exposes stochastic gradients and matrix-free block Hessian-vector
-products over the joint variable z = (x, y). The finite-difference oracle
-and the worst-case evaluator here are deliberately independent of the
-analytic code paths they check.
+products over the joint variable z = (x, y), plus the closed-form inner max
+y*(x), P(x) = max_y J(x, y) and grad P(x). The finite-difference oracle here
+is deliberately independent of the analytic code paths it checks.
 """
 
 from __future__ import annotations
@@ -36,28 +36,27 @@ class HvpResult:
 
 @dataclass(frozen=True)
 class InnerMaxReport:
+    """The inner max at x. It is solved in closed form, so iters_used is
+    always 0 and converged always True."""
+
     y_star: Vec
     p_value: float
-    residual: float
-    iters_used: int
+    iters_used: int = 0
     converged: bool = True
-
-
-class CapabilityError(RuntimeError):
-    """Operation requires a closed form the problem does not expose."""
 
 
 class MinimaxProblem:
     """Base class for min-max problems J(x, y) = E_xi Q(x, y; xi).
 
-    Subclasses implement the stochastic oracle; everything is a pure function
-    of its arguments (problems are immutable after construction).
+    Subclasses implement the stochastic oracle and the closed-form inner max;
+    everything is a pure function of its arguments (problems are immutable
+    after construction).
     """
 
     dim_x: int
     dim_y: int
     n_samples: Optional[int] = None  # None for synthetic noise problems
-    y_curvature: float = 1.0         # upper bound on curvature of y -> J(x, y)
+    lipschitz_L_f: float             # bound on the Lipschitz constant of grad J
 
     # -- stochastic oracle -------------------------------------------------
     def draw_sample(self, rng: np.random.Generator) -> SampleId:
@@ -82,18 +81,15 @@ class MinimaxProblem:
     def project_y(self, y: Vec) -> Vec:
         return y
 
-    # -- optional closed forms (synthetic testbeds) ------------------------
-    def has_closed_form(self) -> bool:
-        return False
-
+    # -- closed-form inner max ---------------------------------------------
     def y_argmax(self, x: Vec) -> Vec:
-        raise CapabilityError(f"{type(self).__name__} exposes no closed-form inner max")
+        raise NotImplementedError
 
     def p_value(self, x: Vec) -> float:
-        raise CapabilityError(f"{type(self).__name__} exposes no closed-form P(x)")
+        raise NotImplementedError
 
     def grad_p(self, x: Vec) -> Vec:
-        raise CapabilityError(f"{type(self).__name__} exposes no closed-form grad P")
+        raise NotImplementedError
 
 
 def finite_difference_hvp(problem: MinimaxProblem, x: Vec, y: Vec, xi: SampleId,
@@ -116,63 +112,16 @@ def finite_difference_hvp(problem: MinimaxProblem, x: Vec, y: Vec, xi: SampleId,
     return HvpResult((gp.gx - gm.gx) / (2.0 * t), (gp.gy - gm.gy) / (2.0 * t))
 
 
-def projected_gradient_residual(problem: MinimaxProblem, x: Vec, y: Vec,
-                                step: float) -> float:
-    """Norm of the projected-gradient mapping of y -> J(x, y) at y."""
-    gy = problem.full_gradient(x, y).gy
-    y_next = problem.project_y(y + step * gy)
-    return norm2(y - y_next) / step
+def evaluate_P(problem: MinimaxProblem, x: Vec) -> InnerMaxReport:
+    """Evaluate the worst-case objective P(x) = max_y J(x, y) in closed form."""
+    return InnerMaxReport(y_star=problem.y_argmax(x), p_value=problem.p_value(x))
 
 
-def evaluate_P(problem: MinimaxProblem, x: Vec, tol: float = 1e-8,
-               max_iters: int = 10000, y0: Optional[Vec] = None) -> InnerMaxReport:
-    """Evaluate the worst-case objective P(x) = max_y J(x, y).
-
-    Problems with a closed-form inner max are answered directly. Otherwise
-    projected gradient ascent with constant step 1/L_yy runs until the
-    projected-gradient-mapping norm drops below tol; non-convergence within
-    max_iters is reported via the flag, never silently.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if problem.has_closed_form():
-        ys = problem.y_argmax(x)
-        return InnerMaxReport(y_star=ys, p_value=problem.p_value(x),
-                              residual=0.0, iters_used=0)
-    step = 1.0 / problem.y_curvature
-    y = problem.project_y(np.zeros(problem.dim_y)) if y0 is None else np.asarray(y0)
-    iters = 0
-    while iters < max_iters:
-        gy = problem.full_gradient(x, y).gy
-        y_next = problem.project_y(y + step * gy)
-        residual = norm2(y - y_next) / step
-        y = y_next
-        iters += 1
-        if residual <= tol:
-            # recompute at the returned point so the reported residual is
-            # the true mapping norm at y_star
-            final = projected_gradient_residual(problem, x, y, step)
-            if final <= tol:
-                return InnerMaxReport(y_star=y, p_value=problem.objective(x, y),
-                                      residual=final, iters_used=iters)
-    final = projected_gradient_residual(problem, x, y, step)
-    return InnerMaxReport(y_star=y, p_value=problem.objective(x, y),
-                          residual=final, iters_used=iters, converged=False)
-
-
-def metric_ci(problem: MinimaxProblem, x: Vec, y: Vec, m_x_clipped: Vec,
-              L_f: Optional[float] = None) -> float:
+def metric_ci(problem: MinimaxProblem, x: Vec, y: Vec, m_x_clipped: Vec) -> float:
     """Stationarity surrogate: L_f ||y*(x) - y|| + ||grad_x J - m|| + ||m||.
 
-    Upper-bounds ||grad P(x)||; requires a closed-form inner maximizer, so it
-    is available on the synthetic testbeds only.
+    Upper-bounds ||grad P(x)|| = ||grad_x J(x, y*(x))|| (Danskin).
     """
-    if not problem.has_closed_form():
-        raise CapabilityError("metric_ci needs a problem with closed-form y_argmax")
-    if L_f is None:
-        L_f = getattr(problem, "lipschitz_L_f", None)
-        if L_f is None:
-            raise CapabilityError("metric_ci needs an L_f estimate")
     gx = problem.full_gradient(x, y).gx
-    return (L_f * norm2(problem.y_argmax(x) - y)
+    return (problem.lipschitz_L_f * norm2(problem.y_argmax(x) - y)
             + norm2(gx - m_x_clipped) + norm2(m_x_clipped))

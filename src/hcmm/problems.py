@@ -4,7 +4,8 @@
   nonconvex coordinate-wise regularizer on x and a quadratic divergence on
   the simplex weights y. Single-sample stochastic model: drawing row i gives
   the surrogate Q(x, y; i) = n*y_i*Q_i(x) - V(y) + g(x), which is unbiased
-  for the full objective under uniform i.
+  for the full objective under uniform i. The inner max is a simplex
+  projection in closed form.
 - QuadraticMinimaxProblem: strongly concave quadratic testbed with closed
   forms for the inner max, P(x) and grad P(x); optional additive Gaussian
   gradient/Hessian noise keyed by the sample id.
@@ -35,6 +36,11 @@ class RobustLogisticProblem(MinimaxProblem):
     Q_i(x) = log(1 + exp(-l_i r_i^T x)), g(x) = lambda2 * sum_j rho x_j^2 /
     (1 + rho x_j^2), V(y) = 0.5 * lambda1 * ||n y - 1||^2. Rows are sparse;
     all x-side products are O(nnz of the touched rows).
+
+    The y-Hessian is exactly -lambda1 n^2 I, so y -> J(x, y) equals
+    -0.5 lambda1 n^2 ||y - (1/n + q(x) / (lambda1 n^2))||^2 plus terms free
+    of y, with q_i = Q_i(x); its maximizer over the simplex is the projection
+    of that centre.
     """
 
     def __init__(self, rows: sp.spmatrix, labels: np.ndarray,
@@ -65,8 +71,10 @@ class RobustLogisticProblem(MinimaxProblem):
         self.dim_x = d
         self.dim_y = n
         self.n_samples = n
-        # y-Hessian is exactly -lambda1 * n^2 * I
-        self.y_curvature = self.lambda1 * n ** 2
+        # crude analytic bound on the joint-gradient Lipschitz constant
+        rmax = float(np.sqrt(X.power(2).sum(axis=1).max()))
+        self.lipschitz_L_f = (n * rmax ** 2 / 4.0 + 2.0 * self.lambda2 * self.rho
+                              + self.lambda1 * n ** 2 + n * rmax)
 
     # -- single-row helpers ------------------------------------------------
     def _row(self, i: SampleId) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,14 +155,16 @@ class RobustLogisticProblem(MinimaxProblem):
     def project_y(self, y: Vec) -> Vec:
         return project_simplex(y)
 
-    def lipschitz_bound(self) -> float:
-        """Crude analytic bound on the joint-gradient Lipschitz constant."""
-        rmax = 0.0
-        for i in range(self.n):
-            _, val = self._row(i)
-            rmax = max(rmax, float(np.linalg.norm(val)))
-        return (self.n * rmax ** 2 / 4.0 + 2.0 * self.lambda2 * self.rho
-                + self.lambda1 * self.n ** 2 + self.n * rmax)
+    def y_argmax(self, x: Vec) -> Vec:
+        q = self._q_of_margin(self._margins(x))
+        return project_simplex(1.0 / self.n + q / (self.lambda1 * self.n ** 2))
+
+    def p_value(self, x: Vec) -> float:
+        return self.objective(x, self.y_argmax(x))
+
+    def grad_p(self, x: Vec) -> Vec:
+        # Danskin: the maximizer is unique, so grad P(x) = grad_x J(x, y*(x))
+        return self.full_gradient(x, self.y_argmax(x)).gx
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +205,6 @@ class QuadraticMinimaxProblem(MinimaxProblem):
         self.noise_sigma = float(noise_sigma)
         self.noise_sigma_h = float(noise_sigma_h)
         self.dim_x, self.dim_y = B.shape
-        self.y_curvature = self.nu
         self.lipschitz_L_f = _joint_hessian_norm(A, B, -nu * np.eye(self.dim_y))
         self._p_hessian = A + B @ B.T / nu
 
@@ -240,9 +249,6 @@ class QuadraticMinimaxProblem(MinimaxProblem):
         return float(0.5 * x @ self.A @ x + x @ self.B @ y
                      - 0.5 * self.nu * y @ y)
 
-    def has_closed_form(self) -> bool:
-        return True
-
     def y_argmax(self, x: Vec) -> Vec:
         return self.B.T @ x / self.nu
 
@@ -286,7 +292,6 @@ class PlToyProblem(MinimaxProblem):
         self.A, self.B, self.C = A, B, C
         self.noise_sigma = float(noise_sigma)
         self.dim_x, self.dim_y = B.shape
-        self.y_curvature = float(evals.max())
         self.lipschitz_L_f = _joint_hessian_norm(A, B, -C)
         self._p_hessian = A + B @ self.C_pinv @ B.T
 
@@ -305,9 +310,6 @@ class PlToyProblem(MinimaxProblem):
 
     def objective(self, x: Vec, y: Vec) -> float:
         return float(0.5 * x @ self.A @ x + x @ self.B @ y - 0.5 * y @ self.C @ y)
-
-    def has_closed_form(self) -> bool:
-        return True
 
     def y_argmax(self, x: Vec) -> Vec:
         return self.C_pinv @ (self.B.T @ x)

@@ -264,8 +264,7 @@ def test_criterion_07_saddle_convergence():
     d = m = 10
     sigma = 0.1
     consts = ProblemConstants(L_f=q.lipschitz_L_f, L_h=1e-3, nu=4.0,
-                              delta=0.0, sigma=sigma,
-                              sigma_h=sigma * np.sqrt(d + m), G=0.0)
+                              delta=0.0, sigma_h=sigma * np.sqrt(d + m))
     T = 10_000
     sched = schedule_hcmm1(T, consts, N1=1.0)
     avgs, finals = [], []
@@ -305,7 +304,6 @@ def test_criterion_08_rate_trend(tmp_path):
         "schedule.N1": "50.0",
         "constants.L_f": repr(float(q.lipschitz_L_f)),
         "constants.L_h": "1e-3", "constants.nu": "24.0",
-        "constants.sigma": "1.0",
         "constants.sigma_h": repr(float(np.sqrt(20.0))),
         "run.T": "100000",
         "run.seeds": ",".join(str(s) for s in range(10)),
@@ -336,7 +334,6 @@ def tuned_final_p(path, optimizer_extra, tmp_path, tag):
         "run.T": "2000",
         "run.seeds": "0,1,2",
         "run.eval_every": "2000",
-        "run.inner_tol": "1e-7",
         "run.output_dir": str(tmp_path / tag),
         "grid.mu_x": ",".join(map(str, mus)),
         "grid.mu_y": ",".join(map(str, mus)),

@@ -7,7 +7,7 @@ from hcmm.core import (ConfigError, HyperSchedule, ProblemConstants,
 
 
 def constants(**kw):
-    base = dict(L_f=1.0, nu=1.0, L_h=1.0, sigma=1.0, sigma_h=1.0, G=1.0)
+    base = dict(L_f=1.0, nu=1.0, L_h=1.0, sigma_h=1.0)
     base.update(kw)
     return ProblemConstants(**base)
 
@@ -92,7 +92,7 @@ class TestScheduleHcmm1:
 
     def test_golden_values_T1000(self):
         # hand evaluation of the minimum expressions for
-        # (T=1000, L_f=nu=L_h=sigma=sigma_h=1, N1=1):
+        # (T=1000, L_f=nu=L_h=sigma_h=1, N1=1):
         #   beta = 1000^(-2/3) = 0.01
         #   pi1 = 1/3, C = min(5/24, 4, 1/128) = 1/128
         #   mu_y = min(0.1, sqrt(0.02), sqrt(0.01/256), sqrt(0.01/(128*30)),

@@ -11,6 +11,8 @@ from hcmm.harness import (TRACE_COLUMNS, build_config, build_schedule,
 from hcmm.optimizers import Hcmm1, Sagda
 from hcmm import cli
 
+from conftest import write_libsvm
+
 
 def quad_mapping(out_dir, **extra):
     base = {
@@ -155,6 +157,37 @@ class TestPlToy:
         assert best["mu_x"] in (0.01, 0.02)
 
 
+class TestRobustLogistic:
+    @pytest.mark.parametrize("optimizer",
+                             ["hcmm1", "hcmm2", "storm_gda", "sagda"])
+    def test_trace_has_every_metric(self, tmp_path, optimizer):
+        rng = np.random.default_rng(0)
+        lines = [f"{rng.choice(['+1', '-1'])} "
+                 + " ".join(f"{j}:{rng.standard_normal():.3f}"
+                            for j in sorted(rng.choice(np.arange(1, 7), 3,
+                                                       replace=False)))
+                 for _ in range(40)]
+        path = write_libsvm(tmp_path / "tiny.svm", lines)
+        cfg = build_config({
+            "problem.kind": "robust_logistic", "problem.dataset_path": path,
+            "optimizer.kind": optimizer, "schedule.kind": "explicit",
+            "schedule.mu_x": "0.05", "schedule.mu_y": "0.01",
+            "schedule.beta_x": "0.2", "schedule.beta_y": "0.2",
+            "schedule.N": "5", "schedule.N1": "5",
+            "run.T": "30", "run.seeds": "1", "run.eval_every": "4",
+            "run.output_dir": str(tmp_path / "out")})
+        finals = run_experiment(cfg)
+        assert math.isfinite(finals["1"])
+        cols = read_trace(str(tmp_path / "out" / f"trace_{optimizer}_seed1.csv"))
+        rows = [(p, g, c) for p, g, c in zip(cols["p_x"], cols["grad_p_norm"],
+                                             cols["metric_ci"])
+                if p is not None]
+        assert len(rows) == math.ceil(30 / 4)
+        for p_x, grad_p, ci in rows:
+            assert math.isfinite(p_x) and math.isfinite(grad_p)
+            assert math.isfinite(ci) and ci >= grad_p
+
+
 class TestGridSearch:
     def test_cross_product_size_and_best(self, tmp_path):
         cfg = build_config(quad_mapping(
@@ -195,6 +228,9 @@ class TestGridSearch:
         cfg = build_config(quad_mapping(tmp_path))
         with pytest.raises(ConfigError, match="grid"):
             grid_search(cfg)
+        # a grid key with an empty value list has no combo to run
+        with pytest.raises(ConfigError, match="grid.mu_x lists no values"):
+            build_config(quad_mapping(tmp_path, **{"grid.mu_x": ""}))
 
 
 class TestRateStudy:
@@ -289,6 +325,16 @@ class TestCli:
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in m.items()))
         assert cli.main(["validate", "--config", str(cfg)]) == 0
         assert "ok" in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("command", ["validate", "grid"])
+    def test_empty_grid_list(self, tmp_path, capsys, command):
+        cfg = self.write_cfg(tmp_path, "grid.mu_x =\n")
+        rc = cli.main([command, "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "grid.mu_x lists no values" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_plot_subcommand(self, tmp_path):
         cli.main(["run", "--config", self.write_cfg(tmp_path)])

@@ -138,7 +138,7 @@ class TestRobustLogisticUnbiasedness:
 
     def test_gradient_lipschitz_spot_check(self, logistic_small):
         p = logistic_small
-        L_hat = p.lipschitz_bound()
+        L_hat = p.lipschitz_L_f
         rng = np.random.default_rng(17)
         for _ in range(1000):
             x1 = rng.standard_normal(p.d)
@@ -151,6 +151,29 @@ class TestRobustLogisticUnbiasedness:
                          + np.sum((g1.gy - g2.gy) ** 2))
             dz = np.sqrt(np.sum((x1 - x2) ** 2) + np.sum((y1 - y2) ** 2))
             assert dg <= L_hat * dz + 1e-12
+
+
+class TestRobustLogisticClosedForms:
+    def test_danskin_consistency(self):
+        # grad P against central differences of P, both from the closed form
+        p = make_logistic(n=30, d=6, seed=2)
+        rng = np.random.default_rng(8)
+        h = 1e-5
+        # small x keeps most weights positive, large x leaves few
+        for scale in (0.01, 0.1, 1.0) * 4:
+            x = scale * rng.standard_normal(p.d)
+            fd = np.array([(p.p_value(x + h * e) - p.p_value(x - h * e)) / (2 * h)
+                           for e in np.eye(p.d)])
+            np.testing.assert_allclose(p.grad_p(x), fd, rtol=1e-6, atol=1e-8)
+
+    def test_lipschitz_matches_row_loop(self):
+        # the bound's largest row norm, taken one row at a time
+        for n, d, seed in ((20, 8, 0), (300, 40, 5)):
+            p = make_logistic(n=n, d=d, seed=seed)
+            rmax = max(np.linalg.norm(p.X.getrow(i).toarray()) for i in range(n))
+            L = (n * rmax ** 2 / 4.0 + 2.0 * p.lambda2 * p.rho
+                 + p.lambda1 * n ** 2 + n * rmax)
+            assert p.lipschitz_L_f == pytest.approx(L, rel=1e-13)
 
 
 class TestQuadratic:
