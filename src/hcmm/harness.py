@@ -115,15 +115,23 @@ def validate_config(mapping: Dict[str, str]) -> List[str]:
             issues.append("run.seeds must list at least one seed")
     except ValueError:
         issues.append(f"run.seeds is not an integer list: {mapping.get('run.seeds')!r}")
+    try:
+        if int(mapping.get("problem.subsample", "1")) < 1:
+            issues.append("problem.subsample must be >= 1")
+    except ValueError:
+        issues.append(f"problem.subsample is not an integer: "
+                      f"{mapping.get('problem.subsample')!r}")
     for key, value in mapping.items():
         if key.startswith(("schedule.", "constants.", "grid.")) \
                 and key != "schedule.kind":
+            # build_config reads grid.* as a list and the others as one float
             try:
-                values = _floats(value)
+                values = (_floats(value) if key.startswith("grid.")
+                          else (float(value),))
             except ValueError:
                 issues.append(f"{key} is not numeric: {value!r}")
             else:
-                if key.startswith("grid.") and not values:
+                if not values:
                     issues.append(f"{key} lists no values")
     return issues
 

@@ -39,9 +39,18 @@ class Dataset:
     X: sp.csr_matrix
     labels: np.ndarray
 
-    def row(self, i: int) -> List[Tuple[int, float]]:
-        s, e = self.X.indptr[i], self.X.indptr[i + 1]
-        return list(zip(self.X.indices[s:e].tolist(), self.X.data[s:e].tolist()))
+
+def _error(message: str, body: str, k: int, lineno: int,
+           path: Optional[str]) -> ParseError:
+    """ParseError at the k-th (0-based) whitespace-separated token of body.
+
+    The column is found by re-scanning body, so only failing lines pay for it.
+    """
+    end = 0
+    for tok in body.split()[:k + 1]:
+        start = body.index(tok, end)
+        end = start + len(tok)
+    return ParseError(message, lineno, start + 1, path)
 
 
 def parse_line(line: str, lineno: int = 1,
@@ -51,37 +60,33 @@ def parse_line(line: str, lineno: int = 1,
     tokens = body.split()
     if not tokens:
         raise ParseError("empty line", lineno, path=path)
-    col = body.index(tokens[0]) + 1
     try:
         label = float(tokens[0])
     except ValueError:
-        raise ParseError(f"unparseable label {tokens[0]!r}", lineno, col, path) from None
+        raise _error(f"unparseable label {tokens[0]!r}", body, 0, lineno,
+                     path) from None
     features: List[Tuple[int, float]] = []
     prev_idx = 0
-    pos = col + len(tokens[0])
-    for tok in tokens[1:]:
-        col = body.index(tok, pos - 1) + 1
-        pos = col + len(tok)
-        if ":" not in tok:
-            raise ParseError(f"malformed feature token {tok!r} (missing ':')",
-                             lineno, col, path)
-        idx_s, val_s = tok.split(":", 1)
+    for k, tok in enumerate(tokens[1:], start=1):
+        idx_s, colon, val_s = tok.partition(":")
+        if not colon:
+            raise _error(f"malformed feature token {tok!r} (missing ':')",
+                         body, k, lineno, path)
         try:
             idx = int(idx_s)
         except ValueError:
-            raise ParseError(f"unparseable feature index {idx_s!r}",
-                             lineno, col, path) from None
+            raise _error(f"unparseable feature index {idx_s!r}", body, k,
+                         lineno, path) from None
         if idx < 1:
-            raise ParseError(f"feature index {idx} < 1", lineno, col, path)
+            raise _error(f"feature index {idx} < 1", body, k, lineno, path)
         if idx <= prev_idx:
-            raise ParseError(
-                f"non-increasing feature index {idx} after {prev_idx}",
-                lineno, col, path)
+            raise _error(f"non-increasing feature index {idx} after {prev_idx}",
+                         body, k, lineno, path)
         try:
             val = float(val_s)
         except ValueError:
-            raise ParseError(f"unparseable feature value {val_s!r}",
-                             lineno, col, path) from None
+            raise _error(f"unparseable feature value {val_s!r}", body, k,
+                         lineno, path) from None
         features.append((idx, val))
         prev_idx = idx
     return label, features
@@ -93,86 +98,42 @@ def _open_text(path: str):
     return open(path, "r", encoding="utf-8")
 
 
-def load_dataset(path: str, binarize_labels: bool = True,
-                 subsample: Optional[int] = None, seed: int = 0,
-                 stratify: bool = False, d_override: Optional[int] = None) -> Dataset:
-    """Load a LIBSVM file into a Dataset.
+def load_dataset(path: str, subsample: Optional[int] = None,
+                 seed: int = 0) -> Dataset:
+    """Load a LIBSVM file into a Dataset, reading it once.
 
-    With binarize_labels, labels <= 0 map to -1 and > 0 to +1 (some
-    distributions ship {0, 1} labels). subsample keeps k rows chosen by a
-    seeded shuffle, optionally stratified by label so class proportions are
-    preserved within one count per class.
+    Labels <= 0 map to -1 and > 0 to +1 (some distributions ship {0, 1}
+    labels). d is the largest feature index in the whole file. With
+    subsample = k (>= 1) and k < n, the rows
+    sorted(default_rng(seed).permutation(n)[:k]) are kept, in file order.
     """
+    if subsample is not None and subsample < 1:
+        raise ValueError(f"subsample must be >= 1, got {subsample}")
     labels: List[float] = []
-    rows: List[List[Tuple[int, float]]] = []
-    with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            body = raw.split("#", 1)[0]
-            if not body.strip():
-                continue
-            label, feats = parse_line(raw, lineno, path=str(path))
-            labels.append(label)
-            rows.append(feats)
-    if not rows:
-        raise ParseError("no data rows", 1, path=str(path))
-
-    max_idx = max((f[-1][0] for f in rows if f), default=0)
-    if d_override is not None:
-        if d_override < max_idx:
-            raise ValueError(
-                f"d_override={d_override} is below the largest observed "
-                f"feature index {max_idx}")
-        d = d_override
-    else:
-        d = max_idx
-
-    lab = np.asarray(labels, dtype=np.float64)
-    if binarize_labels:
-        lab = np.where(lab > 0, 1.0, -1.0)
-
-    if subsample is not None and subsample < len(rows):
-        rng = np.random.default_rng(seed)
-        if stratify:
-            keep: List[int] = []
-            idx_all = np.arange(len(rows))
-            for cls in np.unique(lab):
-                cls_idx = idx_all[lab == cls]
-                k = int(round(subsample * cls_idx.size / len(rows)))
-                k = min(max(k, 0), cls_idx.size)
-                keep.extend(rng.permutation(cls_idx)[:k].tolist())
-            keep = sorted(keep)[:subsample]
-        else:
-            keep = sorted(rng.permutation(len(rows))[:subsample].tolist())
-        rows = [rows[i] for i in keep]
-        lab = lab[keep]
-
     indptr = [0]
     indices: List[int] = []
     data: List[float] = []
-    for feats in rows:
-        for idx, val in feats:
-            indices.append(idx - 1)
-            data.append(val)
-        indptr.append(len(indices))
+    with _open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.split("#", 1)[0].strip():
+                continue
+            label, feats = parse_line(raw, lineno, path=str(path))
+            labels.append(label)
+            for idx, val in feats:
+                indices.append(idx - 1)
+                data.append(val)
+            indptr.append(len(indices))
+    n = len(labels)
+    if not n:
+        raise ParseError("no data rows", 1, path=str(path))
+
     X = sp.csr_matrix(
         (np.asarray(data, dtype=np.float64),
          np.asarray(indices, dtype=np.int32),
          np.asarray(indptr, dtype=np.int32)),
-        shape=(len(rows), d))
-    return Dataset(n=len(rows), d=d, X=X, labels=lab)
-
-
-def serialize(dataset: Dataset) -> str:
-    """Render a Dataset back to LIBSVM text (1-based indices, LF endings)."""
-    out = []
-    for i in range(dataset.n):
-        parts = [_fmt(dataset.labels[i])]
-        parts.extend(f"{idx + 1}:{_fmt(val)}" for idx, val in dataset.row(i))
-        out.append(" ".join(parts))
-    return "\n".join(out) + "\n"
-
-
-def _fmt(x: float) -> str:
-    if float(x).is_integer():
-        return str(int(x))
-    return repr(float(x))
+        shape=(n, max(indices, default=-1) + 1))
+    lab = np.where(np.asarray(labels, dtype=np.float64) > 0, 1.0, -1.0)
+    if subsample is not None and subsample < n:
+        keep = sorted(np.random.default_rng(seed).permutation(n)[:subsample].tolist())
+        X, lab = X[keep], lab[keep]
+    return Dataset(n=X.shape[0], d=X.shape[1], X=X, labels=lab)

@@ -190,7 +190,7 @@ class QuadraticMinimaxProblem(MinimaxProblem):
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, nu: float,
-                 noise_sigma: float = 0.0, noise_sigma_h: float = 0.0):
+                 noise_sigma: float = 0.0):
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -203,7 +203,6 @@ class QuadraticMinimaxProblem(MinimaxProblem):
             raise ValueError(f"nu must be positive, got {nu}")
         self.A, self.B, self.nu = A, B, float(nu)
         self.noise_sigma = float(noise_sigma)
-        self.noise_sigma_h = float(noise_sigma_h)
         self.dim_x, self.dim_y = B.shape
         self.lipschitz_L_f = _joint_hessian_norm(A, B, -nu * np.eye(self.dim_y))
         self._p_hessian = A + B @ B.T / nu
@@ -229,18 +228,7 @@ class QuadraticMinimaxProblem(MinimaxProblem):
         return GradPair(g.gx + ex, g.gy + ey)
 
     def sample_hvp(self, x: Vec, y: Vec, xi: SampleId, dx: Vec, dy: Vec) -> HvpResult:
-        hx = self.A @ dx + self.B @ dy
-        hy = self.B.T @ dx - self.nu * dy
-        if self.noise_sigma_h > 0.0:
-            M = self.dim_x + self.dim_y
-            rng = np.random.default_rng(np.random.SeedSequence([xi, 0x48]))
-            W = rng.standard_normal((M, M))
-            E = self.noise_sigma_h * (W + W.T) / np.sqrt(2.0 * M)
-            d = np.concatenate([dx, dy])
-            ed = E @ d
-            hx = hx + ed[:self.dim_x]
-            hy = hy + ed[self.dim_x:]
-        return HvpResult(hx, hy)
+        return HvpResult(self.A @ dx + self.B @ dy, self.B.T @ dx - self.nu * dy)
 
     def full_gradient(self, x: Vec, y: Vec) -> GradPair:
         return self._exact_gradient(x, y)

@@ -336,6 +336,32 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key", ["schedule.beta_x", "constants.L_f"])
+    def test_empty_scalar_value(self, tmp_path, capsys, command, key):
+        rc = cli.main([command, "--config",
+                       self.write_cfg(tmp_path, f"{key} =\n")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{key} is not numeric: ''" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_subsample_must_be_positive(self, tmp_path, capsys, command, value):
+        data = write_libsvm(tmp_path / "tiny.svm",
+                            ["+1 1:1 2:0.5", "-1 2:1", "+1 1:-1", "-1 1:2 2:1"])
+        cfg = self.write_cfg(tmp_path, "problem.kind = robust_logistic\n"
+                             f"problem.dataset_path = {data}\n"
+                             f"problem.subsample = {value}\n")
+        rc = cli.main([command, "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "problem.subsample" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_plot_subcommand(self, tmp_path):
         cli.main(["run", "--config", self.write_cfg(tmp_path)])
         out = tmp_path / "plot.svg"

@@ -3,7 +3,7 @@ import gzip
 import numpy as np
 import pytest
 
-from hcmm.libsvm import Dataset, ParseError, load_dataset, parse_line, serialize
+from hcmm.libsvm import ParseError, load_dataset, parse_line
 
 from conftest import write_libsvm
 
@@ -50,15 +50,14 @@ class TestLoadDataset:
                          ["+1 1:1.5 3:2", "-1 2:-0.5", "+1 3:1"])
         ds = load_dataset(p)
         assert (ds.n, ds.d) == (3, 3)
-        assert ds.row(0) == [(0, 1.5), (2, 2.0)]
+        np.testing.assert_array_equal(ds.X.toarray(),
+                                      [[1.5, 0, 2], [0, -0.5, 0], [0, 0, 1]])
         np.testing.assert_array_equal(ds.labels, [1.0, -1.0, 1.0])
 
     def test_binarize_zero_one_labels(self, tmp_path):
         p = write_libsvm(tmp_path / "zo.txt", ["0 1:1", "1 1:2"])
         ds = load_dataset(p)
         np.testing.assert_array_equal(ds.labels, [-1.0, 1.0])
-        raw = load_dataset(p, binarize_labels=False)
-        np.testing.assert_array_equal(raw.labels, [0.0, 1.0])
 
     def test_gzip_transparent(self, tmp_path):
         gz = tmp_path / "data.txt.gz"
@@ -72,6 +71,50 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match=r"bad\.txt:2"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("bad,column,message", [
+        ("  spam 1:1", 3, "unparseable label 'spam'"),
+        ("+1 2:1 23", 8, "malformed feature token '23' (missing ':')"),
+        ("+1 1:1 x:2", 8, "unparseable feature index 'x'"),
+        ("-1 0:1", 4, "feature index 0 < 1"),
+        ("+1 2:1 12:1 2:1", 13, "non-increasing feature index 2 after 12"),
+        ("-1 1:1\t2:abc", 8, "unparseable feature value 'abc'"),
+    ])
+    def test_error_located_through_load(self, tmp_path, bad, column, message):
+        # line 1 is a comment, line 2 blank, line 3 valid, line 4 bad
+        p = write_libsvm(tmp_path / "bad.txt",
+                         ["# leading comment", "", "+1 1:1 2:0.5", bad, "-1 1:1"])
+        with pytest.raises(ParseError) as ei:
+            load_dataset(p)
+        assert (ei.value.line, ei.value.column) == (4, column)
+        assert str(ei.value) == f"{p}:4:{column}: {message}"
+
+    def test_gzip_error_located(self, tmp_path):
+        gz = tmp_path / "bad.txt.gz"
+        with gzip.open(gz, "wt") as fh:
+            fh.write("# c\n+1 1:1\n-1 3:1 3:2\n")
+        with pytest.raises(ParseError) as ei:
+            load_dataset(str(gz))
+        assert (ei.value.line, ei.value.column) == (3, 8)
+        assert str(ei.value) == (f"{gz}:3:8: non-increasing feature index 3 "
+                                 f"after 3")
+
+    def test_subsample_selects_rows_of_full_load(self, tmp_path):
+        lines = ["+1 30:2"] + [
+            f"{(-1) ** i} {1 + i % 5}:{i + 1} {7 + i % 3}:{0.5 * i}"
+            for i in range(49)]
+        p = write_libsvm(tmp_path / "rows.txt", lines)
+        full = load_dataset(p)
+        for k, seed in ((10, 7), (1, 0), (49, 3), (50, 1), (80, 2)):
+            sub = load_dataset(p, subsample=k, seed=seed)
+            keep = sorted(np.random.default_rng(seed).permutation(50)[:k])
+            expect = full.X[keep]
+            assert (sub.n, sub.d) == (len(keep), full.d) == (len(keep), 30)
+            np.testing.assert_array_equal(sub.labels, full.labels[keep])
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(sub.X, name), getattr(expect, name)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
     def test_subsample_deterministic(self, tmp_path):
         lines = [f"{(-1) ** i} {1 + i % 5}:{i + 1}" for i in range(50)]
         p = write_libsvm(tmp_path / "big.txt", lines)
@@ -84,30 +127,11 @@ class TestLoadDataset:
         assert not (np.array_equal(a.labels, c.labels)
                     and (a.X != c.X).nnz == 0)
 
-    def test_stratified_subsample_preserves_proportions(self, tmp_path):
-        lines = ["+1 1:1"] * 30 + ["-1 1:2"] * 10
-        p = write_libsvm(tmp_path / "strat.txt", lines)
-        ds = load_dataset(p, subsample=20, seed=1, stratify=True)
-        pos = int(np.sum(ds.labels > 0))
-        assert abs(pos - 15) <= 1
-        assert abs((ds.n - pos) - 5) <= 1
-
-    def test_d_override(self, tmp_path):
-        p = write_libsvm(tmp_path / "ovr.txt", ["+1 2:1"])
-        assert load_dataset(p, d_override=10).d == 10
-        with pytest.raises(ValueError, match="below"):
-            load_dataset(p, d_override=1)
-
-    def test_round_trip(self, tmp_path):
-        p = write_libsvm(tmp_path / "rt.txt",
-                         ["+1 1:0.25 4:-3", "-1 2:1.5", "+1 3:7"])
-        ds = load_dataset(p)
-        p2 = tmp_path / "rt2.txt"
-        p2.write_text(serialize(ds))
-        ds2 = load_dataset(str(p2))
-        assert (ds.n, ds.d) == (ds2.n, ds2.d)
-        assert (ds.X != ds2.X).nnz == 0
-        np.testing.assert_array_equal(ds.labels, ds2.labels)
+    @pytest.mark.parametrize("k", [0, -5])
+    def test_subsample_below_one_rejected(self, tmp_path, k):
+        p = write_libsvm(tmp_path / "few.txt", ["+1 1:1", "-1 2:1", "+1 1:2"])
+        with pytest.raises(ValueError, match="subsample must be >= 1"):
+            load_dataset(p, subsample=k)
 
     def test_empty_file_rejected(self, tmp_path):
         p = write_libsvm(tmp_path / "empty.txt", ["# only a comment"])
