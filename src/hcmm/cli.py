@@ -8,18 +8,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .core import ConfigError
-from .harness import (build_config, build_schedule, emit_plot, grid_search,
-                      load_config, parse_config_text, rate_study,
-                      run_experiment, validate_config)
-
-
-def _load(args) -> "ExperimentConfig":
-    config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seeds=(args.seed,))
-    if getattr(args, "out", None):
-        config = replace(config, output_dir=args.out)
-    return config
+from .harness import (build_schedule, emit_plot, grid_search,
+                      parse_config_text, rate_study, read_config,
+                      run_experiment)
 
 
 def main(argv=None) -> int:
@@ -53,24 +44,29 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            mapping = parse_config_text(Path(args.config).read_text())
-            issues = validate_config(mapping)
-            if issues:
-                for issue in issues:
-                    print(f"error: {issue}", file=sys.stderr)
-                return 1
-            # the schedule checks, with the first grid combo filled in
-            config = build_config(mapping)
-            build_schedule(config, overrides={k: v[0] for k, v in
-                                              config.grid.items()})
-            print("config ok")
-            return 0
         if args.command == "plot":
             emit_plot(args.trace_dir, args.out)
             print(f"wrote {args.out}")
             return 0
-        config = _load(args)
+        config, issues, unknown = read_config(
+            parse_config_text(Path(args.config).read_text()))
+        if args.command == "validate":
+            for key in unknown:
+                print(f"warning: unknown key {key} (ignored)", file=sys.stderr)
+        for issue in issues:
+            print(f"error: {issue}", file=sys.stderr)
+        if issues:
+            return 1
+        if args.command == "validate":
+            # the schedule checks, with the first grid combo filled in
+            build_schedule(config, overrides={k: v[0] for k, v in
+                                              config.grid.items()})
+            print("config ok")
+            return 0
+        if getattr(args, "seed", None) is not None:
+            config = replace(config, seeds=(args.seed,))
+        if getattr(args, "out", None):
+            config = replace(config, output_dir=args.out)
         if args.command == "run":
             finals = run_experiment(config)
             print(f"final P(x): mean={finals['mean']:.6g} "

@@ -9,11 +9,12 @@ byte-identical across repeats. Wall-clock timing is opt-in
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,10 +44,14 @@ def optimizer_label(kind: OptimizerKind) -> str:
 # configuration
 # ---------------------------------------------------------------------------
 
+# the schedule.<k> keys; a grid.<k> list may stand in for schedule.<k>
+SCHEDULE_KEYS = ("mu_x", "mu_y", "beta_x", "beta_y", "N", "N1")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem_kind: str                      # robust_logistic | quadratic | pl_toy
-    problem_params: Dict[str, str]
+    problem_params: Dict[str, Any]         # typed, defaults filled in
     optimizer: OptimizerKind
     project_y: bool
     schedule_kind: str                     # explicit | theorem1 | theorem2
@@ -75,118 +80,159 @@ def parse_config_text(text: str) -> Dict[str, str]:
     return mapping
 
 
-def _floats(value: str) -> Tuple[float, ...]:
-    return tuple(float(tok) for tok in value.split(",") if tok.strip())
+class _Reader:
+    """Reads config keys, each with its type, default and check.
+
+    A missing key gives its default, and a number's check applies to its
+    default too: one that fails (run.T = 0) makes the key required. A value
+    that fails adds an issue naming the key; a number then reads as its
+    default, so defaults derived from it stay well-formed. Every key read
+    is recorded, so the keys left over are the unknown ones.
+    """
+
+    def __init__(self, mapping: Dict[str, str]):
+        self.mapping = mapping
+        self.issues: List[str] = []
+        self.seen: Set[str] = set()
+
+    def text(self, key: str, default: Optional[str] = None,
+             options: Optional[Sequence[str]] = None) -> Optional[str]:
+        """The value as written; with `options`, it must be one of them."""
+        self.seen.add(key)
+        value = self.mapping.get(key, default)
+        if options is not None and value not in options:
+            self.issues.append(f"{key} must be {'|'.join(options)}, "
+                               f"got {value!r}")
+        return value
+
+    def flag(self, key: str, default: bool) -> bool:
+        """true or false, in any case."""
+        value = self.text(key, str(default))
+        if value.lower() not in ("true", "false"):
+            self.issues.append(f"{key} must be true or false, got {value!r}")
+        return value.lower() == "true"
+
+    def number(self, key: str, default=None, kind=float, low=None):
+        """One float (or int) value, checked as `numbers` checks a list."""
+        values = self.numbers(key, None if default is None else (default,),
+                              kind, low, count=1)
+        return default if values is None else values[0]
+
+    def numbers(self, key: str, default=None, kind=float, low=None,
+                count: Optional[int] = None):
+        """A comma-separated list of finite floats (or ints): `count` of
+        them, or at least one, none below `low`. With count = 1 the whole
+        value is the one number."""
+        raw = self.text(key)
+        if raw is None:
+            values = default
+        else:
+            tokens = [raw] if count == 1 else \
+                [tok for tok in raw.split(",") if tok.strip()]
+            try:
+                values = tuple(kind(tok) for tok in tokens)
+            except ValueError:
+                what = "an integer" if kind is int else "numeric"
+                self.issues.append(f"{key} is not {what}: {raw!r}")
+                return default
+        if values is None:
+            return None
+        if not values:
+            self.issues.append(f"{key} lists no values")
+        elif count and len(values) != count:
+            self.issues.append(f"{key} must list {count} values, got {raw!r}")
+        elif not all(map(math.isfinite, values)):
+            self.issues.append(f"{key} must be finite, got {raw!r}")
+        elif low is not None and min(values) < low:
+            self.issues.append(f"{key} must be >= {low}")
+        else:
+            return values
+        return default
 
 
-def _ints(value: str) -> Tuple[int, ...]:
-    return tuple(int(tok) for tok in value.split(",") if tok.strip())
+def _read_problem(r: _Reader, kind: Optional[str]) -> Dict[str, Any]:
+    """The problem.* values that `build_problem` passes on for one kind."""
+    if kind == "robust_logistic":
+        path = r.text("problem.dataset_path")
+        if not path:
+            r.issues.append("robust_logistic requires problem.dataset_path")
+        return {"dataset_path": path,
+                "subsample": r.number("problem.subsample", None, int, low=1),
+                "seed": r.number("problem.seed", 0, int, low=0),
+                "lambda1": r.number("problem.lambda1"),  # None: 1/n^2
+                "lambda2": r.number("problem.lambda2", 0.001),
+                "rho": r.number("problem.rho", 10.0)}
+    if kind not in ("quadratic", "pl_toy"):
+        return {}
+    d = r.number("problem.d", 10 if kind == "quadratic" else 6, int, low=1)
+    m = r.number("problem.m", d if kind == "quadratic" else 6, int, low=1)
+    p = {"d": d, "m": m, "seed": r.number("problem.seed", 0, int, low=0),
+         "noise_sigma": r.number("problem.noise_sigma", 0.0),
+         "x0_scale": r.number("problem.x0_scale", 1.0)}
+    if kind == "quadratic":
+        p.update(nu=r.number("problem.nu", 1.0),
+                 spectrum=r.numbers("problem.spectrum", (-0.5, 0.5), count=2),
+                 b_scale=r.number("problem.b_scale", 0.5))
+    else:
+        rank = r.number("problem.rank", max(1, m // 2), int, low=1)
+        if rank > m:
+            r.issues.append(f"problem.rank must be <= problem.m ({m})")
+        p.update(rank=rank, c_min=r.number("problem.c_min", 0.5),
+                 c_max=r.number("problem.c_max", 1.5))
+    return p
+
+
+def read_config(mapping: Dict[str, str]) -> Tuple[ExperimentConfig, List[str],
+                                                  List[str]]:
+    """Read a config mapping in one pass: (config, issues, unknown keys).
+
+    Each issue names its key; the config is usable only when there are
+    none. Keys that nothing reads are accepted and ignored.
+    """
+    r = _Reader(mapping)
+    kind = r.text("problem.kind",
+                  options=("robust_logistic", "quadratic", "pl_toy"))
+    problem_params = _read_problem(r, kind)
+    opt = r.text("optimizer.kind", options=tuple(OPTIMIZER_LABELS))
+    if opt == "hcmm1":
+        optimizer: Optional[OptimizerKind] = Hcmm1(update_from_clipped=r.flag(
+            "optimizer.update_from_clipped", False))
+    else:
+        optimizer = OPTIMIZER_LABELS[opt]() if opt in OPTIMIZER_LABELS else None
+    schedule_params = {k: v for k in SCHEDULE_KEYS
+                       if (v := r.number(f"schedule.{k}")) is not None}
+    config = ExperimentConfig(
+        problem_kind=kind,
+        problem_params=problem_params,
+        optimizer=optimizer,
+        project_y=r.flag("optimizer.project_y", True),
+        schedule_kind=r.text("schedule.kind", "explicit",
+                             ("explicit", "theorem1", "theorem2")),
+        schedule_params=schedule_params,
+        constants=ProblemConstants(**{
+            f.name: r.number(f"constants.{f.name}", f.default)
+            for f in fields(ProblemConstants)}),
+        T=r.number("run.T", 0, int, low=1),
+        seeds=r.numbers("run.seeds", (), int, low=0),
+        eval_every=r.number("run.eval_every", 10, int, low=1),
+        output_dir=r.text("run.output_dir", "out"),
+        record_wall=r.flag("run.record_wall", False),
+        grid={k: v for k in SCHEDULE_KEYS
+              if (v := r.numbers(f"grid.{k}")) is not None},
+        raw=dict(mapping))
+    return config, r.issues, sorted(set(mapping) - r.seen)
 
 
 def validate_config(mapping: Dict[str, str]) -> List[str]:
     """Return every violation found (empty list means valid)."""
-    issues: List[str] = []
-    kind = mapping.get("problem.kind")
-    if kind not in ("robust_logistic", "quadratic", "pl_toy"):
-        issues.append(f"problem.kind must be robust_logistic|quadratic|pl_toy, "
-                      f"got {kind!r}")
-    if kind == "robust_logistic" and not mapping.get("problem.dataset_path"):
-        issues.append("robust_logistic requires problem.dataset_path")
-    opt = mapping.get("optimizer.kind")
-    if opt not in OPTIMIZER_LABELS:
-        issues.append(f"optimizer.kind must be one of {sorted(OPTIMIZER_LABELS)}, "
-                      f"got {opt!r}")
-    sched = mapping.get("schedule.kind", "explicit")
-    if sched not in ("explicit", "theorem1", "theorem2"):
-        issues.append(f"schedule.kind must be explicit|theorem1|theorem2, got {sched!r}")
-    try:
-        if int(mapping.get("run.T", "0")) < 1:
-            issues.append("run.T must be >= 1")
-    except ValueError:
-        issues.append(f"run.T is not an integer: {mapping.get('run.T')!r}")
-    try:
-        if int(mapping.get("run.eval_every", "10")) < 1:
-            issues.append("run.eval_every must be >= 1")
-    except ValueError:
-        issues.append(f"run.eval_every is not an integer: "
-                      f"{mapping.get('run.eval_every')!r}")
-    try:
-        if not _ints(mapping.get("run.seeds", "")):
-            issues.append("run.seeds must list at least one seed")
-    except ValueError:
-        issues.append(f"run.seeds is not an integer list: {mapping.get('run.seeds')!r}")
-    try:
-        if int(mapping.get("problem.subsample", "1")) < 1:
-            issues.append("problem.subsample must be >= 1")
-    except ValueError:
-        issues.append(f"problem.subsample is not an integer: "
-                      f"{mapping.get('problem.subsample')!r}")
-    for key, value in mapping.items():
-        if key.startswith(("schedule.", "constants.", "grid.")) \
-                and key != "schedule.kind":
-            # build_config reads grid.* as a list and the others as one float
-            try:
-                values = (_floats(value) if key.startswith("grid.")
-                          else (float(value),))
-            except ValueError:
-                issues.append(f"{key} is not numeric: {value!r}")
-            else:
-                if not values:
-                    issues.append(f"{key} lists no values")
-    return issues
+    return read_config(mapping)[1]
 
 
 def build_config(mapping: Dict[str, str]) -> ExperimentConfig:
-    issues = validate_config(mapping)
+    config, issues, _ = read_config(mapping)
     if issues:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(issues))
-
-    opt_name = mapping["optimizer.kind"]
-    if opt_name == "hcmm1":
-        optimizer: OptimizerKind = Hcmm1(
-            update_from_clipped=mapping.get("optimizer.update_from_clipped",
-                                            "false").lower() == "true")
-    elif opt_name == "hcmm2":
-        optimizer = Hcmm2(norm_floor=float(
-            mapping.get("optimizer.norm_floor", "1e-12")))
-    elif opt_name == "storm_gda":
-        optimizer = StormGda()
-    else:
-        optimizer = Sagda()
-
-    constants = ProblemConstants(
-        L_f=float(mapping.get("constants.L_f", "0")),
-        L_h=float(mapping.get("constants.L_h", "0")),
-        nu=float(mapping.get("constants.nu", "0")),
-        delta=float(mapping.get("constants.delta", "0")),
-        sigma_h=float(mapping.get("constants.sigma_h", "0")))
-
-    schedule_params = {k.split(".", 1)[1]: float(v) for k, v in mapping.items()
-                       if k.startswith("schedule.") and k != "schedule.kind"}
-    problem_params = {k.split(".", 1)[1]: v for k, v in mapping.items()
-                      if k.startswith("problem.") and k != "problem.kind"}
-    grid = {k.split(".", 1)[1]: _floats(v) for k, v in mapping.items()
-            if k.startswith("grid.")}
-
-    return ExperimentConfig(
-        problem_kind=mapping["problem.kind"],
-        problem_params=problem_params,
-        optimizer=optimizer,
-        project_y=mapping.get("optimizer.project_y", "true").lower() == "true",
-        schedule_kind=mapping.get("schedule.kind", "explicit"),
-        schedule_params=schedule_params,
-        constants=constants,
-        T=int(mapping["run.T"]),
-        seeds=_ints(mapping["run.seeds"]),
-        eval_every=int(mapping.get("run.eval_every", "10")),
-        output_dir=mapping.get("run.output_dir", "out"),
-        record_wall=mapping.get("run.record_wall", "false").lower() == "true",
-        grid=grid,
-        raw=dict(mapping))
-
-
-def load_config(path: str) -> ExperimentConfig:
-    return build_config(parse_config_text(Path(path).read_text()))
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -209,61 +255,34 @@ def build_problem(config: ExperimentConfig) -> Tuple[MinimaxProblem, np.ndarray,
     """Construct the problem and its default initial point (x0, y0)."""
     p = config.problem_params
     if config.problem_kind == "robust_logistic":
-        ds = load_dataset(
-            resolve_dataset_path(p["dataset_path"]),
-            subsample=int(p["subsample"]) if "subsample" in p else None,
-            seed=int(p.get("seed", "0")))
+        ds = load_dataset(resolve_dataset_path(p["dataset_path"]),
+                          subsample=p["subsample"], seed=p["seed"])
         problem: MinimaxProblem = RobustLogisticProblem(
-            ds.X, ds.labels,
-            lambda1=float(p["lambda1"]) if "lambda1" in p else None,
-            lambda2=float(p.get("lambda2", "0.001")),
-            rho=float(p.get("rho", "10")))
-        x0 = np.zeros(problem.dim_x)
-        y0 = np.full(problem.dim_y, 1.0 / problem.dim_y)
-    elif config.problem_kind == "quadratic":
-        d = int(p.get("d", "10"))
-        m = int(p.get("m", str(d)))
-        seed = int(p.get("seed", "0"))
-        lo, hi = (float(t) for t in p.get("spectrum", "-0.5,0.5").split(",")[:2])
+            ds.X, ds.labels, lambda1=p["lambda1"], lambda2=p["lambda2"],
+            rho=p["rho"])
+        return (problem, np.zeros(problem.dim_x),
+                np.full(problem.dim_y, 1.0 / problem.dim_y))
+    d, m, seed = p["d"], p["m"], p["seed"]
+    if config.problem_kind == "quadratic":
         problem = QuadraticMinimaxProblem.random(
-            d, m, nu=float(p.get("nu", "1.0")),
-            noise_sigma=float(p.get("noise_sigma", "0")),
-            seed=seed, a_eigs=(lo, hi),
-            b_scale=float(p.get("b_scale", "0.5")))
-        rng = np.random.default_rng(seed + 1)
-        v = rng.standard_normal(d)
-        x0 = float(p.get("x0_scale", "1.0")) * v / np.linalg.norm(v)
-        y0 = np.zeros(m)
+            d, m, nu=p["nu"], noise_sigma=p["noise_sigma"], seed=seed,
+            a_eigs=p["spectrum"], b_scale=p["b_scale"])
     elif config.problem_kind == "pl_toy":
-        d = int(p.get("d", "6"))
-        m = int(p.get("m", "6"))
-        seed = int(p.get("seed", "0"))
-        rank = int(p.get("rank", str(max(1, m // 2))))
         rng = np.random.default_rng(seed)
         Qm, _ = np.linalg.qr(rng.standard_normal((m, m)))
         evals = np.zeros(m)
-        evals[:rank] = np.linspace(float(p.get("c_min", "0.5")),
-                                   float(p.get("c_max", "1.5")), rank)
+        evals[:p["rank"]] = np.linspace(p["c_min"], p["c_max"], p["rank"])
         C = Qm @ np.diag(evals) @ Qm.T
         C = 0.5 * (C + C.T)
         Ad = rng.standard_normal((d, d))
         A = 0.1 * (Ad + Ad.T) / 2.0
         # coupling built inside range(C)
         B = (C @ rng.standard_normal((m, d))).T * 0.3
-        problem = PlToyProblem(A, B, C,
-                               noise_sigma=float(p.get("noise_sigma", "0")))
-        rng2 = np.random.default_rng(seed + 1)
-        v = rng2.standard_normal(d)
-        x0 = float(p.get("x0_scale", "1.0")) * v / np.linalg.norm(v)
-        y0 = np.zeros(m)
+        problem = PlToyProblem(A, B, C, noise_sigma=p["noise_sigma"])
     else:
         raise ConfigError(f"unknown problem kind {config.problem_kind!r}")
-
-    if "run.x0" in config.raw:
-        x0 = np.array(_floats(config.raw["run.x0"]))
-    if "run.y0" in config.raw:
-        y0 = np.array(_floats(config.raw["run.y0"]))
-    return problem, x0, y0
+    v = np.random.default_rng(seed + 1).standard_normal(d)
+    return problem, p["x0_scale"] * v / np.linalg.norm(v), np.zeros(m)
 
 
 def build_schedule(config: ExperimentConfig, T: Optional[int] = None,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -55,7 +56,24 @@ def _error(message: str, body: str, k: int, lineno: int,
 
 def parse_line(line: str, lineno: int = 1,
                path: Optional[str] = None) -> Tuple[float, List[Tuple[int, float]]]:
-    """Parse one non-comment line into (label, [(1-based index, value), ...])."""
+    """Parse one non-comment line into (label, [(1-based index, value), ...]).
+
+    A nan or infinite label or value is rejected.
+    """
+    label, features = _parse_fields(line, lineno, path)
+    for k, val in enumerate([label] + [val for _, val in features]):
+        if not math.isfinite(val):
+            body = line.split("#", 1)[0]
+            token = body.split()[k].rpartition(":")[2]
+            what = "feature value" if k else "label"
+            raise _error(f"non-finite {what} {token!r}", body, k, lineno, path)
+    return label, features
+
+
+def _parse_fields(line: str, lineno: int,
+                  path: Optional[str]) -> Tuple[float, List[Tuple[int, float]]]:
+    """`parse_line` without the finiteness check, which `load_dataset` makes
+    on whole arrays."""
     body = line.split("#", 1)[0]
     tokens = body.split()
     if not tokens:
@@ -98,17 +116,8 @@ def _open_text(path: str):
     return open(path, "r", encoding="utf-8")
 
 
-def load_dataset(path: str, subsample: Optional[int] = None,
-                 seed: int = 0) -> Dataset:
-    """Load a LIBSVM file into a Dataset, reading it once.
-
-    Labels <= 0 map to -1 and > 0 to +1 (some distributions ship {0, 1}
-    labels). d is the largest feature index in the whole file. With
-    subsample = k (>= 1) and k < n, the rows
-    sorted(default_rng(seed).permutation(n)[:k]) are kept, in file order.
-    """
-    if subsample is not None and subsample < 1:
-        raise ValueError(f"subsample must be >= 1, got {subsample}")
+def _read_rows(path: str, parse):
+    """(labels, indptr, indices, data) of a file, each line through parse."""
     labels: List[float] = []
     indptr = [0]
     indices: List[int] = []
@@ -117,22 +126,41 @@ def load_dataset(path: str, subsample: Optional[int] = None,
         for lineno, raw in enumerate(fh, start=1):
             if not raw.split("#", 1)[0].strip():
                 continue
-            label, feats = parse_line(raw, lineno, path=str(path))
+            label, feats = parse(raw, lineno, str(path))
             labels.append(label)
             for idx, val in feats:
                 indices.append(idx - 1)
                 data.append(val)
             indptr.append(len(indices))
+    return labels, indptr, indices, data
+
+
+def load_dataset(path: str, subsample: Optional[int] = None,
+                 seed: int = 0) -> Dataset:
+    """Load a LIBSVM file into a Dataset, reading it once.
+
+    Labels <= 0 map to -1 and > 0 to +1 (some distributions ship {0, 1}
+    labels). A nan or infinite label or value is a ParseError; only then is
+    the file read again, to locate it. d is the largest feature index in
+    the whole file. With subsample = k (>= 1) and k < n, the rows
+    sorted(default_rng(seed).permutation(n)[:k]) are kept, in file order.
+    """
+    if subsample is not None and subsample < 1:
+        raise ValueError(f"subsample must be >= 1, got {subsample}")
+    labels, indptr, indices, data = _read_rows(path, _parse_fields)
     n = len(labels)
     if not n:
         raise ParseError("no data rows", 1, path=str(path))
+    raw_labels = np.asarray(labels, dtype=np.float64)
+    values = np.asarray(data, dtype=np.float64)
+    if not (np.isfinite(raw_labels).all() and np.isfinite(values).all()):
+        _read_rows(path, parse_line)  # raises, located, at the first one
 
     X = sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64),
-         np.asarray(indices, dtype=np.int32),
+        (values, np.asarray(indices, dtype=np.int32),
          np.asarray(indptr, dtype=np.int32)),
         shape=(n, max(indices, default=-1) + 1))
-    lab = np.where(np.asarray(labels, dtype=np.float64) > 0, 1.0, -1.0)
+    lab = np.where(raw_labels > 0, 1.0, -1.0)
     if subsample is not None and subsample < n:
         keep = sorted(np.random.default_rng(seed).permutation(n)[:subsample].tolist())
         X, lab = X[keep], lab[keep]

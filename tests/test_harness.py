@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hcmm.optimizers import Hcmm1, Sagda
 from hcmm import cli
 
 from conftest import write_libsvm
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def quad_mapping(out_dir, **extra):
@@ -70,6 +73,30 @@ class TestConfigParsing:
         cfg2 = build_config(quad_mapping(tmp_path,
                                          **{"optimizer.kind": "sagda"}))
         assert isinstance(cfg2.optimizer, Sagda)
+
+    def test_problem_defaults_per_kind(self, tmp_path):
+        base = quad_mapping(tmp_path)
+        del base["problem.d"], base["problem.m"]
+        p = build_config(base).problem_params
+        assert p == {"d": 10, "m": 10, "seed": 0, "noise_sigma": 0.1,
+                     "x0_scale": 1.0, "nu": 1.0, "spectrum": (-0.5, 0.5),
+                     "b_scale": 0.5}
+        p = build_config({**base, "problem.kind": "pl_toy",
+                          "problem.m": "5"}).problem_params
+        assert (p["d"], p["m"], p["rank"]) == (6, 5, 2)
+        assert (p["c_min"], p["c_max"]) == (0.5, 1.5)
+
+    def test_every_issue_names_its_key(self, tmp_path):
+        issues = validate_config(quad_mapping(tmp_path, **{
+            "problem.m": "x", "problem.nu": "", "problem.spectrum": "1,2,3",
+            "run.seeds": "1,-2", "run.record_wall": "1",
+            "schedule.N": "a"}))
+        assert issues == ["problem.m is not an integer: 'x'",
+                          "problem.nu is not numeric: ''",
+                          "problem.spectrum must list 2 values, got '1,2,3'",
+                          "schedule.N is not numeric: 'a'",
+                          "run.seeds must be >= 0",
+                          "run.record_wall must be true or false, got '1'"]
 
     def test_logistic_requires_dataset_path(self):
         issues = validate_config({"problem.kind": "robust_logistic",
@@ -317,6 +344,55 @@ class TestCli:
         assert named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("extra,key", [
+        ("problem.d = abc", "problem.d"),
+        ("problem.d = 0", "problem.d"),
+        ("problem.spectrum = 1", "problem.spectrum"),
+        ("problem.spectrum = a,b", "problem.spectrum"),
+        ("problem.seed = -1", "problem.seed"),
+        ("problem.kind = pl_toy\nproblem.rank = 4", "problem.rank"),
+        ("optimizer.project_y = maybe", "optimizer.project_y"),
+        ("optimizer.kind = hcmm1\nschedule.N = 5\nschedule.N1 = 5\n"
+         "optimizer.update_from_clipped = yes",
+         "optimizer.update_from_clipped"),
+        ("run.seeds = 1,-1", "run.seeds"),
+        ("schedule.mu_x = nan", "schedule.mu_x"),
+        ("constants.L_f = inf", "constants.L_f"),
+    ], ids=["d-abc", "d-0", "spectrum-1", "spectrum-a,b", "seed--1",
+            "rank-4", "project_y-maybe", "update_from_clipped-yes",
+            "seeds-1,-1", "mu_x-nan", "L_f-inf"])
+    def test_bad_value_rejected_before_run(self, tmp_path, capsys, command,
+                                           extra, key):
+        rc = cli.main([command, "--config",
+                       self.write_cfg(tmp_path, extra + "\n")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{key} " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_warns_unknown_keys(self, tmp_path, capsys):
+        # run.x0 is no longer a key; grid.<k> is known when schedule.<k> is
+        cfg = self.write_cfg(tmp_path, "problem.lamda2 = 0.5\nrun.x0 = 1,2\n"
+                             "grid.beta_y = 0.1,0.2\ngrid.bogus = 1\n")
+        assert cli.main(["validate", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert "config ok" in captured.out
+        assert captured.err.splitlines() == [
+            f"warning: unknown key {key} (ignored)"
+            for key in ("grid.bogus", "problem.lamda2", "run.x0")]
+        assert cli.main(["run", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
+                             ids=lambda p: p.name)
+    def test_shipped_config_validates(self, capsys, path):
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "config ok" in captured.out
+        assert captured.err == ""
 
     def test_validate_grid_supplies_schedule_value(self, tmp_path, capsys):
         m = quad_mapping(tmp_path / "out", **{"grid.mu_x": "0.01,0.02"})

@@ -43,6 +43,17 @@ class TestParseLine:
         with pytest.raises(ParseError, match="':'"):
             parse_line("1 23")
 
+    @pytest.mark.parametrize("line,column,message", [
+        ("nan 1:1", 1, "non-finite label 'nan'"),
+        ("  -INF 2:1", 3, "non-finite label '-INF'"),
+        ("+1 1:nan 2:inf", 4, "non-finite feature value 'nan'"),
+        ("-1 1:2 3:-Infinity", 8, "non-finite feature value '-Infinity'"),
+    ])
+    def test_non_finite_rejected(self, line, column, message):
+        with pytest.raises(ParseError) as ei:
+            parse_line(line, lineno=5, path="f.svm")
+        assert str(ei.value) == f"f.svm:5:{column}: {message}"
+
 
 class TestLoadDataset:
     def test_small_file(self, tmp_path):
@@ -87,6 +98,19 @@ class TestLoadDataset:
             load_dataset(p)
         assert (ei.value.line, ei.value.column) == (4, column)
         assert str(ei.value) == f"{p}:4:{column}: {message}"
+
+    @pytest.mark.parametrize("subsample", [None, 1])
+    def test_non_finite_located_through_load(self, tmp_path, subsample):
+        p = write_libsvm(tmp_path / "nf.txt",
+                         ["nan 1:1", "+1 1:nan 2:inf", "-1 2:1"])
+        with pytest.raises(ParseError) as ei:
+            load_dataset(p, subsample=subsample)
+        assert str(ei.value) == f"{p}:1:1: non-finite label 'nan'"
+        p = write_libsvm(tmp_path / "nf2.txt",
+                         ["# c", "-1 2:1", "+1 1:1 2:inf", "-1 1:nan"])
+        with pytest.raises(ParseError) as ei:
+            load_dataset(p, subsample=subsample)
+        assert str(ei.value) == f"{p}:3:8: non-finite feature value 'inf'"
 
     def test_gzip_error_located(self, tmp_path):
         gz = tmp_path / "bad.txt.gz"
