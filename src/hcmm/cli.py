@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .core import ConfigError
@@ -48,8 +47,14 @@ def main(argv=None) -> int:
             emit_plot(args.trace_dir, args.out)
             print(f"wrote {args.out}")
             return 0
-        config, issues, unknown = read_config(
-            parse_config_text(Path(args.config).read_text()))
+        mapping = parse_config_text(Path(args.config).read_text())
+        # overrides go into the mapping, so the reader checks them and the
+        # config echo records them
+        if getattr(args, "seed", None) is not None:
+            mapping["run.seeds"] = str(args.seed)
+        if getattr(args, "out", None):
+            mapping["run.output_dir"] = args.out
+        config, issues, unknown = read_config(mapping)
         if args.command == "validate":
             for key in unknown:
                 print(f"warning: unknown key {key} (ignored)", file=sys.stderr)
@@ -63,10 +68,6 @@ def main(argv=None) -> int:
                                               config.grid.items()})
             print("config ok")
             return 0
-        if getattr(args, "seed", None) is not None:
-            config = replace(config, seeds=(args.seed,))
-        if getattr(args, "out", None):
-            config = replace(config, output_dir=args.out)
         if args.command == "run":
             finals = run_experiment(config)
             print(f"final P(x): mean={finals['mean']:.6g} "

@@ -8,6 +8,7 @@ byte-identical across repeats. Wall-clock timing is opt-in
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
@@ -20,7 +21,7 @@ import numpy as np
 
 from .core import ConfigError, HyperSchedule, ProblemConstants, schedule_hcmm1, \
     schedule_hcmm2
-from .libsvm import load_dataset
+from .libsvm import Dataset, load_dataset
 from .optimizers import (Hcmm1, Hcmm2, OptimizerKind, Sagda, StormGda,
                          iterate_steps)
 from .oracle import MinimaxProblem, evaluate_P, metric_ci
@@ -250,13 +251,33 @@ def resolve_dataset_path(path: str) -> str:
     return path
 
 
+# the last dataset parsed, keyed by (SHA-256 of the file, subsample, seed),
+# so runs of several configs on one file parse it once; one entry, so it
+# holds at most one parsed file in memory
+_last_dataset: Dict[tuple, Dataset] = {}
+
+
+def _dataset(path: str, subsample: Optional[int], seed: int) -> Dataset:
+    """load_dataset(path, subsample, seed), reused while the file's bytes,
+    subsample and seed stay the same."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    key = (digest.digest(), subsample, seed)
+    if key not in _last_dataset:
+        _last_dataset.clear()
+        _last_dataset[key] = load_dataset(path, subsample=subsample, seed=seed)
+    return _last_dataset[key]
+
+
 def build_problem(config: ExperimentConfig) -> Tuple[MinimaxProblem, np.ndarray,
                                                      np.ndarray]:
     """Construct the problem and its default initial point (x0, y0)."""
     p = config.problem_params
     if config.problem_kind == "robust_logistic":
-        ds = load_dataset(resolve_dataset_path(p["dataset_path"]),
-                          subsample=p["subsample"], seed=p["seed"])
+        ds = _dataset(resolve_dataset_path(p["dataset_path"]), p["subsample"],
+                      p["seed"])
         problem: MinimaxProblem = RobustLogisticProblem(
             ds.X, ds.labels, lambda1=p["lambda1"], lambda2=p["lambda2"],
             rho=p["rho"])
@@ -328,20 +349,16 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def run_single(config: ExperimentConfig, seed: int,
-               problem: Optional[MinimaxProblem] = None,
-               x0: Optional[np.ndarray] = None, y0: Optional[np.ndarray] = None,
-               schedule: Optional[HyperSchedule] = None,
+def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
+               x0: np.ndarray, y0: np.ndarray, schedule: HyperSchedule,
                collect_rows: bool = True):
     """Run one (config, seed) pair; returns (trace rows, final iterates).
 
-    With collect_rows=False no row is built and nothing is evaluated: only
-    the final iterates are returned.
+    An evaluated row solves the inner max once, and its P(x), grad P(x) and
+    y*(x) fill p_x, grad_p_norm and metric_ci. With collect_rows=False no
+    row is built and nothing is evaluated: only the final iterates are
+    returned.
     """
-    if problem is None:
-        problem, x0, y0 = build_problem(config)
-    if schedule is None:
-        schedule = build_schedule(config)
     is_hcmm1 = isinstance(config.optimizer, Hcmm1)
 
     rows: List[List[str]] = []
@@ -355,11 +372,12 @@ def run_single(config: ExperimentConfig, seed: int,
         i = out.next_state.iter
         p_x = grad_p = m_ci = None
         if (i - 1) % config.eval_every == 0:
-            p_x = evaluate_P(problem, x_i).p_value
-            grad_p = float(np.linalg.norm(problem.grad_p(x_i)))
+            inner = evaluate_P(problem, x_i)
+            p_x = inner.p_value
+            grad_p = float(np.linalg.norm(inner.grad_p))
             mc = out.next_momentum.m_x_clipped if is_hcmm1 \
                 else out.next_momentum.m_x
-            m_ci = metric_ci(problem, x_i, y_i, mc)
+            m_ci = metric_ci(problem, x_i, y_i, mc, inner.y_star)
         wall = str(time.monotonic_ns() - t0) if config.record_wall else ""
         d = out.diagnostics
         rows.append([str(i), _fmt_float(p_x), _fmt_float(grad_p),

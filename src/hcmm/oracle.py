@@ -1,9 +1,10 @@
 """Minimax problem interface, the worst-case evaluator and the metrics.
 
 A problem exposes stochastic gradients and matrix-free block Hessian-vector
-products over the joint variable z = (x, y), plus the closed-form inner max
-y*(x), P(x) = max_y J(x, y) and grad P(x). The finite-difference oracle here
-is deliberately independent of the analytic code paths it checks.
+products over the joint variable z = (x, y), plus the closed-form inner max:
+y*(x), P(x) = max_y J(x, y) and grad P(x), all in one report. The
+finite-difference oracle here is deliberately independent of the analytic
+code paths it checks.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ class HvpResult:
 
 @dataclass(frozen=True)
 class InnerMaxReport:
-    """The inner max at x. It is solved in closed form, so iters_used is
-    always 0 and converged always True."""
+    """The inner max at x: y*(x), P(x) = J(x, y*(x)) and grad P(x). It is
+    solved in closed form, so iters_used is always 0 and converged always
+    True."""
 
     y_star: Vec
     p_value: float
+    grad_p: Vec
     iters_used: int = 0
     converged: bool = True
 
@@ -82,14 +85,11 @@ class MinimaxProblem:
         return y
 
     # -- closed-form inner max ---------------------------------------------
-    def y_argmax(self, x: Vec) -> Vec:
-        raise NotImplementedError
-
-    def p_value(self, x: Vec) -> float:
+    def inner_max(self, x: Vec) -> InnerMaxReport:
         raise NotImplementedError
 
     def grad_p(self, x: Vec) -> Vec:
-        raise NotImplementedError
+        return self.inner_max(x).grad_p
 
 
 def finite_difference_hvp(problem: MinimaxProblem, x: Vec, y: Vec, xi: SampleId,
@@ -114,14 +114,16 @@ def finite_difference_hvp(problem: MinimaxProblem, x: Vec, y: Vec, xi: SampleId,
 
 def evaluate_P(problem: MinimaxProblem, x: Vec) -> InnerMaxReport:
     """Evaluate the worst-case objective P(x) = max_y J(x, y) in closed form."""
-    return InnerMaxReport(y_star=problem.y_argmax(x), p_value=problem.p_value(x))
+    return problem.inner_max(x)
 
 
-def metric_ci(problem: MinimaxProblem, x: Vec, y: Vec, m_x_clipped: Vec) -> float:
-    """Stationarity surrogate: L_f ||y*(x) - y|| + ||grad_x J - m|| + ||m||.
+def metric_ci(problem: MinimaxProblem, x: Vec, y: Vec, m_x_clipped: Vec,
+              y_star: Vec) -> float:
+    """Stationarity surrogate: L_f ||y*(x) - y|| + ||grad_x J - m|| + ||m||,
+    with y_star = y*(x) as the caller's inner max gave it.
 
     Upper-bounds ||grad P(x)|| = ||grad_x J(x, y*(x))|| (Danskin).
     """
     gx = problem.full_gradient(x, y).gx
-    return (problem.lipschitz_L_f * norm2(problem.y_argmax(x) - y)
+    return (problem.lipschitz_L_f * norm2(y_star - y)
             + norm2(gx - m_x_clipped) + norm2(m_x_clipped))

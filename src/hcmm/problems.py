@@ -22,7 +22,8 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .core import Vec
-from .oracle import GradPair, HvpResult, MinimaxProblem, SampleId
+from .oracle import (GradPair, HvpResult, InnerMaxReport, MinimaxProblem,
+                     SampleId)
 from .simplex import project_simplex
 
 
@@ -103,14 +104,17 @@ class RobustLogisticProblem(MinimaxProblem):
         rx2 = self.rho * x * x
         return 2.0 * self.lambda2 * self.rho * (1.0 - 3.0 * rx2) / (1.0 + rx2) ** 3
 
+    def _v_value(self, y: Vec) -> float:
+        return 0.5 * self.lambda1 * float(np.sum((self.n * y - 1.0) ** 2))
+
     def _v_grad(self, y: Vec) -> Vec:
         return self.lambda1 * self.n * (self.n * y - 1.0)
 
     # -- oracle interface --------------------------------------------------
     def sample_loss(self, x: Vec, y: Vec, xi: SampleId) -> float:
         t = self._margin(xi, x)
-        v = 0.5 * self.lambda1 * float(np.sum((self.n * y - 1.0) ** 2))
-        return self.n * y[xi] * float(self._q_of_margin(t)) - v + self._g_value(x)
+        return (self.n * y[xi] * float(self._q_of_margin(t)) - self._v_value(y)
+                + self._g_value(x))
 
     def sample_gradient(self, x: Vec, y: Vec, xi: SampleId) -> GradPair:
         idx, val = self._row(xi)
@@ -140,31 +144,33 @@ class RobustLogisticProblem(MinimaxProblem):
     def _margins(self, x: Vec) -> np.ndarray:
         return self.labels * (self.X @ x)
 
+    # J and grad_x J from the margins t (and the losses q = q(t))
+    def _objective_at(self, q: np.ndarray, x: Vec, y: Vec) -> float:
+        return float(np.dot(y, q)) - self._v_value(y) + self._g_value(x)
+
+    def _grad_x_at(self, t: np.ndarray, x: Vec, y: Vec) -> Vec:
+        coef = -self.labels * expit(-t) * y
+        return np.asarray(self.X.T @ coef).ravel() + self._g_grad(x)
+
     def full_gradient(self, x: Vec, y: Vec) -> GradPair:
         t = self._margins(x)
-        coef = -self.labels * expit(-t) * y
-        gx = np.asarray(self.X.T @ coef).ravel() + self._g_grad(x)
-        gy = self._q_of_margin(t) - self._v_grad(y)
-        return GradPair(gx, gy)
+        return GradPair(self._grad_x_at(t, x, y),
+                        self._q_of_margin(t) - self._v_grad(y))
 
     def objective(self, x: Vec, y: Vec) -> float:
-        q = self._q_of_margin(self._margins(x))
-        v = 0.5 * self.lambda1 * float(np.sum((self.n * y - 1.0) ** 2))
-        return float(np.dot(y, q)) - v + self._g_value(x)
+        return self._objective_at(self._q_of_margin(self._margins(x)), x, y)
 
     def project_y(self, y: Vec) -> Vec:
         return project_simplex(y)
 
-    def y_argmax(self, x: Vec) -> Vec:
-        q = self._q_of_margin(self._margins(x))
-        return project_simplex(1.0 / self.n + q / (self.lambda1 * self.n ** 2))
-
-    def p_value(self, x: Vec) -> float:
-        return self.objective(x, self.y_argmax(x))
-
-    def grad_p(self, x: Vec) -> Vec:
-        # Danskin: the maximizer is unique, so grad P(x) = grad_x J(x, y*(x))
-        return self.full_gradient(x, self.y_argmax(x)).gx
+    def inner_max(self, x: Vec) -> InnerMaxReport:
+        # one margin vector serves y*, P(x) = J(x, y*) and, by Danskin (the
+        # maximizer is unique), grad P(x) = grad_x J(x, y*)
+        t = self._margins(x)
+        q = self._q_of_margin(t)
+        y = project_simplex(1.0 / self.n + q / (self.lambda1 * self.n ** 2))
+        return InnerMaxReport(y, self._objective_at(q, x, y),
+                              self._grad_x_at(t, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +243,10 @@ class QuadraticMinimaxProblem(MinimaxProblem):
         return float(0.5 * x @ self.A @ x + x @ self.B @ y
                      - 0.5 * self.nu * y @ y)
 
-    def y_argmax(self, x: Vec) -> Vec:
-        return self.B.T @ x / self.nu
-
-    def p_value(self, x: Vec) -> float:
-        return float(0.5 * x @ self._p_hessian @ x)
+    def inner_max(self, x: Vec) -> InnerMaxReport:
+        return InnerMaxReport(self.B.T @ x / self.nu,
+                              float(0.5 * x @ self._p_hessian @ x),
+                              self.grad_p(x))
 
     def grad_p(self, x: Vec) -> Vec:
         return self._p_hessian @ x
@@ -299,11 +304,10 @@ class PlToyProblem(MinimaxProblem):
     def objective(self, x: Vec, y: Vec) -> float:
         return float(0.5 * x @ self.A @ x + x @ self.B @ y - 0.5 * y @ self.C @ y)
 
-    def y_argmax(self, x: Vec) -> Vec:
-        return self.C_pinv @ (self.B.T @ x)
-
-    def p_value(self, x: Vec) -> float:
-        return float(0.5 * x @ self._p_hessian @ x)
+    def inner_max(self, x: Vec) -> InnerMaxReport:
+        return InnerMaxReport(self.C_pinv @ (self.B.T @ x),
+                              float(0.5 * x @ self._p_hessian @ x),
+                              self.grad_p(x))
 
     def grad_p(self, x: Vec) -> Vec:
         return self._p_hessian @ x

@@ -4,21 +4,44 @@ from __future__ import annotations
 
 import numpy as np
 
+# passes of the threshold iteration before the sort takes over; inputs that
+# need more are adversarial ([1, -2!, -3!, ..., -n!] needs n)
+MAX_PASSES = 32
+
+
+def sort_threshold(u: np.ndarray) -> float:
+    """The threshold tau of the projection of u, by sorting: sort descending,
+    find the largest k with u_k + (1 - sum_{j<=k} u_j)/k > 0. O(n log n)."""
+    u = np.sort(u, kind="stable")[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, u.size + 1)
+    k = ks[u + (1.0 - css) / ks > 0.0][-1]
+    return (css[k - 1] - 1.0) / k
+
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Project v onto {w : w_i >= 0, sum w_i = 1} in the Euclidean norm.
 
-    Sort-and-threshold method: sort descending, find the largest k such that
-    u_k + (1 - sum_{j<=k} u_j)/k > 0, and shift-clip by the resulting
-    threshold. O(n log n), deterministic.
+    The result is max(v - tau, 0). Michelot's threshold iteration finds tau
+    without sorting: start from the candidates C = all of v and
+    tau = (sum v - 1)/n, then repeat C <- {v_i > tau},
+    tau <- (sum_C v_i - 1)/|C| until C stops shrinking. tau only grows, so
+    every dropped entry is outside the support, and the final tau is exact.
+    Each pass is O(|C|); after MAX_PASSES the survivors are sorted instead.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("project_simplex expects a nonempty 1-D vector")
-    u = np.sort(v, kind="stable")[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u + (1.0 - css) / ks > 0.0
-    k = ks[cond][-1]
-    tau = (css[k - 1] - 1.0) / k
-    return np.maximum(v - tau, 0.0)
+    cand = v
+    tau = (cand.sum() - 1.0) / cand.size
+    for _ in range(MAX_PASSES):
+        keep = cand > tau
+        k = np.count_nonzero(keep)
+        if k == cand.size:
+            break
+        cand = cand[keep]
+        tau = (cand.sum() - 1.0) / k
+    else:
+        tau = sort_threshold(cand)
+    w = v - tau
+    return np.maximum(w, 0.0, out=w)

@@ -1,15 +1,20 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hcmm.harness
+import hcmm.problems
 from hcmm.core import ConfigError
-from hcmm.harness import (TRACE_COLUMNS, build_config, build_schedule,
-                          emit_plot, grid_search, optimizer_label,
-                          parse_config_text, rate_study, read_trace,
-                          run_experiment, validate_config)
+from hcmm.harness import (TRACE_COLUMNS, build_config, build_problem,
+                          build_schedule, emit_plot, grid_search,
+                          optimizer_label, parse_config_text, rate_study,
+                          read_trace, run_experiment, run_single,
+                          validate_config)
 from hcmm.optimizers import Hcmm1, Sagda
+from hcmm.oracle import evaluate_P
 from hcmm import cli
 
 from conftest import write_libsvm
@@ -184,17 +189,29 @@ class TestPlToy:
         assert best["mu_x"] in (0.01, 0.02)
 
 
+def logistic_file(path, n=40, seed=0):
+    rng = np.random.default_rng(seed)
+    lines = [f"{rng.choice(['+1', '-1'])} "
+             + " ".join(f"{j}:{rng.standard_normal():.3f}"
+                        for j in sorted(rng.choice(np.arange(1, 7), 3,
+                                                   replace=False)))
+             for _ in range(n)]
+    return write_libsvm(path, lines)
+
+
+def logistic_mapping(path, out_dir, **extra):
+    return {"problem.kind": "robust_logistic", "problem.dataset_path": path,
+            "optimizer.kind": "hcmm2", "schedule.kind": "explicit",
+            "schedule.mu_x": "0.05", "schedule.mu_y": "0.01",
+            "run.T": "25", "run.seeds": "1", "run.eval_every": "10",
+            "run.output_dir": str(out_dir), **extra}
+
+
 class TestRobustLogistic:
     @pytest.mark.parametrize("optimizer",
                              ["hcmm1", "hcmm2", "storm_gda", "sagda"])
     def test_trace_has_every_metric(self, tmp_path, optimizer):
-        rng = np.random.default_rng(0)
-        lines = [f"{rng.choice(['+1', '-1'])} "
-                 + " ".join(f"{j}:{rng.standard_normal():.3f}"
-                            for j in sorted(rng.choice(np.arange(1, 7), 3,
-                                                       replace=False)))
-                 for _ in range(40)]
-        path = write_libsvm(tmp_path / "tiny.svm", lines)
+        path = logistic_file(tmp_path / "tiny.svm")
         cfg = build_config({
             "problem.kind": "robust_logistic", "problem.dataset_path": path,
             "optimizer.kind": optimizer, "schedule.kind": "explicit",
@@ -213,6 +230,99 @@ class TestRobustLogistic:
         for p_x, grad_p, ci in rows:
             assert math.isfinite(p_x) and math.isfinite(grad_p)
             assert math.isfinite(ci) and ci >= grad_p
+
+
+class TestDatasetReuse:
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """Paths passed to load_dataset, starting from an empty cache."""
+        calls = []
+        load = hcmm.harness.load_dataset
+        monkeypatch.setattr(hcmm.harness, "load_dataset",
+                            lambda path, **kw: calls.append(path)
+                            or load(path, **kw))
+        monkeypatch.setattr(hcmm.harness, "_last_dataset", {})
+        return calls
+
+    def test_one_parse_per_file(self, tmp_path, loads):
+        path = logistic_file(tmp_path / "a.svm")
+        cfg = build_config(logistic_mapping(path, tmp_path))
+        problems = [build_problem(cfg)[0] for _ in range(3)]
+        for kind in ("hcmm1", "storm_gda", "sagda"):
+            problems.append(build_problem(build_config(logistic_mapping(
+                path, tmp_path, **{"optimizer.kind": kind,
+                                   "schedule.N": "5", "schedule.N1": "5"})))[0])
+        assert loads == [path]
+        for p in problems[1:]:
+            assert (p.X != problems[0].X).nnz == 0
+            np.testing.assert_array_equal(p.labels, problems[0].labels)
+
+    def test_same_size_rewrite_parses_again(self, tmp_path, loads):
+        path = logistic_file(tmp_path / "a.svm")
+        cfg = build_config(logistic_mapping(path, tmp_path))
+        before = build_problem(cfg)[0]
+        stat = os.stat(path)
+        text = Path(path).read_text()
+        flipped = "-1" if text.startswith("+1") else "+1"
+        Path(path).write_text(flipped + text[2:])
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(path).st_size == stat.st_size
+        after = build_problem(cfg)[0]
+        assert loads == [path, path]
+        assert after.labels[0] == -before.labels[0]
+
+    @pytest.mark.parametrize("key,value", [("problem.subsample", "30"),
+                                           ("problem.seed", "3")])
+    def test_new_subsample_or_seed_parses_again(self, tmp_path, loads, key,
+                                                value):
+        path = logistic_file(tmp_path / "a.svm")
+        mapping = logistic_mapping(path, tmp_path, **{"problem.subsample": "20"})
+        build_problem(build_config(mapping))
+        build_problem(build_config({**mapping, key: value}))
+        assert len(loads) == 2
+        # one entry: the first key is parsed once more
+        build_problem(build_config(mapping))
+        assert len(loads) == 3
+
+
+class TestInnerMaxOnce:
+    def test_evaluate_p_on_logistic(self, tmp_path):
+        path = logistic_file(tmp_path / "a.svm", n=30, seed=4)
+        problem = build_problem(build_config(logistic_mapping(path, tmp_path)))[0]
+        rng = np.random.default_rng(1)
+        h = 1e-5
+        for scale in (0.01, 0.3, 2.0):
+            x = scale * rng.standard_normal(problem.dim_x)
+            rep = evaluate_P(problem, x)
+            assert rep.iters_used == 0 and rep.converged
+            assert rep.p_value == pytest.approx(
+                problem.objective(x, rep.y_star), rel=1e-13, abs=1e-15)
+            fd = [(evaluate_P(problem, x + h * e).p_value
+                   - evaluate_P(problem, x - h * e).p_value) / (2 * h)
+                  for e in np.eye(problem.dim_x)]
+            np.testing.assert_allclose(rep.grad_p, fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("optimizer", ["hcmm1", "hcmm2", "storm_gda",
+                                           "sagda"])
+    def test_run_single_solves_once_per_row(self, tmp_path, monkeypatch,
+                                            optimizer):
+        # with project_y off, every projection is an inner max
+        path = logistic_file(tmp_path / "a.svm")
+        config = build_config(logistic_mapping(
+            path, tmp_path, **{"optimizer.kind": optimizer,
+                               "optimizer.project_y": "false",
+                               "schedule.N": "5", "schedule.N1": "5"}))
+        problem, x0, y0 = build_problem(config)
+        calls = []
+        project = hcmm.problems.project_simplex
+        monkeypatch.setattr(hcmm.problems, "project_simplex",
+                            lambda v: calls.append(1) or project(v))
+        rows, _ = run_single(config, 1, problem, x0, y0,
+                             build_schedule(config))
+        evaluated = [r for r in rows if r[1]]
+        assert len(evaluated) == 3  # iterations 1, 11 and 21 of 25
+        assert all(r[2] and r[3] for r in evaluated)
+        assert len(calls) == len(evaluated)
 
 
 class TestGridSearch:
@@ -459,6 +569,24 @@ class TestCli:
         rc = cli.main(["rate", "--config", str(cfg), "--T", "50,150,400"])
         assert rc == 0
         assert (tmp_path / "out" / "rate_hcmm1.csv").exists()
+
+    def test_seed_override_checked_before_run(self, tmp_path, capsys):
+        rc = cli.main(["run", "--config", self.write_cfg(tmp_path),
+                       "--seed", "-1"])
+        assert rc == 1
+        assert "run.seeds must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_echo_records_overrides(self, tmp_path):
+        out = tmp_path / "o2"
+        rc = cli.main(["run", "--config", self.write_cfg(tmp_path),
+                       "--seed", "7", "--out", str(out)])
+        assert rc == 0
+        assert (out / "trace_storm_gda_seed7.csv").exists()
+        echo = (out / "config_storm_gda.echo").read_text().splitlines()
+        assert "run.seeds = 7" in echo
+        assert f"run.output_dir = {out}" in echo
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_errors(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg")])

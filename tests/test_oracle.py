@@ -15,7 +15,7 @@ def projected_gradient_residual(problem, x, y, step):
     """Norm of the projected-gradient mapping of y -> J(x, y) at y.
 
     Zero exactly at the maximizer of the concave inner problem, so it checks
-    a closed-form y_argmax without using its formula.
+    a closed-form y*(x) without using its formula.
     """
     gy = problem.full_gradient(x, y).gy
     y_next = problem.project_y(y + step * gy)
@@ -188,7 +188,7 @@ class TestEvaluateP:
                                                 rel=1e-12)
 
     def test_residual_contract(self):
-        # the closed-form y_argmax is a fixed point of projected gradient
+        # the closed-form y*(x) is a fixed point of projected gradient
         # ascent on y -> J(x, y), at the inner problem's own curvature
         for n in (10, 500):
             p = make_logistic(n=n, d=5)
@@ -196,8 +196,8 @@ class TestEvaluateP:
             for scale in (0.01, 0.1, 1.0, 2.0):
                 x = scale * rng.standard_normal(p.d)
                 step = 1.0 / (p.lambda1 * p.n ** 2)
-                assert projected_gradient_residual(p, x, p.y_argmax(x),
-                                                   step) <= 1e-10
+                assert projected_gradient_residual(
+                    p, x, p.inner_max(x).y_star, step) <= 1e-10
 
 
 class TestMetricCi:
@@ -205,16 +205,17 @@ class TestMetricCi:
         q = quadratic_small
         x = np.zeros(q.dim_x)
         y = np.zeros(q.dim_y)
-        assert metric_ci(q, x, y, np.zeros(q.dim_x)) == pytest.approx(0.0)
+        assert metric_ci(q, x, y, np.zeros(q.dim_x),
+                         q.inner_max(x).y_star) == pytest.approx(0.0)
 
     def test_reduces_to_grad_p_norm(self, quadratic_small):
         q = quadratic_small
         rng = np.random.default_rng(2)
         x = rng.standard_normal(q.dim_x)
-        y = q.y_argmax(x)
+        y = q.inner_max(x).y_star
         m = q.full_gradient(x, y).gx
         # first two terms vanish: value is ||grad_x J|| = ||grad P||
-        assert metric_ci(q, x, y, m) == pytest.approx(
+        assert metric_ci(q, x, y, m, y) == pytest.approx(
             np.linalg.norm(q.grad_p(x)), rel=1e-10)
 
     def test_upper_bounds_grad_p(self, quadratic_small):
@@ -224,5 +225,5 @@ class TestMetricCi:
                 x = rng.standard_normal(q.dim_x)
                 y = q.project_y(rng.standard_normal(q.dim_y))
                 m = rng.standard_normal(q.dim_x)
-                ci = metric_ci(q, x, y, m)
+                ci = metric_ci(q, x, y, m, q.inner_max(x).y_star)
                 assert np.linalg.norm(q.grad_p(x)) <= ci + 1e-9

@@ -162,7 +162,8 @@ class TestRobustLogisticClosedForms:
         # small x keeps most weights positive, large x leaves few
         for scale in (0.01, 0.1, 1.0) * 4:
             x = scale * rng.standard_normal(p.d)
-            fd = np.array([(p.p_value(x + h * e) - p.p_value(x - h * e)) / (2 * h)
+            fd = np.array([(p.inner_max(x + h * e).p_value
+                            - p.inner_max(x - h * e).p_value) / (2 * h)
                            for e in np.eye(p.d)])
             np.testing.assert_allclose(p.grad_p(x), fd, rtol=1e-6, atol=1e-8)
 
@@ -180,8 +181,8 @@ class TestQuadratic:
     def test_closed_forms_identity_coupling(self):
         q = QuadraticMinimaxProblem(np.zeros((3, 3)), np.eye(3), 1.0)
         x = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_allclose(q.y_argmax(x), x)
-        assert q.p_value(x) == pytest.approx(0.5 * np.dot(x, x))
+        np.testing.assert_allclose(q.inner_max(x).y_star, x)
+        assert q.inner_max(x).p_value == pytest.approx(0.5 * np.dot(x, x))
 
     def test_saddle_gradient_zero(self, quadratic_small):
         q = quadratic_small
@@ -193,7 +194,7 @@ class TestQuadratic:
         rng = np.random.default_rng(4)
         for _ in range(10):
             x = rng.standard_normal(q.dim_x)
-            gx = q.full_gradient(x, q.y_argmax(x)).gx
+            gx = q.full_gradient(x, q.inner_max(x).y_star).gx
             np.testing.assert_allclose(gx, q.grad_p(x), rtol=1e-10, atol=1e-12)
 
     def test_noiseless_sample_equals_full(self, quadratic_small):
@@ -260,7 +261,7 @@ class TestPlToy:
         C = np.diag([1.0, 0.0])
         B = np.array([[2.0, 0.0]])
         p = PlToyProblem(np.zeros((1, 1)), B, C)
-        ys = p.y_argmax(np.array([3.0]))
+        ys = p.inner_max(np.array([3.0])).y_star
         np.testing.assert_allclose(ys, [6.0, 0.0])
 
     def test_lipschitz_is_joint_hessian_norm(self):
@@ -283,6 +284,6 @@ class TestPlToy:
             x = rng.standard_normal(p.dim_x)
             y = rng.standard_normal(p.dim_y)
             gy = p.full_gradient(x, y).gy
-            maxval = p.objective(x, p.y_argmax(x))
+            maxval = p.objective(x, p.inner_max(x).y_star)
             gap = maxval - p.objective(x, y)
             assert np.sum(gy ** 2) >= 2.0 * p.delta * gap - 1e-9

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hcmm.simplex
 from hcmm.simplex import project_simplex
 
 from conftest import simplex_grid_3
@@ -91,3 +93,62 @@ class TestProperties:
         for n in (1000, 10_000):
             w = project_simplex(rng.uniform(-10, 10, size=n))
             assert np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12
+
+
+def project_simplex_sort(v):
+    """The sort-and-cumsum projection, as a reference: sort descending, take
+    the largest k with u_k + (1 - sum_{j<=k} u_j)/k > 0, shift and clip."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, v.size + 1)
+    k = ks[u + (1.0 - css) / ks > 0.0][-1]
+    return np.maximum(v - (css[k - 1] - 1.0) / k, 0.0)
+
+
+def factorial_input(n):
+    # [1, -2!, -3!, ..., -n!]: the threshold iteration drops one entry a pass
+    return np.array([1.0] + [-float(math.factorial(k)) for k in range(2, n + 1)])
+
+
+class TestAgainstSort:
+    def assert_matches_sort(self, v):
+        w = project_simplex(v)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+        assert np.max(np.abs(w - project_simplex_sort(v))) <= tol
+
+    @pytest.mark.parametrize("n", [3, 500, 50_000])
+    def test_random(self, n):
+        rng = np.random.default_rng(n)
+        for v in (rng.uniform(-10, 10, n), rng.standard_normal(n) / n,
+                  1.0 / n + rng.exponential(1.0, n)):
+            self.assert_matches_sort(v)
+
+    def test_ties(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 500, 50_000):
+            self.assert_matches_sort(rng.integers(-3, 4, n).astype(float) / 4)
+
+    @pytest.mark.parametrize("n", [1, 3, 500, 50_000])
+    @pytest.mark.parametrize("value", [-7.0, 0.0, 1e-3, 2.5])
+    def test_all_equal(self, n, value):
+        self.assert_matches_sort(np.full(n, value))
+
+    @pytest.mark.parametrize("huge", [1e6, 1e15, -1e15])
+    def test_one_huge_entry(self, huge):
+        v = np.random.default_rng(2).uniform(-1, 1, 500)
+        v[137] = huge
+        self.assert_matches_sort(v)
+
+    def test_fallback_past_the_pass_cap(self, monkeypatch):
+        calls = []
+        sort_threshold = hcmm.simplex.sort_threshold
+        monkeypatch.setattr(hcmm.simplex, "sort_threshold",
+                            lambda u: calls.append(u.size) or sort_threshold(u))
+        v = factorial_input(100)
+        self.assert_matches_sort(v)
+        # the sort sees only the survivors of MAX_PASSES passes
+        assert calls == [100 - hcmm.simplex.MAX_PASSES]
+        calls.clear()
+        self.assert_matches_sort(factorial_input(hcmm.simplex.MAX_PASSES))
+        self.assert_matches_sort(np.random.default_rng(0).uniform(-1, 1, 500))
+        assert calls == []
