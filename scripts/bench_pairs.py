@@ -4,10 +4,11 @@
     python3 scripts/bench_pairs.py --base REV [--head REV] --out BENCH_<pr>.json
 
 Both revisions are exported with `git archive` into a temporary directory
-(`--head` defaults to the working tree, run in place). For pair j = 0..k-1
-every workload runs once on each side with seed `--seed` + j, base first
-on even pairs and head first on odd ones, so slow drift of a shared machine
-falls on both sides alike. The JSON output holds, per workload, side and
+(`--head` defaults to the working tree, run in place). The workloads and the
+run length are the ones BENCHMARK.json fixes. For pair j = 0..k-1 every
+workload runs once on each side with seed SEED_BASE + j, base first on even
+pairs and head first on odd ones, so slow drift of a shared machine falls on
+both sides alike. The JSON output holds, per workload, side and
 end-to-end metric, the median, quartiles and IQR over the k runs, the
 number of pairs in which head beat base (the direction comes from
 BENCHMARK.json), and every run's perfbench result and run record.
@@ -24,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("quad_rate", "logistic_grid", "logistic_scale")
+SEED_BASE = 41
 
 
 def export(rev: str, into: Path) -> Path:
@@ -78,13 +79,11 @@ def main() -> int:
     ap.add_argument("--base", required=True, help="git revision to compare to")
     ap.add_argument("--head", default=None,
                     help="git revision to measure (default: the working tree)")
-    ap.add_argument("--pairs", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=41)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -92,11 +91,11 @@ def main() -> int:
                  "head": export(args.head, Path(tmp) / "head")
                  if args.head else ROOT}
         for pair in range(args.pairs):
-            seed = args.seed + pair
+            seed = SEED_BASE + pair
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-            for workload in args.workloads.split(","):
+            for workload in (w["name"] for w in bench["workloads"]):
                 for side in order:
-                    run = run_once(trees[side], workload, seed, args.seconds)
+                    run = run_once(trees[side], workload, seed, seconds)
                     runs.append({"workload": workload, "side": side,
                                  "pair": pair, "seed": seed, **run})
                     print(f"pair {pair} {workload} {side}: run_s "
@@ -104,8 +103,8 @@ def main() -> int:
                           f"failed {run['failed']}/{run['attempted']}",
                           flush=True)
     report = {"base": args.base, "head": args.head or "working tree",
-              "pairs": args.pairs, "seconds": args.seconds,
-              "summary": summarize(runs, metrics), "runs": runs}
+              "pairs": args.pairs, "seconds": seconds,
+              "summary": summarize(runs, bench["end_to_end"]), "runs": runs}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -39,6 +39,11 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
         k = np.count_nonzero(keep)
         if k == cand.size:
             break
+        if k == 0:
+            # tau rounded onto the largest candidate: 1/|C| is below its ulp
+            # (an entry of about 2^53 or more), or v holds a nan or inf
+            raise ValueError("project_simplex: the threshold is lost to "
+                             f"rounding (max |v| = {np.max(np.abs(v)):g})")
         cand = cand[keep]
         tau = (cand.sum() - 1.0) / k
     else:

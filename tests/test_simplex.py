@@ -139,6 +139,15 @@ class TestAgainstSort:
         v[137] = huge
         self.assert_matches_sort(v)
 
+    @pytest.mark.parametrize("huge", [2e16, 1e17])
+    def test_huge_entry_past_float_precision_rejected(self, huge):
+        # tau = huge - 1 rounds to huge, so no entry stays above it
+        v = np.random.default_rng(2).uniform(-1, 1, 500)
+        v[137] = huge
+        for u in (v, np.array([huge, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="lost to rounding"):
+                project_simplex(u)
+
     def test_fallback_past_the_pass_cap(self, monkeypatch):
         calls = []
         sort_threshold = hcmm.simplex.sort_threshold
