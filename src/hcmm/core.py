@@ -8,6 +8,7 @@ the returned schedule so tests can inspect the derivation.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,8 +27,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def norm2(v: Vec) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(v))
+    """Euclidean norm of a 1-d vector; bit-equal to np.linalg.norm, which
+    also computes sqrt(v . v), without its dispatch cost."""
+    return math.sqrt(v @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +174,18 @@ def schedule_hcmm2(T: int, constants: ProblemConstants) -> HyperSchedule:
         horizon_T=T, constants=constants, derived={"delta1": float(delta1)})
 
 
-def clip_momentum(m: Vec, N: float, N1: float) -> Vec:
-    """Rescale m to norm N1 when ||m|| >= N; otherwise return it unchanged.
+def clip_momentum(m: Vec, N: float, N1: float,
+                  norm: Optional[float] = None) -> Vec:
+    """Rescale m to norm N1 when ||m|| >= N; otherwise return m itself.
 
-    The trigger is inclusive. With N1 <= N this is idempotent; with N1 > N a
-    vector of norm in [N, N1) is rescaled upward (the update is applied
-    verbatim as specified; schedule construction warns about this regime).
+    `norm` is ||m|| when the caller has it already. The trigger is
+    inclusive. With N1 <= N this is idempotent; with N1 > N a vector of norm
+    in [N, N1) is rescaled upward (the update is applied verbatim as
+    specified; schedule construction warns about this regime).
     """
     if N <= 0 or N1 <= 0:
         raise ConfigError(f"clipping constants must be positive: N={N}, N1={N1}")
-    nm = norm2(m)
+    nm = norm2(m) if norm is None else norm
     if nm >= N:
         return (N1 / nm) * m
     return m

@@ -19,8 +19,8 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .core import ConfigError, HyperSchedule, ProblemConstants, schedule_hcmm1, \
-    schedule_hcmm2
+from .core import (ConfigError, HyperSchedule, ProblemConstants, norm2,
+                   schedule_hcmm1, schedule_hcmm2)
 from .libsvm import Dataset, load_dataset
 from .optimizers import (Hcmm1, Hcmm2, OptimizerKind, Sagda, StormGda,
                          iterate_steps)
@@ -374,7 +374,7 @@ def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
         if (i - 1) % config.eval_every == 0:
             inner = evaluate_P(problem, x_i)
             p_x = inner.p_value
-            grad_p = float(np.linalg.norm(inner.grad_p))
+            grad_p = norm2(inner.grad_p)
             mc = out.next_momentum.m_x_clipped if is_hcmm1 \
                 else out.next_momentum.m_x
             m_ci = metric_ci(problem, x_i, y_i, mc, inner.y_star)
@@ -507,7 +507,7 @@ def time_averaged_grad_p(config: ExperimentConfig, problem: MinimaxProblem,
     last = 0.0
     for out in iterate_steps(config.optimizer, problem, schedule, x0, y0, T,
                              seed, project_y=config.project_y):
-        last = float(np.linalg.norm(problem.grad_p(out.next_state.x_curr)))
+        last = norm2(problem.grad_p(out.next_state.x_curr))
         total += last
     return total / T, last
 

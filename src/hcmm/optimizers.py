@@ -12,19 +12,19 @@ it and STORM-GDA uses it as is. SAGDA (stochastic alternating GDA) keeps no
 momentum and takes its ascent gradient at the already-updated x.
 
 `step` is a pure function of (kind, state, momentum, schedule, problem,
-rng); `run`/`iterate_steps` thread the state and own the single RNG stream.
+rng); `iterate_steps` threads the state and owns the single RNG stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Tuple, Union
 
 import numpy as np
 
 from .core import (HyperSchedule, IterateState, MomentumState, Vec,
                    clip_momentum, norm2)
-from .oracle import MinimaxProblem
+from .oracle import MinimaxProblem, SampleId
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,20 @@ OptimizerKind = Union[Hcmm1, Hcmm2, StormGda, Sagda]
 class StepOutput:
     next_state: IterateState
     next_momentum: MomentumState
-    samples_used: Tuple[int, ...]
+    samples_used: Tuple[SampleId, ...]   # one per stochastic oracle draw
     diagnostics: dict = field(default_factory=dict)
 
 
 def hcmm_momentum_update(prev_m: Vec, beta: float, grad_sample: Vec,
                          hvp_sample: Vec) -> Vec:
-    """(1 - beta) [prev_m + H d] + beta g, the bias-corrected recursion."""
-    return (1.0 - beta) * (prev_m + hvp_sample) + beta * grad_sample
+    """(1 - beta) [prev_m + H d] + beta g, the bias-corrected recursion.
+
+    Computed in place on one new vector, in the operation order of the
+    expression, so the bits match it exactly."""
+    m = prev_m + hvp_sample
+    m *= 1.0 - beta
+    m += beta * grad_sample
+    return m
 
 
 def init_run(kind: OptimizerKind, problem: MinimaxProblem,
@@ -105,7 +111,7 @@ def step(kind: OptimizerKind, state: IterateState, momentum: MomentumState,
         raise ValueError("HCMM-1 step requires momentum with clipped fields")
     x, y = state.x_curr, state.y_curr
     xi = problem.draw_sample(rng)
-    samples: Tuple[int, ...] = (xi,)
+    samples: Tuple[SampleId, ...] = (xi,)
     g = problem.sample_gradient(x, y, xi)
     mc_x = mc_y = None
     if isinstance(kind, Sagda):
@@ -143,8 +149,8 @@ def step(kind: OptimizerKind, state: IterateState, momentum: MomentumState,
             if N is None or N1 is None:
                 raise ValueError("HCMM-1 needs clip_threshold and clip_norm "
                                  "on the schedule")
-            d_x = mc_x = clip_momentum(m_x, N, N1)
-            d_y = mc_y = clip_momentum(m_y, N, N1)
+            d_x = mc_x = clip_momentum(m_x, N, N1, nx)
+            d_y = mc_y = clip_momentum(m_y, N, N1, ny)
         x_next = x - schedule.mu_x * d_x
         y_next = y + schedule.mu_y * d_y
     if project_y:
@@ -174,12 +180,3 @@ def iterate_steps(kind: OptimizerKind, problem: MinimaxProblem,
             raise RuntimeError(f"optimizer step failed at iteration {i + 1}") from exc
         yield out
         state, momentum = out.next_state, out.next_momentum
-
-
-def run(kind: OptimizerKind, problem: MinimaxProblem, schedule: HyperSchedule,
-        x0: Vec, y0: Vec, T: Optional[int] = None, rng_seed: int = 0,
-        project_y: bool = True) -> List[StepOutput]:
-    if T is None:
-        T = schedule.horizon_T
-    return list(iterate_steps(kind, problem, schedule, x0, y0, T, rng_seed,
-                              project_y=project_y))

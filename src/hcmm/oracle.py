@@ -10,15 +10,15 @@ code paths it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .core import Vec, norm2
 
-# A sample id is an integer: a dataset row index for finite-sample problems,
-# a raw 64-bit RNG draw (noise seed) for synthetic ones.
-SampleId = int
+# A sample is a dataset row index for finite-sample problems, or the oracle
+# noise draw itself for synthetic ones (None when they are noiseless).
+SampleId = Union[int, np.ndarray, None]
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,12 @@ class MinimaxProblem:
 
     dim_x: int
     dim_y: int
-    n_samples: Optional[int] = None  # None for synthetic noise problems
+    n_samples: Optional[int] = None  # rows of a finite-sample problem
     lipschitz_L_f: float             # bound on the Lipschitz constant of grad J
 
     # -- stochastic oracle -------------------------------------------------
     def draw_sample(self, rng: np.random.Generator) -> SampleId:
-        if self.n_samples is not None:
-            return int(rng.integers(self.n_samples))
-        return int(rng.integers(0, 2 ** 63))
+        return int(rng.integers(self.n_samples))
 
     def sample_gradient(self, x: Vec, y: Vec, xi: SampleId) -> GradPair:
         raise NotImplementedError

@@ -8,7 +8,7 @@
   projection in closed form.
 - QuadraticMinimaxProblem: strongly concave quadratic testbed with closed
   forms for the inner max, P(x) and grad P(x); optional additive Gaussian
-  gradient/Hessian noise keyed by the sample id.
+  gradient noise, where the noise draw itself is the sample.
 - PlToyProblem: rank-deficient concave part, PL in y but not strongly
   concave; minimum-norm inner maximizer via the pseudo-inverse.
 """
@@ -177,23 +177,37 @@ class RobustLogisticProblem(MinimaxProblem):
 # synthetic quadratic testbeds
 # ---------------------------------------------------------------------------
 
-def _sample_noise(xi: SampleId, sizes: Tuple[int, ...], scale: float):
-    rng = np.random.default_rng(xi)
-    return [scale * rng.standard_normal(s) for s in sizes]
-
-
 def _joint_hessian_norm(A: np.ndarray, B: np.ndarray, Hyy: np.ndarray) -> float:
     """Spectral norm of [[A, B], [B', Hyy]]: L_f of a quadratic J."""
     return float(np.linalg.norm(np.block([[A, B], [B.T, Hyy]]), 2))
 
 
-class QuadraticMinimaxProblem(MinimaxProblem):
-    """J(x, y) = 0.5 x'Ax + x'By - 0.5 nu ||y||^2 with additive oracle noise.
+class _AdditiveNoise(MinimaxProblem):
+    """Additive Gaussian gradient noise whose draw is the sample.
 
-    The sample id seeds the noise draw, so a fixed id always reproduces the
-    same perturbation (the correction terms of recursive-momentum methods
-    then cancel the noise exactly, as they assume).
+    draw_sample returns noise_sigma * N(0, I) over (x, y), from the run's
+    own stream, and sample_gradient adds it to the exact gradient. A fixed
+    sample therefore always gives the same perturbation, so the correction
+    terms of recursive-momentum methods cancel the noise exactly, as they
+    assume. A noiseless problem draws nothing (the sample is None).
     """
+
+    noise_sigma: float
+
+    def draw_sample(self, rng: np.random.Generator) -> SampleId:
+        if self.noise_sigma == 0.0:
+            return None
+        return self.noise_sigma * rng.standard_normal(self.dim_x + self.dim_y)
+
+    def _add_noise(self, g: GradPair, xi: SampleId) -> GradPair:
+        if self.noise_sigma == 0.0:
+            return g
+        return GradPair(g.gx + xi[:self.dim_x], g.gy + xi[self.dim_x:])
+
+
+class QuadraticMinimaxProblem(_AdditiveNoise):
+    """J(x, y) = 0.5 x'Ax + x'By - 0.5 nu ||y||^2 with additive gradient
+    noise (see _AdditiveNoise)."""
 
     def __init__(self, A: np.ndarray, B: np.ndarray, nu: float,
                  noise_sigma: float = 0.0):
@@ -227,11 +241,7 @@ class QuadraticMinimaxProblem(MinimaxProblem):
         return GradPair(self.A @ x + self.B @ y, self.B.T @ x - self.nu * y)
 
     def sample_gradient(self, x: Vec, y: Vec, xi: SampleId) -> GradPair:
-        g = self._exact_gradient(x, y)
-        if self.noise_sigma == 0.0:
-            return g
-        ex, ey = _sample_noise(xi, (self.dim_x, self.dim_y), self.noise_sigma)
-        return GradPair(g.gx + ex, g.gy + ey)
+        return self._add_noise(self._exact_gradient(x, y), xi)
 
     def sample_hvp(self, x: Vec, y: Vec, xi: SampleId, dx: Vec, dy: Vec) -> HvpResult:
         return HvpResult(self.A @ dx + self.B @ dy, self.B.T @ dx - self.nu * dy)
@@ -252,7 +262,7 @@ class QuadraticMinimaxProblem(MinimaxProblem):
         return self._p_hessian @ x
 
 
-class PlToyProblem(MinimaxProblem):
+class PlToyProblem(_AdditiveNoise):
     """J(x, y) = 0.5 x'Ax + x'By - 0.5 y'Cy with C PSD and singular.
 
     -J is PL in y with constant delta = smallest nonzero eigenvalue of C.
@@ -289,11 +299,7 @@ class PlToyProblem(MinimaxProblem):
         self._p_hessian = A + B @ self.C_pinv @ B.T
 
     def sample_gradient(self, x: Vec, y: Vec, xi: SampleId) -> GradPair:
-        g = self.full_gradient(x, y)
-        if self.noise_sigma == 0.0:
-            return g
-        ex, ey = _sample_noise(xi, (self.dim_x, self.dim_y), self.noise_sigma)
-        return GradPair(g.gx + ex, g.gy + ey)
+        return self._add_noise(self.full_gradient(x, y), xi)
 
     def sample_hvp(self, x: Vec, y: Vec, xi: SampleId, dx: Vec, dy: Vec) -> HvpResult:
         return HvpResult(self.A @ dx + self.B @ dy, self.B.T @ dx - self.C @ dy)

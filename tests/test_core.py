@@ -16,6 +16,14 @@ class TestVectorPrimitives:
     def test_norm2(self):
         assert norm2(np.array([3.0, 4.0])) == 5.0
 
+    @pytest.mark.parametrize("size", [1, 10, 50_000])
+    def test_norm2_bit_equal_to_numpy(self, size):
+        rng = np.random.default_rng(size)
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            for _ in range(20):
+                v = scale * rng.standard_normal(size)
+                assert norm2(v) == float(np.linalg.norm(v))
+
 
 class TestClipMomentum:
     def test_below_threshold_unchanged(self):
@@ -73,6 +81,24 @@ class TestClipMomentum:
             m *= (N1 * rng.uniform(1.0, 10.0)) / np.linalg.norm(m)
             mc = clip_momentum(m, N, N1)
             assert np.sum((mc - g) ** 2) <= np.sum((m - g) ** 2) + 1e-12
+
+    @pytest.mark.parametrize("N", [1.0, 3.0, 5.0])
+    def test_given_norm_same_result(self, N):
+        # the step passes the norm it already has; the result must not move
+        rng = np.random.default_rng(int(N))
+        moments = [rng.standard_normal(12) * rng.uniform(0.05, 3.0)
+                   for _ in range(200)] + [np.array([3.0, 4.0])]
+        sides = set()
+        for m in moments:
+            plain = clip_momentum(m, N, 2.0)
+            given = clip_momentum(m, N, 2.0, norm2(m))
+            sides.add(norm2(m) >= N)
+            if norm2(m) < N:
+                assert plain is m and given is m
+            else:
+                assert given is not m
+                assert given.tobytes() == plain.tobytes()
+        assert sides == {False, True}
 
     def test_rejects_nonpositive_constants(self):
         with pytest.raises(ConfigError):

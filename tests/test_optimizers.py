@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hcmm.core import HyperSchedule, IterateState, MomentumState
+from hcmm.core import (HyperSchedule, IterateState, MomentumState,
+                       clip_momentum)
 from hcmm.optimizers import (Hcmm1, Hcmm2, Sagda, StormGda,
-                             hcmm_momentum_update, iterate_steps, run, step)
+                             hcmm_momentum_update, iterate_steps, step)
 from hcmm.problems import QuadraticMinimaxProblem
 
 from conftest import make_logistic, make_quadratic
@@ -51,6 +52,18 @@ class TestMomentumUpdate:
         out = hcmm_momentum_update(m, 0.0, np.array([7.0, 7.0]),
                                    np.zeros(2))
         np.testing.assert_array_equal(out, m)
+
+    def test_bit_equal_to_expression_inputs_untouched(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 10, 5000):
+            for beta in (1e-4, 0.1, 0.5, 1.0):
+                m, g, c = (rng.standard_normal(n) for _ in range(3))
+                saved = [v.copy() for v in (m, g, c)]
+                out = hcmm_momentum_update(m, beta, g, c)
+                ref = (1.0 - beta) * (m + c) + beta * g
+                assert out.tobytes() == ref.tobytes()
+                for v, v0 in zip((m, g, c), saved):
+                    assert v.tobytes() == v0.tobytes()
 
     @pytest.mark.parametrize("kind", [Hcmm1(update_from_clipped=True),
                                       Hcmm2(), StormGda()])
@@ -116,9 +129,10 @@ class TestHcmm1:
     def test_infinite_clip_matches_unclipped_recursion(self):
         q = make_quadratic(d=4, m=3, seed=5, noise_sigma=0.2)
         big = explicit_schedule(N=1e300, N1=1e300)
-        outs1 = run(Hcmm1(), q, big, np.ones(4), np.zeros(3), T=50, rng_seed=9)
-        outs2 = run(Hcmm2(norm_floor=1e-300), q, big, np.ones(4), np.zeros(3),
-                    T=50, rng_seed=9)
+        outs1 = list(iterate_steps(Hcmm1(), q, big, np.ones(4), np.zeros(3),
+                                   50, 9))
+        outs2 = list(iterate_steps(Hcmm2(norm_floor=1e-300), q, big,
+                                   np.ones(4), np.zeros(3), 50, 9))
         # same momentum recursion; only the weight update differs
         np.testing.assert_allclose(outs1[-1].next_momentum.m_x,
                                    outs1[-1].next_momentum.m_x_clipped)
@@ -126,11 +140,31 @@ class TestHcmm1:
     def test_clipping_flag_reported(self):
         q = make_quadratic(d=3, m=3, seed=0)
         sched = explicit_schedule(N=1e-6, N1=1e-6)
-        outs = run(Hcmm1(), q, sched, np.ones(3) * 5, np.zeros(3), T=3,
-                   rng_seed=0)
+        outs = list(iterate_steps(Hcmm1(), q, sched, np.ones(3) * 5,
+                                  np.zeros(3), 3, 0))
         assert outs[0].diagnostics["clipped_x"]
         assert np.linalg.norm(outs[0].next_momentum.m_x_clipped) \
             == pytest.approx(1e-6)
+
+    @pytest.mark.parametrize("big", ["x", "y"])
+    def test_each_block_clipped_by_its_own_norm(self, big):
+        q = make_quadratic(d=4, m=3, seed=3, noise_sigma=0.1)
+        sched = explicit_schedule(beta=1e-3, N=1.0, N1=1.0)
+        mx, my = (100.0, 0.01) if big == "x" else (0.01, 100.0)
+        m = MomentumState(np.full(4, mx), np.full(3, my),
+                          np.full(4, mx), np.full(3, my))
+        x, y = np.full(4, 0.01), np.full(3, 0.01)
+        out = step(Hcmm1(), IterateState(x, y, x, y, 0), m, sched, q,
+                   np.random.default_rng(0))
+        nm = out.next_momentum
+        for raw, clipped in ((nm.m_x, nm.m_x_clipped), (nm.m_y, nm.m_y_clipped)):
+            ref = clip_momentum(raw, 1.0, 1.0)
+            if ref is raw:
+                assert clipped is raw
+            else:
+                assert clipped.tobytes() == ref.tobytes()
+        assert out.diagnostics["clipped_x"] == (big == "x")
+        assert out.diagnostics["clipped_y"] == (big == "y")
 
     def test_requires_clip_fields(self):
         q = make_quadratic()
@@ -146,7 +180,8 @@ class TestHcmm2:
     def test_step_length_exact(self):
         q = make_quadratic(d=4, m=3, seed=7, noise_sigma=0.1)
         sched = explicit_schedule(mu_x=0.05, mu_y=0.07)
-        outs = run(Hcmm2(), q, sched, np.ones(4), np.ones(3), T=20, rng_seed=3)
+        outs = list(iterate_steps(Hcmm2(), q, sched, np.ones(4), np.ones(3),
+                                  20, 3))
         for out in outs:
             dx = np.linalg.norm(out.next_state.x_curr - out.next_state.x_prev)
             assert dx == pytest.approx(0.05) or dx == 0.0
@@ -199,6 +234,24 @@ class TestStormGda:
         g = q.sample_gradient(x, y, xi)
         np.testing.assert_allclose(out.next_momentum.m_x, g.gx)
         np.testing.assert_allclose(out.next_momentum.m_y, g.gy)
+
+    def test_same_sample_difference_is_exact(self):
+        # the noise draw is the sample, so the correction g(z; xi) -
+        # g(z'; xi) that STORM takes cancels the noise exactly
+        q = make_quadratic(d=4, m=3, seed=6, noise_sigma=2.0)
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal(4), rng.standard_normal(3)
+        xp, yp = rng.standard_normal(4), rng.standard_normal(3)
+        m = MomentumState(np.zeros(4), np.zeros(3))
+        out = step(StormGda(), IterateState(x, y, xp, yp, 0), m,
+                   explicit_schedule(beta=0.5), q, rng)
+        xi = out.samples_used[0]
+        g, g_prev = q.sample_gradient(x, y, xi), q.sample_gradient(xp, yp, xi)
+        f, f_prev = q.full_gradient(x, y), q.full_gradient(xp, yp)
+        np.testing.assert_allclose(g.gx - g_prev.gx, f.gx - f_prev.gx,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.gy - g_prev.gy, f.gy - f_prev.gy,
+                                   rtol=0, atol=1e-12)
 
     def test_equal_iterate_degeneracy(self):
         q = make_quadratic(d=3, m=2, seed=4, noise_sigma=0.3)
@@ -257,8 +310,8 @@ class TestSagda:
 class TestRunDiscipline:
     def test_T_zero_empty_trace(self):
         q = make_quadratic()
-        outs = run(Sagda(), q, explicit_schedule(), np.zeros(4), np.zeros(3),
-                   T=0, rng_seed=0)
+        outs = list(iterate_steps(Sagda(), q, explicit_schedule(), np.zeros(4),
+                                  np.zeros(3), 0, 0))
         assert outs == []
 
     def test_same_seed_identical_traces(self):
@@ -267,11 +320,15 @@ class TestRunDiscipline:
         for kind in (Hcmm1(), Hcmm2(), StormGda(), Sagda()):
             s = explicit_schedule(N=1.0, N1=1.0) if isinstance(kind, Hcmm1) \
                 else sched
-            a = run(kind, q, s, np.ones(4), np.ones(3), T=30, rng_seed=11)
-            b = run(kind, q, s, np.ones(4), np.ones(3), T=30, rng_seed=11)
+            a = list(iterate_steps(kind, q, s, np.ones(4), np.ones(3), 30, 11))
+            b = list(iterate_steps(kind, q, s, np.ones(4), np.ones(3), 30, 11))
             np.testing.assert_array_equal(a[-1].next_state.x_curr,
                                           b[-1].next_state.x_curr)
-            assert [o.samples_used for o in a] == [o.samples_used for o in b]
+            # a synthetic sample is its noise draw: compare element-wise
+            for oa, ob in zip(a, b):
+                assert len(oa.samples_used) == len(ob.samples_used)
+                for sa, sb in zip(oa.samples_used, ob.samples_used):
+                    np.testing.assert_array_equal(sa, sb)
 
     def test_state_threading(self):
         q = make_quadratic(noise_sigma=0.1)

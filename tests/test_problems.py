@@ -209,12 +209,15 @@ class TestQuadratic:
     def test_noise_reproducible_and_zero_mean(self):
         q = make_quadratic(noise_sigma=0.5)
         x, y = np.ones(q.dim_x), np.ones(q.dim_y)
-        a = q.sample_gradient(x, y, 42)
-        b = q.sample_gradient(x, y, 42)
+        rng = np.random.default_rng(42)
+        xi = q.draw_sample(rng)
+        a = q.sample_gradient(x, y, xi)
+        b = q.sample_gradient(x, y, xi)
         np.testing.assert_array_equal(a.gx, b.gx)
+        np.testing.assert_array_equal(a.gy, b.gy)
         full = q.full_gradient(x, y)
-        mean = np.mean([q.sample_gradient(x, y, i).gx for i in range(4000)],
-                       axis=0)
+        mean = np.mean([q.sample_gradient(x, y, q.draw_sample(rng)).gx
+                        for _ in range(4000)], axis=0)
         assert np.linalg.norm(mean - full.gx) < 0.05
 
     def test_strong_concavity_witness(self, quadratic_small):
@@ -238,6 +241,43 @@ class TestQuadratic:
     def test_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError, match="nu"):
             QuadraticMinimaxProblem(np.zeros((2, 2)), np.eye(2), 0.0)
+
+
+def noisy_quadratic(sigma):
+    return make_quadratic(d=4, m=3, seed=1, noise_sigma=sigma)
+
+
+def noisy_pl_toy(sigma):
+    B = np.zeros((2, 3))
+    B[:, :2] = [[1.0, 0.5], [-0.3, 2.0]]
+    return PlToyProblem(0.1 * np.eye(2), B, np.diag([2.0, 1.0, 0.0]),
+                        noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("make", [noisy_quadratic, noisy_pl_toy])
+class TestAdditiveNoise:
+    def test_variance_is_sigma_squared(self, make):
+        sigma = 0.7
+        p = make(sigma)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal(p.dim_x), rng.standard_normal(p.dim_y)
+        full = p.full_gradient(x, y)
+        dev = []
+        for _ in range(4000):
+            g = p.sample_gradient(x, y, p.draw_sample(rng))
+            dev.append(np.concatenate([g.gx - full.gx, g.gy - full.gy]))
+        assert np.var(np.array(dev)) == pytest.approx(sigma ** 2, rel=0.1)
+
+    def test_noiseless_draw_leaves_stream(self, make):
+        p = make(0.0)
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        xi = p.draw_sample(rng)
+        assert rng.bit_generator.state == before
+        x, y = np.ones(p.dim_x), np.ones(p.dim_y)
+        g, full = p.sample_gradient(x, y, xi), p.full_gradient(x, y)
+        np.testing.assert_array_equal(g.gx, full.gx)
+        np.testing.assert_array_equal(g.gy, full.gy)
 
 
 class TestPlToy:
