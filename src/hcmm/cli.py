@@ -78,8 +78,7 @@ def main(argv=None) -> int:
                   f"(mean final P={board[0]['mean_final_p']:.6g}, "
                   f"{len(board)} combos)")
         elif args.command == "rate":
-            T_values = [int(float(t)) for t in args.T.split(",")]
-            report = rate_study(config, T_values)
+            report = rate_study(config, [float(t) for t in args.T.split(",")])
             for T, avg in zip(report.T_values, report.averaged_norms):
                 print(f"T={T}: time-avg ||grad P|| = {avg:.6g}")
             print(f"log-log slope: {report.slope:.4f}")

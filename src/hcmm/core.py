@@ -1,4 +1,4 @@
-"""Euclidean norm, optimizer state containers, and hyperparameter schedules.
+"""Euclidean norm, momentum clipping, and hyperparameter schedules.
 
 Schedules implement the theorem-prescribed step-size/smoothing-factor choices
 for the clipped (HCMM-1) and normalized (HCMM-2) Hessian-corrected momentum
@@ -32,36 +32,6 @@ def norm2(v: Vec) -> float:
     return math.sqrt(v @ v)
 
 
-# ---------------------------------------------------------------------------
-# state containers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IterateState:
-    """Current and previous primal/dual iterates.
-
-    The momentum correction applies a Hessian-vector product to the
-    displacement (x_curr - x_prev, y_curr - y_prev), so both pairs travel
-    together.
-    """
-
-    x_curr: Vec
-    y_curr: Vec
-    x_prev: Vec
-    y_prev: Vec
-    iter: int = 0
-
-
-@dataclass(frozen=True)
-class MomentumState:
-    """Momentum vectors; clipped copies are carried only by HCMM-1."""
-
-    m_x: Vec
-    m_y: Vec
-    m_x_clipped: Optional[Vec] = None
-    m_y_clipped: Optional[Vec] = None
-
-
 @dataclass(frozen=True)
 class ProblemConstants:
     """User-supplied smoothness/noise constants feeding the schedules.
@@ -84,10 +54,8 @@ class HyperSchedule:
     mu_y: float
     beta_x: float
     beta_y: float
-    horizon_T: int
     clip_threshold: Optional[float] = None   # N: trigger for clipping
     clip_norm: Optional[float] = None        # N1: norm after rescale
-    constants: Optional[ProblemConstants] = None
     derived: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -98,8 +66,6 @@ class HyperSchedule:
         if self.mu_x <= 0 or self.mu_y <= 0:
             raise ConfigError(
                 f"step sizes must be positive: mu_x={self.mu_x}, mu_y={self.mu_y}")
-        if self.horizon_T < 0:
-            raise ConfigError(f"horizon_T must be nonnegative, got {self.horizon_T}")
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -149,8 +115,7 @@ def schedule_hcmm1(T: int, constants: ProblemConstants, N1: float,
                1.0 / (2.0 * L1))
     return HyperSchedule(
         mu_x=float(mu_x), mu_y=float(mu_y), beta_x=float(beta), beta_y=float(beta),
-        horizon_T=T, clip_threshold=float(N), clip_norm=float(N1),
-        constants=constants,
+        clip_threshold=float(N), clip_norm=float(N1),
         derived={"kappa": kappa, "L1": L1, "pi1": pi1, "C": C})
 
 
@@ -171,7 +136,7 @@ def schedule_hcmm2(T: int, constants: ProblemConstants) -> HyperSchedule:
     mu_x = min(mu_y, delta1 * mu_y / (2.0 * constants.L_f), T ** (-2.0 / 3.0))
     return HyperSchedule(
         mu_x=float(mu_x), mu_y=float(mu_y), beta_x=float(beta), beta_y=float(beta),
-        horizon_T=T, constants=constants, derived={"delta1": float(delta1)})
+        derived={"delta1": float(delta1)})
 
 
 def clip_momentum(m: Vec, N: float, N1: float,

@@ -224,11 +224,6 @@ def read_config(mapping: Dict[str, str]) -> Tuple[ExperimentConfig, List[str],
     return config, r.issues, sorted(set(mapping) - r.seen)
 
 
-def validate_config(mapping: Dict[str, str]) -> List[str]:
-    """Return every violation found (empty list means valid)."""
-    return read_config(mapping)[1]
-
-
 def build_config(mapping: Dict[str, str]) -> ExperimentConfig:
     config, issues, _ = read_config(mapping)
     if issues:
@@ -327,10 +322,7 @@ def build_schedule(config: ExperimentConfig, T: Optional[int] = None,
     return HyperSchedule(
         mu_x=params["mu_x"], mu_y=params["mu_y"],
         beta_x=params.get("beta_x", 1.0), beta_y=params.get("beta_y", 1.0),
-        horizon_T=T,
-        clip_threshold=params.get("N") if needs_clip or "N" in params else None,
-        clip_norm=params.get("N1") if needs_clip or "N1" in params else None,
-        constants=config.constants)
+        clip_threshold=params.get("N"), clip_norm=params.get("N1"))
 
 
 # ---------------------------------------------------------------------------
@@ -359,32 +351,26 @@ def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
     row is built and nothing is evaluated: only the final iterates are
     returned.
     """
-    is_hcmm1 = isinstance(config.optimizer, Hcmm1)
-
     rows: List[List[str]] = []
     x_i, y_i = np.asarray(x0), np.asarray(y0)
     t0 = time.monotonic_ns()
-    for out in iterate_steps(config.optimizer, problem, schedule, x0, y0,
-                             config.T, seed, project_y=config.project_y):
-        x_i, y_i = out.next_state.x_curr, out.next_state.y_curr
+    for s in iterate_steps(config.optimizer, problem, schedule, x0, y0,
+                           config.T, seed, project_y=config.project_y):
+        x_i, y_i = s.x, s.y
         if not collect_rows:
             continue
-        i = out.next_state.iter
         p_x = grad_p = m_ci = None
-        if (i - 1) % config.eval_every == 0:
+        if (s.iter - 1) % config.eval_every == 0:
             inner = evaluate_P(problem, x_i)
             p_x = inner.p_value
             grad_p = norm2(inner.grad_p)
-            mc = out.next_momentum.m_x_clipped if is_hcmm1 \
-                else out.next_momentum.m_x
-            m_ci = metric_ci(problem, x_i, y_i, mc, inner.y_star)
+            m_ci = metric_ci(problem, x_i, y_i, s.m_x_clipped, inner.y_star)
         wall = str(time.monotonic_ns() - t0) if config.record_wall else ""
-        d = out.diagnostics
-        rows.append([str(i), _fmt_float(p_x), _fmt_float(grad_p),
-                     _fmt_float(m_ci), _fmt_float(d["m_x_norm"]),
-                     _fmt_float(d["m_y_norm"]),
-                     "1" if d["clipped_x"] else "0",
-                     "1" if d["clipped_y"] else "0", wall])
+        rows.append([str(s.iter), _fmt_float(p_x), _fmt_float(grad_p),
+                     _fmt_float(m_ci), _fmt_float(s.m_x_norm),
+                     _fmt_float(s.m_y_norm),
+                     "0" if s.m_x_clipped is s.m_x else "1",
+                     "0" if s.m_y_clipped is s.m_y else "1", wall])
     return rows, {"final_x": x_i, "final_y": y_i}
 
 
@@ -505,9 +491,9 @@ def time_averaged_grad_p(config: ExperimentConfig, problem: MinimaxProblem,
     """(time-averaged, final) closed-form ||grad P(x_i)|| along one run."""
     total = 0.0
     last = 0.0
-    for out in iterate_steps(config.optimizer, problem, schedule, x0, y0, T,
-                             seed, project_y=config.project_y):
-        last = norm2(problem.grad_p(out.next_state.x_curr))
+    for s in iterate_steps(config.optimizer, problem, schedule, x0, y0, T,
+                           seed, project_y=config.project_y):
+        last = norm2(problem.grad_p(s.x))
         total += last
     return total / T, last
 
@@ -519,10 +505,17 @@ class RateReport:
     slope: float
 
 
-def rate_study(config: ExperimentConfig, T_values: Sequence[int]) -> RateReport:
-    """Theorem-schedule runs over a geometric T ladder; log-log slope fit."""
-    if len(T_values) < 3:
-        raise ConfigError("rate study needs at least 3 horizon values")
+def rate_study(config: ExperimentConfig, T_values: Sequence[float]) -> RateReport:
+    """Theorem-schedule runs over a geometric T ladder; log-log slope fit.
+
+    Every T must be an integer >= 1 (1e3 will do), and at least 3 must
+    differ, or the slope means nothing; both are checked before any step.
+    """
+    if not all(math.isfinite(T) and T == int(T) >= 1 for T in T_values) \
+            or len(set(T_values)) < 3:
+        raise ConfigError(f"rate study needs at least 3 distinct integer "
+                          f"horizons >= 1, got {list(T_values)}")
+    T_values = [int(T) for T in T_values]
     problem, x0, y0 = build_problem(config)
     averages = []
     for T in T_values:
@@ -541,7 +534,7 @@ def rate_study(config: ExperimentConfig, T_values: Sequence[int]) -> RateReport:
     lines.append(f"slope,{_fmt_float(slope)}")
     _write_atomic(out_dir / f"rate_{optimizer_label(config.optimizer)}.csv",
                   "\n".join(lines) + "\n")
-    return RateReport(tuple(int(t) for t in T_values), tuple(averages), slope)
+    return RateReport(tuple(T_values), tuple(averages), slope)
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +571,13 @@ def _svg_num(x: float) -> str:
     return f"{x:.3f}".rstrip("0").rstrip(".")
 
 
-def emit_plot(trace_dir: str, out_path: str, title: str = "worst-case objective",
-              width: int = 640, height: int = 440) -> None:
+def emit_plot(trace_dir: str, out_path: str) -> None:
     """Render mean P(x) curves (one per optimizer) with +/-1 std bands.
 
     Output bytes are a pure function of the input traces.
     """
     series = _collect_series(trace_dir)
+    title, width, height = "worst-case objective", 640, 440
     ml, mr, mt, mb = 60, 16, 28, 42
     pw, ph = width - ml - mr, height - mt - mb
     x_min = min(min(s[0]) for s in series.values())

@@ -11,20 +11,24 @@ They differ only in how m becomes a step: HCMM-1 clips it, HCMM-2 normalizes
 it and STORM-GDA uses it as is. SAGDA (stochastic alternating GDA) keeps no
 momentum and takes its ascent gradient at the already-updated x.
 
-`step` is a pure function of (kind, state, momentum, schedule, problem,
-rng); `iterate_steps` threads the state and owns the single RNG stream.
+One `StepState` holds what a step leaves behind and all the next step reads.
+`step` is a pure function of (kind, state, schedule, problem, rng);
+`iterate_steps` threads the state and owns the single RNG stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Tuple, Union
 
 import numpy as np
 
-from .core import (HyperSchedule, IterateState, MomentumState, Vec,
-                   clip_momentum, norm2)
+from .core import HyperSchedule, Vec, clip_momentum, norm2
 from .oracle import MinimaxProblem, SampleId
+
+# HCMM-2 leaves a block in place while its momentum norm is at most this:
+# the normalized step is undefined at m = 0
+NORM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,11 +40,7 @@ class Hcmm1:
 
 @dataclass(frozen=True)
 class Hcmm2:
-    norm_floor: float = 1e-12
-
-    def __post_init__(self):
-        if self.norm_floor <= 0:
-            raise ValueError(f"norm_floor must be positive, got {self.norm_floor}")
+    pass
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,33 @@ class Sagda:
 OptimizerKind = Union[Hcmm1, Hcmm2, StormGda, Sagda]
 
 
-@dataclass(frozen=True)
-class StepOutput:
-    next_state: IterateState
-    next_momentum: MomentumState
-    samples_used: Tuple[SampleId, ...]   # one per stochastic oracle draw
-    diagnostics: dict = field(default_factory=dict)
+@dataclass
+class StepState:
+    """One step's record: the iterates it reached and the momentum it used.
+
+    The step formed m_x, m_y at (x_prev, y_prev) and moved from there to
+    (x, y); the next step's correction applies to that displacement.
+    m_x_clipped is HCMM-1's clipped momentum when clipping rescaled it, and
+    m_x itself otherwise and for every other kind (likewise for y), so
+    `m_x_clipped is not m_x` says the step clipped. m_x_norm and m_y_norm
+    are ||m_x|| and ||m_y||; SAGDA keeps its momentum at zero and records
+    the norms of its two stochastic gradients there. `samples` holds one
+    id per stochastic oracle draw, and `iter` counts steps from 0 at
+    `init_run`.
+    """
+
+    x: Vec
+    y: Vec
+    x_prev: Vec
+    y_prev: Vec
+    m_x: Vec
+    m_y: Vec
+    m_x_clipped: Vec
+    m_y_clipped: Vec
+    m_x_norm: float
+    m_y_norm: float
+    samples: Tuple[SampleId, ...]
+    iter: int
 
 
 def hcmm_momentum_update(prev_m: Vec, beta: float, grad_sample: Vec,
@@ -78,105 +99,96 @@ def hcmm_momentum_update(prev_m: Vec, beta: float, grad_sample: Vec,
 
 def init_run(kind: OptimizerKind, problem: MinimaxProblem,
              schedule: HyperSchedule, x0: Vec, y0: Vec,
-             rng: np.random.Generator) -> Tuple[IterateState, MomentumState]:
+             rng: np.random.Generator) -> StepState:
     """Initial state: z1 = z0 (first correction term vanishes) and momentum
     seeded with one fresh stochastic gradient at z0; SAGDA keeps no momentum."""
+    hcmm1 = isinstance(kind, Hcmm1)
+    N, N1 = schedule.clip_threshold, schedule.clip_norm
+    if hcmm1 and (N is None or N1 is None):
+        raise ValueError("HCMM-1 needs clip_threshold and clip_norm")
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
-    state = IterateState(x_curr=x0.copy(), y_curr=y0.copy(),
-                         x_prev=x0.copy(), y_prev=y0.copy(), iter=0)
     if isinstance(kind, Sagda):
-        return state, MomentumState(np.zeros_like(x0), np.zeros_like(y0))
-    xi0 = problem.draw_sample(rng)
-    g0 = problem.sample_gradient(x0, y0, xi0)
-    if isinstance(kind, Hcmm1):
-        N, N1 = schedule.clip_threshold, schedule.clip_norm
-        if N is None or N1 is None:
-            raise ValueError("HCMM-1 needs clip_threshold and clip_norm")
-        return state, MomentumState(g0.gx, g0.gy,
-                                    clip_momentum(g0.gx, N, N1),
-                                    clip_momentum(g0.gy, N, N1))
-    return state, MomentumState(g0.gx, g0.gy)
+        samples: Tuple[SampleId, ...] = ()
+        m_x, m_y = np.zeros_like(x0), np.zeros_like(y0)
+    else:
+        xi0 = problem.draw_sample(rng)
+        samples = (xi0,)
+        g0 = problem.sample_gradient(x0, y0, xi0)
+        m_x, m_y = g0.gx, g0.gy
+    nx, ny = norm2(m_x), norm2(m_y)
+    mc_x, mc_y = m_x, m_y
+    if hcmm1:
+        mc_x = clip_momentum(m_x, N, N1, nx)
+        mc_y = clip_momentum(m_y, N, N1, ny)
+    return StepState(x0.copy(), y0.copy(), x0.copy(), y0.copy(), m_x, m_y,
+                     mc_x, mc_y, nx, ny, samples, 0)
 
 
-def step(kind: OptimizerKind, state: IterateState, momentum: MomentumState,
-         schedule: HyperSchedule, problem: MinimaxProblem,
-         rng: np.random.Generator, project_y: bool = True) -> StepOutput:
-    """One iteration of `kind` from `state`; the shared recursion is in the
+def step(kind: OptimizerKind, s: StepState, schedule: HyperSchedule,
+         problem: MinimaxProblem, rng: np.random.Generator,
+         project_y: bool = True) -> StepState:
+    """One iteration of `kind` from `s`; the shared recursion is in the
     module docstring."""
     if not isinstance(kind, (Hcmm1, Hcmm2, StormGda, Sagda)):
         raise TypeError(f"unknown optimizer kind: {kind!r}")
-    hcmm1 = isinstance(kind, Hcmm1)
-    if hcmm1 and (momentum.m_x_clipped is None or momentum.m_y_clipped is None):
-        raise ValueError("HCMM-1 step requires momentum with clipped fields")
-    x, y = state.x_curr, state.y_curr
+    x, y = s.x, s.y
     xi = problem.draw_sample(rng)
     samples: Tuple[SampleId, ...] = (xi,)
     g = problem.sample_gradient(x, y, xi)
-    mc_x = mc_y = None
     if isinstance(kind, Sagda):
         # alternating: the ascent gradient is taken at the already-updated x
-        m_x = g.gx
-        x_next = x - schedule.mu_x * m_x
+        x_next = x - schedule.mu_x * g.gx
         xi2 = problem.draw_sample(rng)
         samples = (xi, xi2)
-        m_y = problem.sample_gradient(x_next, y, xi2).gy
-        y_next = y + schedule.mu_y * m_y
-    elif isinstance(kind, StormGda):
-        # g + (1 - beta)(m - g_prev), not the HCMM form: the last bits of
-        # every STORM trace depend on this operation order
-        g_prev = problem.sample_gradient(state.x_prev, state.y_prev, xi)
-        m_x = g.gx + (1.0 - schedule.beta_x) * (momentum.m_x - g_prev.gx)
-        m_y = g.gy + (1.0 - schedule.beta_y) * (momentum.m_y - g_prev.gy)
+        gy = problem.sample_gradient(x_next, y, xi2).gy
+        y_next = y + schedule.mu_y * gy
+        m_x, m_y, mc_x, mc_y = s.m_x, s.m_y, s.m_x_clipped, s.m_y_clipped
+        nx, ny = norm2(g.gx), norm2(gy)
     else:
-        H = problem.sample_hvp(x, y, xi, x - state.x_prev, y - state.y_prev)
-        from_clipped = hcmm1 and kind.update_from_clipped
-        m_x = hcmm_momentum_update(
-            momentum.m_x_clipped if from_clipped else momentum.m_x,
-            schedule.beta_x, g.gx, H.hx)
-        m_y = hcmm_momentum_update(
-            momentum.m_y_clipped if from_clipped else momentum.m_y,
-            schedule.beta_y, g.gy, H.hy)
-    nx, ny = norm2(m_x), norm2(m_y)
-    if isinstance(kind, Hcmm2):
-        # the normalized update is undefined at m = 0; skip that block instead
-        x_next = x - schedule.mu_x * m_x / nx if nx > kind.norm_floor else x
-        y_next = y + schedule.mu_y * m_y / ny if ny > kind.norm_floor else y
-    elif not isinstance(kind, Sagda):
-        d_x, d_y = m_x, m_y
-        if hcmm1:
-            N, N1 = schedule.clip_threshold, schedule.clip_norm
-            if N is None or N1 is None:
-                raise ValueError("HCMM-1 needs clip_threshold and clip_norm "
-                                 "on the schedule")
-            d_x = mc_x = clip_momentum(m_x, N, N1, nx)
-            d_y = mc_y = clip_momentum(m_y, N, N1, ny)
-        x_next = x - schedule.mu_x * d_x
-        y_next = y + schedule.mu_y * d_y
+        if isinstance(kind, StormGda):
+            # g + (1 - beta)(m - g_prev), not the HCMM form: the last bits
+            # of every STORM trace depend on this operation order
+            g_prev = problem.sample_gradient(s.x_prev, s.y_prev, xi)
+            m_x = g.gx + (1.0 - schedule.beta_x) * (s.m_x - g_prev.gx)
+            m_y = g.gy + (1.0 - schedule.beta_y) * (s.m_y - g_prev.gy)
+        else:
+            H = problem.sample_hvp(x, y, xi, x - s.x_prev, y - s.y_prev)
+            from_clipped = isinstance(kind, Hcmm1) and kind.update_from_clipped
+            m_x = hcmm_momentum_update(
+                s.m_x_clipped if from_clipped else s.m_x,
+                schedule.beta_x, g.gx, H.hx)
+            m_y = hcmm_momentum_update(
+                s.m_y_clipped if from_clipped else s.m_y,
+                schedule.beta_y, g.gy, H.hy)
+        nx, ny = norm2(m_x), norm2(m_y)
+        mc_x, mc_y = m_x, m_y
+        if isinstance(kind, Hcmm2):
+            x_next = x - schedule.mu_x * m_x / nx if nx > NORM_FLOOR else x
+            y_next = y + schedule.mu_y * m_y / ny if ny > NORM_FLOOR else y
+        else:
+            if isinstance(kind, Hcmm1):
+                N, N1 = schedule.clip_threshold, schedule.clip_norm
+                mc_x = clip_momentum(m_x, N, N1, nx)
+                mc_y = clip_momentum(m_y, N, N1, ny)
+            x_next = x - schedule.mu_x * mc_x
+            y_next = y + schedule.mu_y * mc_y
     if project_y:
         y_next = problem.project_y(y_next)
-    return StepOutput(
-        next_state=IterateState(x_curr=x_next, y_curr=y_next, x_prev=x,
-                                y_prev=y, iter=state.iter + 1),
-        next_momentum=momentum if isinstance(kind, Sagda)
-        else MomentumState(m_x, m_y, mc_x, mc_y),
-        samples_used=samples,
-        diagnostics={"m_x_norm": nx, "m_y_norm": ny,
-                     "clipped_x": hcmm1 and mc_x is not m_x,
-                     "clipped_y": hcmm1 and mc_y is not m_y})
+    return StepState(x_next, y_next, x, y, m_x, m_y, mc_x, mc_y, nx, ny,
+                     samples, s.iter + 1)
 
 
 def iterate_steps(kind: OptimizerKind, problem: MinimaxProblem,
                   schedule: HyperSchedule, x0: Vec, y0: Vec, T: int,
-                  rng_seed: int, project_y: bool = True) -> Iterator[StepOutput]:
-    """Yield T step outputs; deterministic for a fixed (seed, config)."""
+                  rng_seed: int, project_y: bool = True) -> Iterator[StepState]:
+    """Yield the T states after steps 1..T; deterministic for a fixed
+    (seed, config)."""
     rng = np.random.default_rng(rng_seed)
-    state, momentum = init_run(kind, problem, schedule, x0, y0, rng)
+    s = init_run(kind, problem, schedule, x0, y0, rng)
     for i in range(T):
         try:
-            out = step(kind, state, momentum, schedule, problem, rng,
-                       project_y=project_y)
+            s = step(kind, s, schedule, problem, rng, project_y=project_y)
         except Exception as exc:
             raise RuntimeError(f"optimizer step failed at iteration {i + 1}") from exc
-        yield out
-        state, momentum = out.next_state, out.next_momentum
+        yield s

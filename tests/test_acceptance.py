@@ -13,8 +13,8 @@ import pytest
 from hcmm.core import ProblemConstants, clip_momentum, schedule_hcmm1
 from hcmm.harness import (build_config, emit_plot, grid_search, rate_study,
                           run_experiment)
-from hcmm.optimizers import (Hcmm1, Hcmm2, MomentumState, IterateState,
-                             StormGda, iterate_steps, step)
+from hcmm.optimizers import (Hcmm1, Hcmm2, StepState, StormGda,
+                             iterate_steps, step)
 from hcmm.oracle import finite_difference_hvp
 from hcmm.problems import QuadraticMinimaxProblem
 from hcmm.simplex import project_simplex
@@ -115,23 +115,22 @@ def test_criterion_03_momentum_exactness():
     beta = 0.05
     from hcmm.core import HyperSchedule
     sched = HyperSchedule(mu_x=0.02, mu_y=0.03, beta_x=beta, beta_y=beta,
-                          horizon_T=100, clip_threshold=1e12, clip_norm=1e12)
+                          clip_threshold=1e12, clip_norm=1e12)
     worst = 0.0
     for kind in (Hcmm1(update_from_clipped=True), Hcmm2(), StormGda()):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(q.dim_x)
         y = rng.standard_normal(q.dim_y)
-        state = IterateState(x, y, x, y, 0)
         m0x = 3.0 + rng.standard_normal(q.dim_x)
         m0y = 3.0 + rng.standard_normal(q.dim_y)
-        momentum = MomentumState(m0x, m0y, m0x, m0y)
+        state = StepState(x, y, x, y, m0x, m0y, m0x, m0y,
+                          np.linalg.norm(m0x), np.linalg.norm(m0y), (), 0)
         g0 = q.full_gradient(x, y)
         r0 = joint_norm(m0x - g0.gx, m0y - g0.gy)
         for i in range(1, 101):
-            out = step(kind, state, momentum, sched, q, rng)
-            state, momentum = out.next_state, out.next_momentum
+            state = step(kind, state, sched, q, rng)
             g = q.full_gradient(state.x_prev, state.y_prev)
-            r = joint_norm(momentum.m_x - g.gx, momentum.m_y - g.gy)
+            r = joint_norm(state.m_x - g.gx, state.m_y - g.gy)
             worst = max(worst, abs(r - (1 - beta) ** i * r0)
                         / ((1 - beta) ** i * r0))
     elapsed = time.time() - t0
@@ -275,7 +274,7 @@ def test_criterion_07_saddle_convergence():
         tot = 0.0
         last = 0.0
         for out in iterate_steps(Hcmm1(), q, sched, x0, np.zeros(m), T, seed):
-            last = float(np.linalg.norm(q.grad_p(out.next_state.x_curr)))
+            last = float(np.linalg.norm(q.grad_p(out.x)))
             tot += last
         avgs.append(tot / T)
         finals.append(last)

@@ -193,10 +193,8 @@ class TestScheduleHcmm2:
 class TestHyperScheduleValidation:
     def test_rejects_beta_out_of_range(self):
         with pytest.raises(ConfigError):
-            HyperSchedule(mu_x=0.1, mu_y=0.1, beta_x=0.0, beta_y=0.5,
-                          horizon_T=10)
+            HyperSchedule(mu_x=0.1, mu_y=0.1, beta_x=0.0, beta_y=0.5)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ConfigError):
-            HyperSchedule(mu_x=-0.1, mu_y=0.1, beta_x=0.5, beta_y=0.5,
-                          horizon_T=10)
+            HyperSchedule(mu_x=-0.1, mu_y=0.1, beta_x=0.5, beta_y=0.5)

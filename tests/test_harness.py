@@ -11,9 +11,8 @@ from hcmm.core import ConfigError
 from hcmm.harness import (TRACE_COLUMNS, build_config, build_problem,
                           build_schedule, emit_plot, grid_search,
                           optimizer_label, parse_config_text, rate_study,
-                          read_trace, run_experiment, run_single,
-                          validate_config)
-from hcmm.optimizers import Hcmm1, Sagda
+                          read_config, read_trace, run_experiment, run_single)
+from hcmm.optimizers import Hcmm1, Sagda, iterate_steps
 from hcmm.oracle import evaluate_P
 from hcmm import cli
 
@@ -54,10 +53,10 @@ class TestConfigParsing:
             parse_config_text("a = 1\nbogus\n")
 
     def test_validate_collects_all_issues(self):
-        issues = validate_config({"problem.kind": "nope",
-                                  "optimizer.kind": "nope",
-                                  "run.T": "zero",
-                                  "run.seeds": ""})
+        issues = read_config({"problem.kind": "nope",
+                              "optimizer.kind": "nope",
+                              "run.T": "zero",
+                              "run.seeds": ""})[1]
         assert len(issues) >= 4
 
     def test_build_config_round_trip(self, tmp_path):
@@ -92,10 +91,10 @@ class TestConfigParsing:
         assert (p["c_min"], p["c_max"]) == (0.5, 1.5)
 
     def test_every_issue_names_its_key(self, tmp_path):
-        issues = validate_config(quad_mapping(tmp_path, **{
+        issues = read_config(quad_mapping(tmp_path, **{
             "problem.m": "x", "problem.nu": "", "problem.spectrum": "1,2,3",
             "run.seeds": "1,-2", "run.record_wall": "1",
-            "schedule.N": "a"}))
+            "schedule.N": "a"}))[1]
         assert issues == ["problem.m is not an integer: 'x'",
                           "problem.nu is not numeric: ''",
                           "problem.spectrum must list 2 values, got '1,2,3'",
@@ -104,9 +103,9 @@ class TestConfigParsing:
                           "run.record_wall must be true or false, got '1'"]
 
     def test_logistic_requires_dataset_path(self):
-        issues = validate_config({"problem.kind": "robust_logistic",
-                                  "optimizer.kind": "sagda",
-                                  "run.T": "5", "run.seeds": "0"})
+        issues = read_config({"problem.kind": "robust_logistic",
+                              "optimizer.kind": "sagda",
+                              "run.T": "5", "run.seeds": "0"})[1]
         assert any("dataset_path" in s for s in issues)
 
     def test_theorem_schedule_from_constants(self, tmp_path):
@@ -163,6 +162,40 @@ class TestRunExperiment:
         run_experiment(cfg)
         cols = read_trace(str(tmp_path / "trace_hcmm1_seed1.csv"))
         assert cols["clipped_x"][0] is True
+
+    @pytest.mark.parametrize("kind", ["hcmm1", "hcmm2", "storm_gda", "sagda"])
+    def test_clip_flags_match_step_record(self, tmp_path, kind):
+        # m_*_clipped is the momentum object itself unless HCMM-1 rescaled
+        # it (norm >= N = 0.4, to N1 = 0.2); the trace's flags say which
+        cfg = build_config(quad_mapping(
+            tmp_path, **{"optimizer.kind": kind, "schedule.N": "0.4",
+                         "schedule.N1": "0.2", "run.seeds": "1"}))
+        problem, x0, y0 = build_problem(cfg)
+        schedule = build_schedule(cfg)
+        rows, _ = run_single(cfg, 1, problem, x0, y0, schedule)
+        states = list(iterate_steps(cfg.optimizer, problem, schedule, x0, y0,
+                                    cfg.T, 1))
+        assert len(rows) == len(states) == 40
+        flags = []
+        for s, row in zip(states, rows):
+            for m, mc, norm, col in ((s.m_x, s.m_x_clipped, s.m_x_norm,
+                                      "clipped_x"),
+                                     (s.m_y, s.m_y_clipped, s.m_y_norm,
+                                      "clipped_y")):
+                clipped = kind == "hcmm1" and norm >= 0.4
+                if clipped:
+                    assert mc is not m
+                    assert np.linalg.norm(mc) == pytest.approx(0.2)
+                else:
+                    assert mc is m
+                if kind == "sagda":
+                    # zero momentum; the norms are the step's gradients'
+                    assert not m.any() and norm > 0
+                assert row[TRACE_COLUMNS.index(col)] == ("1" if clipped
+                                                         else "0")
+                flags.append(clipped)
+        if kind == "hcmm1":
+            assert any(flags) and not all(flags)
 
 
 class TestPlToy:
@@ -390,6 +423,20 @@ class TestRateStudy:
         with pytest.raises(ConfigError, match="3"):
             rate_study(cfg, [10, 100])
 
+    @pytest.mark.parametrize("T_values", [[0, 10, 100], [10, 100, 0],
+                                          [10, -5, 100], [10, 10, 10],
+                                          [10, 10, 100], [10, 100.5, 1000]])
+    def test_bad_horizons_rejected_before_any_step(self, tmp_path,
+                                                   monkeypatch, T_values):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("stepped before the horizons were checked")
+
+        monkeypatch.setattr(hcmm.harness, "iterate_steps", no_steps)
+        cfg = build_config(quad_mapping(tmp_path))
+        with pytest.raises(ConfigError, match="3 distinct integer horizons"):
+            rate_study(cfg, T_values)
+        assert not (tmp_path / "rate_storm_gda.csv").exists()
+
 
 class TestPlot:
     def test_svg_deterministic_and_wellformed(self, tmp_path):
@@ -569,6 +616,14 @@ class TestCli:
         rc = cli.main(["rate", "--config", str(cfg), "--T", "50,150,400"])
         assert rc == 0
         assert (tmp_path / "out" / "rate_hcmm1.csv").exists()
+
+    @pytest.mark.parametrize("T", ["0,10,100", "1e1,1.5e1,2.25"])
+    def test_rate_bad_horizons_is_an_error(self, tmp_path, capsys, T):
+        rc = cli.main(["rate", "--config", self.write_cfg(tmp_path),
+                       "--T", T])
+        assert rc == 1
+        assert "error: rate study needs at least 3 distinct integer " \
+            "horizons >= 1" in capsys.readouterr().err
 
     def test_seed_override_checked_before_run(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", self.write_cfg(tmp_path),

@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 
-from hcmm.core import (HyperSchedule, IterateState, MomentumState,
-                       clip_momentum)
-from hcmm.optimizers import (Hcmm1, Hcmm2, Sagda, StormGda,
+from hcmm.core import HyperSchedule, clip_momentum
+from hcmm.optimizers import (Hcmm1, Hcmm2, Sagda, StepState, StormGda,
                              hcmm_momentum_update, iterate_steps, step)
 from hcmm.problems import QuadraticMinimaxProblem
 
 from conftest import make_logistic, make_quadratic
 
 
-def explicit_schedule(mu_x=0.01, mu_y=0.01, beta=0.1, T=100, N=None, N1=None):
+def explicit_schedule(mu_x=0.01, mu_y=0.01, beta=0.1, N=None, N1=None):
     return HyperSchedule(mu_x=mu_x, mu_y=mu_y, beta_x=beta, beta_y=beta,
-                         horizon_T=T, clip_threshold=N, clip_norm=N1)
+                         clip_threshold=N, clip_norm=N1)
+
+
+def make_state(x, y, m_x, m_y, x_prev=None, y_prev=None):
+    """The state at (x, y), moved to from (x_prev, y_prev) (default: the
+    same point) with momentum (m_x, m_y), unclipped."""
+    return StepState(x, y, x if x_prev is None else x_prev,
+                     y if y_prev is None else y_prev, m_x, m_y, m_x, m_y,
+                     np.linalg.norm(m_x), np.linalg.norm(m_y), (), 0)
 
 
 class CountingProblem:
@@ -76,21 +83,19 @@ class TestMomentumUpdate:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(q.dim_x)
         y = rng.standard_normal(q.dim_y)
-        state = IterateState(x, y, x, y, 0)
         # deliberately wrong initial momentum so the residual is nonzero
         m0x = rng.standard_normal(q.dim_x)
         m0y = rng.standard_normal(q.dim_y)
-        momentum = MomentumState(m0x, m0y, m0x, m0y)
+        s = make_state(x, y, m0x, m0y)
         g0 = q.full_gradient(x, y)
         r_prev = np.sqrt(np.sum((m0x - g0.gx) ** 2)
                          + np.sum((m0y - g0.gy) ** 2))
         for i in range(1, 101):
-            out = step(kind, state, momentum, sched, q, rng)
-            state, momentum = out.next_state, out.next_momentum
+            s = step(kind, s, sched, q, rng)
             # m_i is formed at z_i before the move to z_{i+1}
-            g = q.full_gradient(state.x_prev, state.y_prev)
-            r = np.sqrt(np.sum((momentum.m_x - g.gx) ** 2)
-                        + np.sum((momentum.m_y - g.gy) ** 2))
+            g = q.full_gradient(s.x_prev, s.y_prev)
+            r = np.sqrt(np.sum((s.m_x - g.gx) ** 2)
+                        + np.sum((s.m_y - g.gy) ** 2))
             # per-step contraction is exact; avoid compounding rounding
             # abs floor covers cancellation noise once r is near eps scale
             assert r == pytest.approx((1 - beta) * r_prev, rel=1e-9,
@@ -104,76 +109,65 @@ class TestHcmm1:
         sched = explicit_schedule(N=10.0, N1=10.0)
         x = np.zeros(3)
         y = np.zeros(3)
-        state = IterateState(x, y, x, y, 0)
-        momentum = MomentumState(np.zeros(3), np.zeros(3),
-                                 np.zeros(3), np.zeros(3))
-        out = step(Hcmm1(), state, momentum, sched, q,
-                   np.random.default_rng(0))
-        np.testing.assert_array_equal(out.next_state.x_curr, x)
-        np.testing.assert_array_equal(out.next_state.y_curr, y)
+        out = step(Hcmm1(), make_state(x, y, np.zeros(3), np.zeros(3)),
+                   sched, q, np.random.default_rng(0))
+        np.testing.assert_array_equal(out.x, x)
+        np.testing.assert_array_equal(out.y, y)
 
     def test_single_step_1d_concave(self):
         # J = -y^2/2: from y0=1 with beta=1, m_y = -1, y1 = 1 + 0.1*(-1)
         q = QuadraticMinimaxProblem(np.array([[0.0]]), np.array([[0.0]]), 1.0)
         sched = HyperSchedule(mu_x=0.1, mu_y=0.1, beta_x=1.0, beta_y=1.0,
-                              horizon_T=1, clip_threshold=100.0, clip_norm=100.0)
-        y = np.array([1.0])
-        state = IterateState(np.zeros(1), y, np.zeros(1), y, 0)
-        momentum = MomentumState(np.zeros(1), np.zeros(1),
-                                 np.zeros(1), np.zeros(1))
-        out = step(Hcmm1(), state, momentum, sched, q,
-                   np.random.default_rng(0))
-        assert out.next_momentum.m_y[0] == pytest.approx(-1.0)
-        assert out.next_state.y_curr[0] == pytest.approx(0.9)
+                              clip_threshold=100.0, clip_norm=100.0)
+        state = make_state(np.zeros(1), np.array([1.0]), np.zeros(1),
+                           np.zeros(1))
+        out = step(Hcmm1(), state, sched, q, np.random.default_rng(0))
+        assert out.m_y[0] == pytest.approx(-1.0)
+        assert out.y[0] == pytest.approx(0.9)
 
     def test_infinite_clip_matches_unclipped_recursion(self):
         q = make_quadratic(d=4, m=3, seed=5, noise_sigma=0.2)
         big = explicit_schedule(N=1e300, N1=1e300)
-        outs1 = list(iterate_steps(Hcmm1(), q, big, np.ones(4), np.zeros(3),
-                                   50, 9))
-        outs2 = list(iterate_steps(Hcmm2(norm_floor=1e-300), q, big,
-                                   np.ones(4), np.zeros(3), 50, 9))
-        # same momentum recursion; only the weight update differs
-        np.testing.assert_allclose(outs1[-1].next_momentum.m_x,
-                                   outs1[-1].next_momentum.m_x_clipped)
+        outs = list(iterate_steps(Hcmm1(), q, big, np.ones(4), np.zeros(3),
+                                  50, 9))
+        np.testing.assert_allclose(outs[-1].m_x, outs[-1].m_x_clipped)
 
     def test_clipping_flag_reported(self):
         q = make_quadratic(d=3, m=3, seed=0)
         sched = explicit_schedule(N=1e-6, N1=1e-6)
         outs = list(iterate_steps(Hcmm1(), q, sched, np.ones(3) * 5,
                                   np.zeros(3), 3, 0))
-        assert outs[0].diagnostics["clipped_x"]
-        assert np.linalg.norm(outs[0].next_momentum.m_x_clipped) \
-            == pytest.approx(1e-6)
+        assert outs[0].m_x_clipped is not outs[0].m_x
+        assert np.linalg.norm(outs[0].m_x_clipped) == pytest.approx(1e-6)
 
     @pytest.mark.parametrize("big", ["x", "y"])
     def test_each_block_clipped_by_its_own_norm(self, big):
         q = make_quadratic(d=4, m=3, seed=3, noise_sigma=0.1)
         sched = explicit_schedule(beta=1e-3, N=1.0, N1=1.0)
         mx, my = (100.0, 0.01) if big == "x" else (0.01, 100.0)
-        m = MomentumState(np.full(4, mx), np.full(3, my),
-                          np.full(4, mx), np.full(3, my))
         x, y = np.full(4, 0.01), np.full(3, 0.01)
-        out = step(Hcmm1(), IterateState(x, y, x, y, 0), m, sched, q,
-                   np.random.default_rng(0))
-        nm = out.next_momentum
-        for raw, clipped in ((nm.m_x, nm.m_x_clipped), (nm.m_y, nm.m_y_clipped)):
+        out = step(Hcmm1(), make_state(x, y, np.full(4, mx), np.full(3, my)),
+                   sched, q, np.random.default_rng(0))
+        for raw, clipped in ((out.m_x, out.m_x_clipped),
+                             (out.m_y, out.m_y_clipped)):
             ref = clip_momentum(raw, 1.0, 1.0)
             if ref is raw:
                 assert clipped is raw
             else:
                 assert clipped.tobytes() == ref.tobytes()
-        assert out.diagnostics["clipped_x"] == (big == "x")
-        assert out.diagnostics["clipped_y"] == (big == "y")
+        assert (out.m_x_clipped is not out.m_x) == (big == "x")
+        assert (out.m_y_clipped is not out.m_y) == (big == "y")
 
     def test_requires_clip_fields(self):
-        q = make_quadratic()
-        sched = explicit_schedule(N=1.0, N1=1.0)
-        state = IterateState(np.zeros(4), np.zeros(3), np.zeros(4),
-                             np.zeros(3), 0)
-        with pytest.raises(ValueError, match="clipped"):
-            step(Hcmm1(), state, MomentumState(np.zeros(4), np.zeros(3)),
-                 sched, q, np.random.default_rng(0))
+        # init_run is the one place that checks N and N1, before any draw
+        for N, N1 in ((None, 1.0), (1.0, None)):
+            counter = CountingProblem(make_quadratic())
+            run = iterate_steps(Hcmm1(), counter, explicit_schedule(N=N, N1=N1),
+                                np.zeros(4), np.zeros(3), 5, 0)
+            with pytest.raises(ValueError, match="clip_threshold and clip_norm"):
+                next(run)
+            assert (counter.draws, counter.grad_calls, counter.hvp_calls) \
+                == (0, 0, 0)
 
 
 class TestHcmm2:
@@ -183,25 +177,17 @@ class TestHcmm2:
         outs = list(iterate_steps(Hcmm2(), q, sched, np.ones(4), np.ones(3),
                                   20, 3))
         for out in outs:
-            dx = np.linalg.norm(out.next_state.x_curr - out.next_state.x_prev)
+            dx = np.linalg.norm(out.x - out.x_prev)
             assert dx == pytest.approx(0.05) or dx == 0.0
 
     def test_norm_floor_skips_update(self):
+        # at the exact saddle the noiseless gradient is 0, so with beta = 1
+        # the momentum is 0 and the normalized step must be skipped
         q = make_quadratic(d=3, m=3, seed=0)
-        sched = explicit_schedule()
-        x = np.ones(3)
-        y = np.zeros(3)
-        state = IterateState(x, y, x, y, 0)
-        tiny = np.full(3, 1e-20)
-        momentum = MomentumState(tiny, tiny)
-        # beta=0 keeps the momentum tiny through the update at a saddle-free
-        # point only if gradients vanish; use the exact saddle instead
-        state0 = IterateState(np.zeros(3), np.zeros(3), np.zeros(3),
-                              np.zeros(3), 0)
-        out = step(Hcmm2(norm_floor=1e-12), state0,
-                   MomentumState(np.zeros(3), np.zeros(3)),
+        z = np.zeros(3)
+        out = step(Hcmm2(), make_state(z, z, z, z),
                    explicit_schedule(beta=1.0), q, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.next_state.x_curr, np.zeros(3))
+        np.testing.assert_array_equal(out.x, np.zeros(3))
 
     def test_direction_invariance(self):
         q = make_quadratic(d=4, m=3, seed=2)
@@ -210,14 +196,12 @@ class TestHcmm2:
         rng_b = np.random.default_rng(5)
         x = np.ones(4)
         y = np.ones(3)
-        state = IterateState(x, y, x, y, 0)
-        m = MomentumState(np.array([1.0, 2, 3, 4]), np.array([1.0, 1, 1]))
-        m_scaled = MomentumState(10 * m.m_x, 10 * m.m_y)
-        a = step(Hcmm2(), state, m, explicit_schedule(beta=1e-9), q, rng_a)
-        b = step(Hcmm2(), state, m_scaled, explicit_schedule(beta=1e-9), q,
-                 rng_b)
-        np.testing.assert_allclose(a.next_state.x_curr, b.next_state.x_curr,
-                                   atol=1e-7)
+        m_x, m_y = np.array([1.0, 2, 3, 4]), np.array([1.0, 1, 1])
+        a = step(Hcmm2(), make_state(x, y, m_x, m_y),
+                 explicit_schedule(beta=1e-9), q, rng_a)
+        b = step(Hcmm2(), make_state(x, y, 10 * m_x, 10 * m_y),
+                 explicit_schedule(beta=1e-9), q, rng_b)
+        np.testing.assert_allclose(a.x, b.x, atol=1e-7)
 
 
 class TestStormGda:
@@ -226,14 +210,14 @@ class TestStormGda:
         rng = np.random.default_rng(1)
         x = np.ones(3)
         y = np.ones(2)
-        state = IterateState(x, y, 0.5 * x, 0.5 * y, 0)
-        m = MomentumState(np.full(3, 99.0), np.full(2, 99.0))
+        state = make_state(x, y, np.full(3, 99.0), np.full(2, 99.0),
+                           0.5 * x, 0.5 * y)
         sched = explicit_schedule(beta=1.0)
-        out = step(StormGda(), state, m, sched, q, rng)
-        xi = out.samples_used[0]
+        out = step(StormGda(), state, sched, q, rng)
+        xi = out.samples[0]
         g = q.sample_gradient(x, y, xi)
-        np.testing.assert_allclose(out.next_momentum.m_x, g.gx)
-        np.testing.assert_allclose(out.next_momentum.m_y, g.gy)
+        np.testing.assert_allclose(out.m_x, g.gx)
+        np.testing.assert_allclose(out.m_y, g.gy)
 
     def test_same_sample_difference_is_exact(self):
         # the noise draw is the sample, so the correction g(z; xi) -
@@ -242,10 +226,10 @@ class TestStormGda:
         rng = np.random.default_rng(4)
         x, y = rng.standard_normal(4), rng.standard_normal(3)
         xp, yp = rng.standard_normal(4), rng.standard_normal(3)
-        m = MomentumState(np.zeros(4), np.zeros(3))
-        out = step(StormGda(), IterateState(x, y, xp, yp, 0), m,
+        out = step(StormGda(), make_state(x, y, np.zeros(4), np.zeros(3),
+                                          xp, yp),
                    explicit_schedule(beta=0.5), q, rng)
-        xi = out.samples_used[0]
+        xi = out.samples[0]
         g, g_prev = q.sample_gradient(x, y, xi), q.sample_gradient(xp, yp, xi)
         f, f_prev = q.full_gradient(x, y), q.full_gradient(xp, yp)
         np.testing.assert_allclose(g.gx - g_prev.gx, f.gx - f_prev.gx,
@@ -257,39 +241,34 @@ class TestStormGda:
         q = make_quadratic(d=3, m=2, seed=4, noise_sigma=0.3)
         x = np.ones(3)
         y = np.ones(2)
-        state = IterateState(x, y, x, y, 0)
-        m = MomentumState(np.array([1.0, 2, 3]), np.array([4.0, 5]))
+        m_x = np.array([1.0, 2, 3])
         beta = 0.25
-        out = step(StormGda(), state, m, explicit_schedule(beta=beta), q,
-                   np.random.default_rng(2))
-        g = q.sample_gradient(x, y, out.samples_used[0])
-        np.testing.assert_allclose(out.next_momentum.m_x,
-                                   g.gx + (1 - beta) * (m.m_x - g.gx))
+        out = step(StormGda(), make_state(x, y, m_x, np.array([4.0, 5])),
+                   explicit_schedule(beta=beta), q, np.random.default_rng(2))
+        g = q.sample_gradient(x, y, out.samples[0])
+        np.testing.assert_allclose(out.m_x, g.gx + (1 - beta) * (m_x - g.gx))
 
 
 class TestSagda:
     def test_fixed_point(self):
         q = make_quadratic(d=3, m=3, seed=1)
-        state = IterateState(np.zeros(3), np.zeros(3), np.zeros(3),
-                             np.zeros(3), 0)
-        out = step(Sagda(), state, MomentumState(np.zeros(3), np.zeros(3)),
-                   explicit_schedule(), q, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.next_state.x_curr, np.zeros(3))
-        np.testing.assert_array_equal(out.next_state.y_curr, np.zeros(3))
+        z = np.zeros(3)
+        out = step(Sagda(), make_state(z, z, z, z), explicit_schedule(), q,
+                   np.random.default_rng(0))
+        np.testing.assert_array_equal(out.x, np.zeros(3))
+        np.testing.assert_array_equal(out.y, np.zeros(3))
 
     def test_alternating_bilinear_hand_computed(self):
         # J = xy, mu = 0.1, from (1, 1): x1 = 1 - 0.1, y1 = 1 + 0.1*(1 - 0.1)
         q = QuadraticMinimaxProblem(np.array([[0.0]]), np.array([[1.0]]),
                                     nu=1e-12)
         mu = 0.1
-        state = IterateState(np.array([1.0]), np.array([1.0]),
-                             np.array([1.0]), np.array([1.0]), 0)
-        out = step(Sagda(), state, MomentumState(np.zeros(1), np.zeros(1)),
-                   explicit_schedule(mu_x=mu, mu_y=mu), q,
+        state = make_state(np.array([1.0]), np.array([1.0]), np.zeros(1),
+                           np.zeros(1))
+        out = step(Sagda(), state, explicit_schedule(mu_x=mu, mu_y=mu), q,
                    np.random.default_rng(0))
-        assert out.next_state.x_curr[0] == pytest.approx(1 - mu)
-        assert out.next_state.y_curr[0] == pytest.approx(1 + mu * (1 - mu),
-                                                         rel=1e-9)
+        assert out.x[0] == pytest.approx(1 - mu)
+        assert out.y[0] == pytest.approx(1 + mu * (1 - mu), rel=1e-9)
 
     def test_decoupled_matches_simultaneous(self):
         # B = 0: the ascent gradient does not see the updated x
@@ -299,12 +278,11 @@ class TestSagda:
         q = QuadraticMinimaxProblem(A, np.zeros((d, d)), 1.0)
         x = rng.standard_normal(d)
         y = rng.standard_normal(d)
-        state = IterateState(x, y, x, y, 0)
-        out = step(Sagda(), state, MomentumState(np.zeros(d), np.zeros(d)),
+        out = step(Sagda(), make_state(x, y, np.zeros(d), np.zeros(d)),
                    explicit_schedule(mu_x=0.1, mu_y=0.1), q,
                    np.random.default_rng(1))
-        np.testing.assert_allclose(out.next_state.x_curr, x - 0.1 * (A @ x))
-        np.testing.assert_allclose(out.next_state.y_curr, y + 0.1 * (-y))
+        np.testing.assert_allclose(out.x, x - 0.1 * (A @ x))
+        np.testing.assert_allclose(out.y, y + 0.1 * (-y))
 
 
 class TestRunDiscipline:
@@ -322,12 +300,11 @@ class TestRunDiscipline:
                 else sched
             a = list(iterate_steps(kind, q, s, np.ones(4), np.ones(3), 30, 11))
             b = list(iterate_steps(kind, q, s, np.ones(4), np.ones(3), 30, 11))
-            np.testing.assert_array_equal(a[-1].next_state.x_curr,
-                                          b[-1].next_state.x_curr)
+            np.testing.assert_array_equal(a[-1].x, b[-1].x)
             # a synthetic sample is its noise draw: compare element-wise
             for oa, ob in zip(a, b):
-                assert len(oa.samples_used) == len(ob.samples_used)
-                for sa, sb in zip(oa.samples_used, ob.samples_used):
+                assert len(oa.samples) == len(ob.samples)
+                for sa, sb in zip(oa.samples, ob.samples):
                     np.testing.assert_array_equal(sa, sb)
 
     def test_state_threading(self):
@@ -338,12 +315,10 @@ class TestRunDiscipline:
             for out in iterate_steps(kind, q, s, np.ones(4), np.ones(3),
                                      20, 3):
                 if prev is not None:
-                    np.testing.assert_array_equal(out.next_state.x_prev,
-                                                  prev.next_state.x_curr)
-                    np.testing.assert_array_equal(out.next_state.y_prev,
-                                                  prev.next_state.y_curr)
+                    np.testing.assert_array_equal(out.x_prev, prev.x)
+                    np.testing.assert_array_equal(out.y_prev, prev.y)
                 prev = out
-            assert prev.next_state.iter == 20
+            assert prev.iter == 20
 
     def test_sample_counts_per_step(self):
         base = make_logistic(n=12, d=5)
@@ -364,7 +339,7 @@ class TestRunDiscipline:
         for kind in (Hcmm1(), Hcmm2(), StormGda(), Sagda()):
             for out in iterate_steps(kind, p, sched, np.zeros(4),
                                      np.full(8, 1 / 8), 25, 1):
-                y = out.next_state.y_curr
+                y = out.y
                 assert np.all(y >= 0) and abs(y.sum() - 1) <= 1e-12
 
     def test_oracle_error_carries_iteration(self):
