@@ -364,13 +364,12 @@ def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
             inner = evaluate_P(problem, x_i)
             p_x = inner.p_value
             grad_p = norm2(inner.grad_p)
-            m_ci = metric_ci(problem, x_i, y_i, s.m_x_clipped, inner.y_star)
+            m_ci = metric_ci(problem, s.z, s.m_clipped[:s.dim_x], inner.y_star)
         wall = str(time.monotonic_ns() - t0) if config.record_wall else ""
         rows.append([str(s.iter), _fmt_float(p_x), _fmt_float(grad_p),
                      _fmt_float(m_ci), _fmt_float(s.m_x_norm),
-                     _fmt_float(s.m_y_norm),
-                     "0" if s.m_x_clipped is s.m_x else "1",
-                     "0" if s.m_y_clipped is s.m_y else "1", wall])
+                     _fmt_float(s.m_y_norm), "1" if s.clipped_x else "0",
+                     "1" if s.clipped_y else "0", wall])
     return rows, {"final_x": x_i, "final_y": y_i}
 
 
@@ -509,12 +508,17 @@ def rate_study(config: ExperimentConfig, T_values: Sequence[float]) -> RateRepor
     """Theorem-schedule runs over a geometric T ladder; log-log slope fit.
 
     Every T must be an integer >= 1 (1e3 will do), and at least 3 must
-    differ, or the slope means nothing; both are checked before any step.
+    differ, or the slope means nothing. The schedule must be a theorem one:
+    an explicit schedule gives every horizon the same step sizes, so its
+    slope is not the theorem rate. All three are checked before any step.
     """
     if not all(math.isfinite(T) and T == int(T) >= 1 for T in T_values) \
             or len(set(T_values)) < 3:
         raise ConfigError(f"rate study needs at least 3 distinct integer "
                           f"horizons >= 1, got {list(T_values)}")
+    if config.schedule_kind not in ("theorem1", "theorem2"):
+        raise ConfigError(f"rate study needs schedule.kind = theorem1 or "
+                          f"theorem2, got {config.schedule_kind!r}")
     T_values = [int(T) for T in T_values]
     problem, x0, y0 = build_problem(config)
     averages = []

@@ -1,19 +1,28 @@
-"""The four iterative methods, as one step function.
+"""The four iterative methods, as one step function on the joint iterate.
 
-HCMM-1, HCMM-2 and STORM-GDA share one corrected-momentum recursion,
+HCMM-1, HCMM-2 and STORM-GDA share one corrected-momentum recursion on
+z = (x, y),
 
     m <- (1 - beta) (m + c) + beta g,
 
-with g a stochastic gradient at z_i = (x_i, y_i) and c the correction for the
-move from z_{i-1}: the sample Hessian-vector product H (z_i - z_{i-1}) for
-HCMM, and the same-sample gradient difference g(z_i) - g(z_{i-1}) for STORM.
-They differ only in how m becomes a step: HCMM-1 clips it, HCMM-2 normalizes
-it and STORM-GDA uses it as is. SAGDA (stochastic alternating GDA) keeps no
-momentum and takes its ascent gradient at the already-updated x.
+with g a stochastic gradient at z_i and c the correction for the move from
+z_{i-1}: the sample Hessian-vector product H (z_i - z_{i-1}) for HCMM, and
+the same-sample gradient difference g(z_i) - g(z_{i-1}) for STORM. They
+differ only in how m becomes a step: HCMM-1 clips it, HCMM-2 normalizes it
+and STORM-GDA uses it as is, each block (x, then y) by its own norm. SAGDA
+(stochastic alternating GDA) keeps no momentum and takes its ascent
+gradient at the already-updated x.
+
+Iterates, momenta and oracle results are single arrays of length
+dim_x + dim_y, with x and y as views into them, so the recursion, the
+displacement and the descent-ascent update are one numpy call each.
+`JointSchedule` expands a schedule's per-block scalars over the coordinates
+once per run; elementwise this gives the same bits as the scalars.
 
 One `StepState` holds what a step leaves behind and all the next step reads.
-`step` is a pure function of (kind, state, schedule, problem, rng);
-`iterate_steps` threads the state and owns the single RNG stream.
+`step` is a pure function of (kind, state, joint schedule, problem,
+samples); `iterate_steps` threads the state and draws the samples from the
+run's single RNG stream, a block at a time (`sample_stream`).
 """
 
 from __future__ import annotations
@@ -29,6 +38,10 @@ from .oracle import MinimaxProblem, SampleId
 # HCMM-2 leaves a block in place while its momentum norm is at most this:
 # the normalized step is undefined at m = 0
 NORM_FLOOR = 1e-12
+
+# samples drawn from the run's stream per block; a synthetic problem's block
+# is one (SAMPLE_BLOCK, dim_x + dim_y) noise array
+SAMPLE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -54,129 +67,184 @@ class Sagda:
 
 
 OptimizerKind = Union[Hcmm1, Hcmm2, StormGda, Sagda]
+KINDS = (Hcmm1, Hcmm2, StormGda, Sagda)
+
+
+@dataclass(frozen=True)
+class JointSchedule:
+    """A schedule expanded over the coordinates of z = (x, y).
+
+    beta is beta_x on x and beta_y on y, keep = 1 - beta, and move is
+    -mu_x on x and +mu_y on y, so z + move * m is the descent-ascent update.
+    """
+
+    schedule: HyperSchedule
+    dim_x: int
+    beta: Vec
+    keep: Vec
+    move: Vec
+
+    @classmethod
+    def expand(cls, schedule: HyperSchedule, dim_x: int,
+               dim_y: int) -> "JointSchedule":
+        def per_block(vx: float, vy: float) -> Vec:
+            return np.repeat([vx, vy], [dim_x, dim_y])
+
+        s = schedule
+        return cls(s, dim_x, per_block(s.beta_x, s.beta_y),
+                   per_block(1.0 - s.beta_x, 1.0 - s.beta_y),
+                   per_block(-s.mu_x, s.mu_y))
 
 
 @dataclass
 class StepState:
-    """One step's record: the iterates it reached and the momentum it used.
+    """One step's record: the iterate it reached and the momentum it used.
 
-    The step formed m_x, m_y at (x_prev, y_prev) and moved from there to
-    (x, y); the next step's correction applies to that displacement.
-    m_x_clipped is HCMM-1's clipped momentum when clipping rescaled it, and
-    m_x itself otherwise and for every other kind (likewise for y), so
-    `m_x_clipped is not m_x` says the step clipped. m_x_norm and m_y_norm
-    are ||m_x|| and ||m_y||; SAGDA keeps its momentum at zero and records
-    the norms of its two stochastic gradients there. `samples` holds one
-    id per stochastic oracle draw, and `iter` counts steps from 0 at
-    `init_run`.
+    The step formed m at z_prev and moved from there to z; the next step's
+    correction applies to that displacement. m_clipped is HCMM-1's
+    momentum after clipping each block, and m itself when neither block
+    was clipped and for every other kind; clipped_x and clipped_y say which
+    blocks were. m_x_norm and m_y_norm are the norms of m's blocks; SAGDA
+    keeps its momentum at zero and records the norms of its descent and
+    ascent stochastic gradients there. `samples` holds one id per
+    stochastic oracle draw, and `iter` counts steps from 0 at `init_run`.
+    x and y are views into z.
     """
 
-    x: Vec
-    y: Vec
-    x_prev: Vec
-    y_prev: Vec
-    m_x: Vec
-    m_y: Vec
-    m_x_clipped: Vec
-    m_y_clipped: Vec
+    z: Vec
+    z_prev: Vec
+    m: Vec
+    m_clipped: Vec
+    clipped_x: bool
+    clipped_y: bool
     m_x_norm: float
     m_y_norm: float
     samples: Tuple[SampleId, ...]
     iter: int
+    dim_x: int
+
+    @property
+    def x(self) -> Vec:
+        return self.z[:self.dim_x]
+
+    @property
+    def y(self) -> Vec:
+        return self.z[self.dim_x:]
 
 
-def hcmm_momentum_update(prev_m: Vec, beta: float, grad_sample: Vec,
+def hcmm_momentum_update(prev_m: Vec, beta, keep, grad_sample: Vec,
                          hvp_sample: Vec) -> Vec:
-    """(1 - beta) [prev_m + H d] + beta g, the bias-corrected recursion.
+    """(1 - beta) [prev_m + H d] + beta g, the bias-corrected recursion,
+    with keep = 1 - beta (scalars or per-coordinate vectors).
 
     Computed in place on one new vector, in the operation order of the
     expression, so the bits match it exactly."""
     m = prev_m + hvp_sample
-    m *= 1.0 - beta
+    m *= keep
     m += beta * grad_sample
     return m
 
 
-def init_run(kind: OptimizerKind, problem: MinimaxProblem,
-             schedule: HyperSchedule, x0: Vec, y0: Vec,
-             rng: np.random.Generator) -> StepState:
+def sample_stream(problem: MinimaxProblem, rng: np.random.Generator,
+                  count: int, block: int = SAMPLE_BLOCK) -> Iterator[SampleId]:
+    """The next `count` samples of `problem` from rng, drawn `block` at a
+    time: the same samples, in the same order, as `count` calls of
+    draw_sample. Each block is a fresh array, so a sample stays as drawn."""
+    while count > 0:
+        k = min(count, block)
+        yield from problem.draw_samples(rng, k)
+        count -= k
+
+
+def _clip_blocks(m: Vec, d: int, nx: float, ny: float,
+                 schedule: HyperSchedule) -> Tuple[Vec, bool, bool]:
+    """HCMM-1's clipping of each block of m by its own norm: (m_clipped,
+    clipped_x, clipped_y), with m itself when neither block was clipped."""
+    N, N1 = schedule.clip_threshold, schedule.clip_norm
+    m_x, m_y = m[:d], m[d:]
+    mc_x = clip_momentum(m_x, N, N1, nx)
+    mc_y = clip_momentum(m_y, N, N1, ny)
+    # clip_momentum returns its argument itself when it does not rescale
+    clipped_x, clipped_y = mc_x is not m_x, mc_y is not m_y
+    if clipped_x or clipped_y:
+        return np.concatenate((mc_x, mc_y)), clipped_x, clipped_y
+    return m, False, False
+
+
+def init_run(kind: OptimizerKind, problem: MinimaxProblem, js: JointSchedule,
+             x0: Vec, y0: Vec, samples: Iterator[SampleId]) -> StepState:
     """Initial state: z1 = z0 (first correction term vanishes) and momentum
     seeded with one fresh stochastic gradient at z0; SAGDA keeps no momentum."""
     hcmm1 = isinstance(kind, Hcmm1)
-    N, N1 = schedule.clip_threshold, schedule.clip_norm
-    if hcmm1 and (N is None or N1 is None):
+    if hcmm1 and (js.schedule.clip_threshold is None
+                  or js.schedule.clip_norm is None):
         raise ValueError("HCMM-1 needs clip_threshold and clip_norm")
-    x0 = np.asarray(x0, dtype=np.float64)
-    y0 = np.asarray(y0, dtype=np.float64)
+    d = js.dim_x
+    z0 = np.concatenate((x0, y0), dtype=np.float64)
     if isinstance(kind, Sagda):
-        samples: Tuple[SampleId, ...] = ()
-        m_x, m_y = np.zeros_like(x0), np.zeros_like(y0)
+        used: Tuple[SampleId, ...] = ()
+        m = np.zeros_like(z0)
     else:
-        xi0 = problem.draw_sample(rng)
-        samples = (xi0,)
-        g0 = problem.sample_gradient(x0, y0, xi0)
-        m_x, m_y = g0.gx, g0.gy
-    nx, ny = norm2(m_x), norm2(m_y)
-    mc_x, mc_y = m_x, m_y
-    if hcmm1:
-        mc_x = clip_momentum(m_x, N, N1, nx)
-        mc_y = clip_momentum(m_y, N, N1, ny)
-    return StepState(x0.copy(), y0.copy(), x0.copy(), y0.copy(), m_x, m_y,
-                     mc_x, mc_y, nx, ny, samples, 0)
+        xi0 = next(samples)
+        used = (xi0,)
+        m = problem.sample_gradient(z0, xi0)
+    nx, ny = norm2(m[:d]), norm2(m[d:])
+    mc, cx, cy = _clip_blocks(m, d, nx, ny, js.schedule) if hcmm1 \
+        else (m, False, False)
+    return StepState(z0, z0, m, mc, cx, cy, nx, ny, used, 0, d)
 
 
-def step(kind: OptimizerKind, s: StepState, schedule: HyperSchedule,
-         problem: MinimaxProblem, rng: np.random.Generator,
+def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
+         problem: MinimaxProblem, samples: Iterator[SampleId],
          project_y: bool = True) -> StepState:
-    """One iteration of `kind` from `s`; the shared recursion is in the
-    module docstring."""
-    if not isinstance(kind, (Hcmm1, Hcmm2, StormGda, Sagda)):
+    """One iteration of `kind` from `s`, drawing its samples from `samples`;
+    the shared recursion is in the module docstring."""
+    if not isinstance(kind, KINDS):
         raise TypeError(f"unknown optimizer kind: {kind!r}")
-    x, y = s.x, s.y
-    xi = problem.draw_sample(rng)
-    samples: Tuple[SampleId, ...] = (xi,)
-    g = problem.sample_gradient(x, y, xi)
+    d, z = js.dim_x, s.z
+    xi = next(samples)
+    g = problem.sample_gradient(z, xi)
+    m, mc, cx, cy = s.m, s.m_clipped, False, False
     if isinstance(kind, Sagda):
         # alternating: the ascent gradient is taken at the already-updated x
-        x_next = x - schedule.mu_x * g.gx
-        xi2 = problem.draw_sample(rng)
-        samples = (xi, xi2)
-        gy = problem.sample_gradient(x_next, y, xi2).gy
-        y_next = y + schedule.mu_y * gy
-        m_x, m_y, mc_x, mc_y = s.m_x, s.m_y, s.m_x_clipped, s.m_y_clipped
-        nx, ny = norm2(g.gx), norm2(gy)
+        z_next = z.copy()
+        z_next[:d] -= js.schedule.mu_x * g[:d]
+        xi2 = next(samples)
+        gy = problem.sample_gradient(z_next, xi2)[d:]
+        z_next[d:] += js.schedule.mu_y * gy
+        used: Tuple[SampleId, ...] = (xi, xi2)
+        nx, ny = norm2(g[:d]), norm2(gy)
     else:
+        used = (xi,)
         if isinstance(kind, StormGda):
             # g + (1 - beta)(m - g_prev), not the HCMM form: the last bits
             # of every STORM trace depend on this operation order
-            g_prev = problem.sample_gradient(s.x_prev, s.y_prev, xi)
-            m_x = g.gx + (1.0 - schedule.beta_x) * (s.m_x - g_prev.gx)
-            m_y = g.gy + (1.0 - schedule.beta_y) * (s.m_y - g_prev.gy)
+            c = problem.sample_gradient(s.z_prev, xi)
+            np.subtract(s.m, c, out=c)
+            c *= js.keep
+            m = np.add(g, c, out=c)
         else:
-            H = problem.sample_hvp(x, y, xi, x - s.x_prev, y - s.y_prev)
+            h = problem.sample_hvp(z, xi, z - s.z_prev)
             from_clipped = isinstance(kind, Hcmm1) and kind.update_from_clipped
-            m_x = hcmm_momentum_update(
-                s.m_x_clipped if from_clipped else s.m_x,
-                schedule.beta_x, g.gx, H.hx)
-            m_y = hcmm_momentum_update(
-                s.m_y_clipped if from_clipped else s.m_y,
-                schedule.beta_y, g.gy, H.hy)
-        nx, ny = norm2(m_x), norm2(m_y)
-        mc_x, mc_y = m_x, m_y
+            m = hcmm_momentum_update(s.m_clipped if from_clipped else s.m,
+                                     js.beta, js.keep, g, h)
+        nx, ny = norm2(m[:d]), norm2(m[d:])
+        mc = m
         if isinstance(kind, Hcmm2):
-            x_next = x - schedule.mu_x * m_x / nx if nx > NORM_FLOOR else x
-            y_next = y + schedule.mu_y * m_y / ny if ny > NORM_FLOOR else y
+            u = js.move * m
+            z_next = z.copy()
+            if nx > NORM_FLOOR:
+                z_next[:d] += u[:d] / nx
+            if ny > NORM_FLOOR:
+                z_next[d:] += u[d:] / ny
         else:
             if isinstance(kind, Hcmm1):
-                N, N1 = schedule.clip_threshold, schedule.clip_norm
-                mc_x = clip_momentum(m_x, N, N1, nx)
-                mc_y = clip_momentum(m_y, N, N1, ny)
-            x_next = x - schedule.mu_x * mc_x
-            y_next = y + schedule.mu_y * mc_y
+                mc, cx, cy = _clip_blocks(m, d, nx, ny, js.schedule)
+            z_next = js.move * mc
+            z_next += z
     if project_y:
-        y_next = problem.project_y(y_next)
-    return StepState(x_next, y_next, x, y, m_x, m_y, mc_x, mc_y, nx, ny,
-                     samples, s.iter + 1)
+        problem.project_y(z_next[d:])
+    return StepState(z_next, z, m, mc, cx, cy, nx, ny, used, s.iter + 1, d)
 
 
 def iterate_steps(kind: OptimizerKind, problem: MinimaxProblem,
@@ -184,11 +252,14 @@ def iterate_steps(kind: OptimizerKind, problem: MinimaxProblem,
                   rng_seed: int, project_y: bool = True) -> Iterator[StepState]:
     """Yield the T states after steps 1..T; deterministic for a fixed
     (seed, config)."""
-    rng = np.random.default_rng(rng_seed)
-    s = init_run(kind, problem, schedule, x0, y0, rng)
+    sagda = isinstance(kind, Sagda)
+    samples = sample_stream(problem, np.random.default_rng(rng_seed),
+                            2 * T if sagda else T + 1)
+    js = JointSchedule.expand(schedule, problem.dim_x, problem.dim_y)
+    s = init_run(kind, problem, js, x0, y0, samples)
     for i in range(T):
         try:
-            s = step(kind, s, schedule, problem, rng, project_y=project_y)
+            s = step(kind, s, js, problem, samples, project_y=project_y)
         except Exception as exc:
             raise RuntimeError(f"optimizer step failed at iteration {i + 1}") from exc
         yield s

@@ -1,16 +1,19 @@
 """Minimax problem interface, the worst-case evaluator and the metrics.
 
-A problem exposes stochastic gradients and matrix-free block Hessian-vector
-products over the joint variable z = (x, y), plus the closed-form inner max:
-y*(x), P(x) = max_y J(x, y) and grad P(x), all in one report. The
-finite-difference oracle here is deliberately independent of the analytic
-code paths it checks.
+A problem's stochastic oracle works on the joint variable z = (x, y), one
+array of length dim_x + dim_y with x first: `sample_gradient(z, xi)`
+returns the joint gradient and `sample_hvp(z, xi, dz)` the joint
+Hessian-vector product H(z; xi) dz, each as one such array. Samples are
+drawn in blocks from the run's stream by `draw_samples`. The closed-form
+inner max gives y*(x), P(x) = max_y J(x, y) and grad P(x), all in one
+report. The finite-difference oracle here is deliberately independent of
+the analytic code paths it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,20 +22,6 @@ from .core import Vec, norm2
 # A sample is a dataset row index for finite-sample problems, or the oracle
 # noise draw itself for synthetic ones (None when they are noiseless).
 SampleId = Union[int, np.ndarray, None]
-
-
-@dataclass(frozen=True)
-class GradPair:
-    gx: Vec
-    gy: Vec
-
-
-@dataclass(frozen=True)
-class HvpResult:
-    """Block Hessian-vector product: hx = Hxx dx + Hxy dy, hy = Hyx dx + Hyy dy."""
-
-    hx: Vec
-    hy: Vec
 
 
 @dataclass(frozen=True)
@@ -61,18 +50,22 @@ class MinimaxProblem:
     n_samples: Optional[int] = None  # rows of a finite-sample problem
     lipschitz_L_f: float             # bound on the Lipschitz constant of grad J
 
-    # -- stochastic oracle -------------------------------------------------
+    # -- stochastic oracle, on z = (x, y) ------------------------------------
+    def draw_samples(self, rng: np.random.Generator, k: int) -> Sequence[SampleId]:
+        """k samples in one draw from rng: the same samples, in the same
+        order, as k successive one-sample draws."""
+        return rng.integers(self.n_samples, size=k).tolist()
+
     def draw_sample(self, rng: np.random.Generator) -> SampleId:
-        return int(rng.integers(self.n_samples))
+        return self.draw_samples(rng, 1)[0]
 
-    def sample_gradient(self, x: Vec, y: Vec, xi: SampleId) -> GradPair:
+    def sample_gradient(self, z: Vec, xi: SampleId) -> Vec:
         raise NotImplementedError
 
-    def sample_hvp(self, x: Vec, y: Vec, xi: SampleId,
-                   dx: Vec, dy: Vec) -> HvpResult:
+    def sample_hvp(self, z: Vec, xi: SampleId, dz: Vec) -> Vec:
         raise NotImplementedError
 
-    def full_gradient(self, x: Vec, y: Vec) -> GradPair:
+    def full_gradient(self, z: Vec) -> Vec:
         raise NotImplementedError
 
     def objective(self, x: Vec, y: Vec) -> float:
@@ -80,6 +73,7 @@ class MinimaxProblem:
 
     # -- constraint hook ---------------------------------------------------
     def project_y(self, y: Vec) -> Vec:
+        """Project y onto the feasible set in place and return it."""
         return y
 
     # -- closed-form inner max ---------------------------------------------
@@ -90,24 +84,23 @@ class MinimaxProblem:
         return self.inner_max(x).grad_p
 
 
-def finite_difference_hvp(problem: MinimaxProblem, x: Vec, y: Vec, xi: SampleId,
-                          dx: Vec, dy: Vec, h: Optional[float] = None) -> HvpResult:
+def finite_difference_hvp(problem: MinimaxProblem, z: Vec, xi: SampleId,
+                          dz: Vec, h: Optional[float] = None) -> Vec:
     """Central-difference reference for sample_hvp.
 
     [grad Q(z + h d) - grad Q(z - h d)] / (2h) along the joint direction
-    d = (dx, dy). The step is scaled by max(1, ||z||) and by ||d|| to balance
+    d = dz. The step is scaled by max(1, ||z||) and by ||d|| to balance
     truncation against roundoff.
     """
-    dnorm = np.sqrt(norm2(dx) ** 2 + norm2(dy) ** 2)
+    dnorm = norm2(dz)
     if dnorm == 0.0:
-        return HvpResult(np.zeros_like(dx), np.zeros_like(dy))
+        return np.zeros_like(dz)
     if h is None:
-        znorm = np.sqrt(norm2(x) ** 2 + norm2(y) ** 2)
-        h = 1e-5 * max(1.0, znorm)
+        h = 1e-5 * max(1.0, norm2(z))
     t = h / dnorm
-    gp = problem.sample_gradient(x + t * dx, y + t * dy, xi)
-    gm = problem.sample_gradient(x - t * dx, y - t * dy, xi)
-    return HvpResult((gp.gx - gm.gx) / (2.0 * t), (gp.gy - gm.gy) / (2.0 * t))
+    gp = problem.sample_gradient(z + t * dz, xi)
+    gm = problem.sample_gradient(z - t * dz, xi)
+    return (gp - gm) / (2.0 * t)
 
 
 def evaluate_P(problem: MinimaxProblem, x: Vec) -> InnerMaxReport:
@@ -115,13 +108,15 @@ def evaluate_P(problem: MinimaxProblem, x: Vec) -> InnerMaxReport:
     return problem.inner_max(x)
 
 
-def metric_ci(problem: MinimaxProblem, x: Vec, y: Vec, m_x_clipped: Vec,
+def metric_ci(problem: MinimaxProblem, z: Vec, m_x_clipped: Vec,
               y_star: Vec) -> float:
-    """Stationarity surrogate: L_f ||y*(x) - y|| + ||grad_x J - m|| + ||m||,
-    with y_star = y*(x) as the caller's inner max gave it.
+    """Stationarity surrogate at z = (x, y):
+    L_f ||y*(x) - y|| + ||grad_x J - m|| + ||m||, with m = m_x_clipped and
+    y_star = y*(x) as the caller's inner max gave it.
 
     Upper-bounds ||grad P(x)|| = ||grad_x J(x, y*(x))|| (Danskin).
     """
-    gx = problem.full_gradient(x, y).gx
-    return (problem.lipschitz_L_f * norm2(y_star - y)
+    d = problem.dim_x
+    gx = problem.full_gradient(z)[:d]
+    return (problem.lipschitz_L_f * norm2(y_star - z[d:])
             + norm2(gx - m_x_clipped) + norm2(m_x_clipped))

@@ -1,5 +1,8 @@
 """Concrete minimax problem instances.
 
+Each stochastic oracle takes and returns joint vectors z = (x, y) (see
+oracle.py); x and y are views into z.
+
 - RobustLogisticProblem: distributionally robust logistic regression with a
   nonconvex coordinate-wise regularizer on x and a quadratic divergence on
   the simplex weights y. Single-sample stochastic model: drawing row i gives
@@ -8,9 +11,11 @@
   projection in closed form.
 - QuadraticMinimaxProblem: strongly concave quadratic testbed with closed
   forms for the inner max, P(x) and grad P(x); optional additive Gaussian
-  gradient noise, where the noise draw itself is the sample.
+  gradient noise, where the noise draw itself is the sample; its oracles
+  are products with the joint Hessian M = [[A, B], [B', -nu I]].
 - PlToyProblem: rank-deficient concave part, PL in y but not strongly
-  concave; minimum-norm inner maximizer via the pseudo-inverse.
+  concave; minimum-norm inner maximizer via the pseudo-inverse; joint
+  Hessian M = [[A, B], [B', -C]].
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .core import Vec
-from .oracle import (GradPair, HvpResult, InnerMaxReport, MinimaxProblem,
-                     SampleId)
+from .oracle import InnerMaxReport, MinimaxProblem, SampleId
 from .simplex import project_simplex
 
 
@@ -97,18 +101,39 @@ class RobustLogisticProblem(MinimaxProblem):
         rx2 = self.rho * x * x
         return self.lambda2 * float(np.sum(rx2 / (1.0 + rx2)))
 
-    def _g_grad(self, x: Vec) -> Vec:
-        return 2.0 * self.lambda2 * self.rho * x / (1.0 + self.rho * x * x) ** 2
+    # the x-block helpers write into `out` when given, in the operation order
+    # of their formulas, so the oracles fill their joint result in place
+    def _g_grad(self, x: Vec, out: Optional[Vec] = None) -> Vec:
+        # 2 lambda2 rho x / (1 + rho x^2)^2
+        den = self.rho * x
+        den *= x
+        den += 1.0
+        np.square(den, out=den)
+        out = np.multiply(2.0 * self.lambda2 * self.rho, x, out=out)
+        out /= den
+        return out
 
-    def _g_hess_diag(self, x: Vec) -> Vec:
-        rx2 = self.rho * x * x
-        return 2.0 * self.lambda2 * self.rho * (1.0 - 3.0 * rx2) / (1.0 + rx2) ** 3
+    def _g_hess_diag(self, x: Vec, out: Optional[Vec] = None) -> Vec:
+        # 2 lambda2 rho (1 - 3 rho x^2) / (1 + rho x^2)^3
+        rx2 = self.rho * x
+        rx2 *= x
+        den = rx2 + 1.0
+        np.power(den, 3, out=den)
+        out = np.multiply(3.0, rx2, out=out)
+        np.subtract(1.0, out, out=out)
+        out *= 2.0 * self.lambda2 * self.rho
+        out /= den
+        return out
 
     def _v_value(self, y: Vec) -> float:
         return 0.5 * self.lambda1 * float(np.sum((self.n * y - 1.0) ** 2))
 
-    def _v_grad(self, y: Vec) -> Vec:
-        return self.lambda1 * self.n * (self.n * y - 1.0)
+    def _v_grad(self, y: Vec, out: Optional[Vec] = None) -> Vec:
+        # lambda1 n (n y - 1)
+        out = np.multiply(self.n, y, out=out)
+        out -= 1.0
+        out *= self.lambda1 * self.n
+        return out
 
     # -- oracle interface --------------------------------------------------
     def sample_loss(self, x: Vec, y: Vec, xi: SampleId) -> float:
@@ -116,18 +141,24 @@ class RobustLogisticProblem(MinimaxProblem):
         return (self.n * y[xi] * float(self._q_of_margin(t)) - self._v_value(y)
                 + self._g_value(x))
 
-    def sample_gradient(self, x: Vec, y: Vec, xi: SampleId) -> GradPair:
+    def sample_gradient(self, z: Vec, xi: SampleId) -> Vec:
+        d = self.d
+        x, y = z[:d], z[d:]
         idx, val = self._row(xi)
         t = self.labels[xi] * float(np.dot(val, x[idx]))
         # grad Q_i(x) = -l_i sigma(-t) r_i
         coef = -self.labels[xi] * expit(-t)
-        gx = self._g_grad(x)
+        g = np.empty_like(z)
+        gx, gy = g[:d], g[d:]
+        self._g_grad(x, out=gx)
         gx[idx] += self.n * y[xi] * coef * val
-        gy = -self._v_grad(y)
+        np.negative(self._v_grad(y, out=gy), out=gy)
         gy[xi] += self.n * self._q_of_margin(t)
-        return GradPair(gx, gy)
+        return g
 
-    def sample_hvp(self, x: Vec, y: Vec, xi: SampleId, dx: Vec, dy: Vec) -> HvpResult:
+    def sample_hvp(self, z: Vec, xi: SampleId, dz: Vec) -> Vec:
+        d = self.d
+        x, y, dx, dy = z[:d], z[d:], dz[:d], dz[d:]
         idx, val = self._row(xi)
         li = self.labels[xi]
         t = li * float(np.dot(val, x[idx]))
@@ -135,11 +166,14 @@ class RobustLogisticProblem(MinimaxProblem):
         q2 = s * (1.0 - s)                     # sigma(-t) sigma(t)
         rdx = float(np.dot(val, dx[idx]))
         gq_coef = -li * s                      # grad Q_i = gq_coef * r_i
-        hx = self._g_hess_diag(x) * dx
+        h = np.empty_like(z)
+        hx, hy = h[:d], h[d:]
+        self._g_hess_diag(x, out=hx)
+        hx *= dx
         hx[idx] += self.n * (y[xi] * q2 * rdx + dy[xi] * gq_coef) * val
-        hy = -self.lambda1 * self.n ** 2 * dy
+        np.multiply(-self.lambda1 * self.n ** 2, dy, out=hy)
         hy[xi] += self.n * gq_coef * rdx
-        return HvpResult(hx, hy)
+        return h
 
     def _margins(self, x: Vec) -> np.ndarray:
         return self.labels * (self.X @ x)
@@ -152,16 +186,17 @@ class RobustLogisticProblem(MinimaxProblem):
         coef = -self.labels * expit(-t) * y
         return np.asarray(self.X.T @ coef).ravel() + self._g_grad(x)
 
-    def full_gradient(self, x: Vec, y: Vec) -> GradPair:
+    def full_gradient(self, z: Vec) -> Vec:
+        x, y = z[:self.d], z[self.d:]
         t = self._margins(x)
-        return GradPair(self._grad_x_at(t, x, y),
-                        self._q_of_margin(t) - self._v_grad(y))
+        return np.concatenate((self._grad_x_at(t, x, y),
+                               self._q_of_margin(t) - self._v_grad(y)))
 
     def objective(self, x: Vec, y: Vec) -> float:
         return self._objective_at(self._q_of_margin(self._margins(x)), x, y)
 
     def project_y(self, y: Vec) -> Vec:
-        return project_simplex(y)
+        return project_simplex(y, out=y)
 
     def inner_max(self, x: Vec) -> InnerMaxReport:
         # one margin vector serves y*, P(x) = J(x, y*) and, by Danskin (the
@@ -177,32 +212,35 @@ class RobustLogisticProblem(MinimaxProblem):
 # synthetic quadratic testbeds
 # ---------------------------------------------------------------------------
 
-def _joint_hessian_norm(A: np.ndarray, B: np.ndarray, Hyy: np.ndarray) -> float:
-    """Spectral norm of [[A, B], [B', Hyy]]: L_f of a quadratic J."""
-    return float(np.linalg.norm(np.block([[A, B], [B.T, Hyy]]), 2))
+def _joint_hessian(A: np.ndarray, B: np.ndarray, Hyy: np.ndarray) -> np.ndarray:
+    """M = [[A, B], [B', Hyy]], the constant Hessian of a quadratic J."""
+    return np.block([[A, B], [B.T, Hyy]])
 
 
 class _AdditiveNoise(MinimaxProblem):
     """Additive Gaussian gradient noise whose draw is the sample.
 
-    draw_sample returns noise_sigma * N(0, I) over (x, y), from the run's
-    own stream, and sample_gradient adds it to the exact gradient. A fixed
+    A sample is noise_sigma * N(0, I) over z = (x, y), from the run's own
+    stream, and sample_gradient adds it to the exact gradient M z. A fixed
     sample therefore always gives the same perturbation, so the correction
     terms of recursive-momentum methods cancel the noise exactly, as they
-    assume. A noiseless problem draws nothing (the sample is None).
+    assume. A block of k samples is one fresh (k, dim_x + dim_y) array,
+    one sample per row. A noiseless problem draws nothing (the sample is
+    None).
     """
 
     noise_sigma: float
+    M: np.ndarray
 
-    def draw_sample(self, rng: np.random.Generator) -> SampleId:
+    def draw_samples(self, rng: np.random.Generator, k: int):
         if self.noise_sigma == 0.0:
-            return None
-        return self.noise_sigma * rng.standard_normal(self.dim_x + self.dim_y)
+            return [None] * k
+        return self.noise_sigma * rng.standard_normal((k, self.dim_x + self.dim_y))
 
-    def _add_noise(self, g: GradPair, xi: SampleId) -> GradPair:
-        if self.noise_sigma == 0.0:
-            return g
-        return GradPair(g.gx + xi[:self.dim_x], g.gy + xi[self.dim_x:])
+    def _add_noise(self, g: Vec, xi: SampleId) -> Vec:
+        if self.noise_sigma != 0.0:
+            g += xi
+        return g
 
 
 class QuadraticMinimaxProblem(_AdditiveNoise):
@@ -224,7 +262,8 @@ class QuadraticMinimaxProblem(_AdditiveNoise):
         self.A, self.B, self.nu = A, B, float(nu)
         self.noise_sigma = float(noise_sigma)
         self.dim_x, self.dim_y = B.shape
-        self.lipschitz_L_f = _joint_hessian_norm(A, B, -nu * np.eye(self.dim_y))
+        self.M = _joint_hessian(A, B, -nu * np.eye(self.dim_y))
+        self.lipschitz_L_f = float(np.linalg.norm(self.M, 2))
         self._p_hessian = A + B @ B.T / nu
 
     @classmethod
@@ -237,17 +276,15 @@ class QuadraticMinimaxProblem(_AdditiveNoise):
         B = b_scale * rng.standard_normal((d, m)) / np.sqrt(m)
         return cls(A, B, nu, noise_sigma=noise_sigma)
 
-    def _exact_gradient(self, x: Vec, y: Vec) -> GradPair:
-        return GradPair(self.A @ x + self.B @ y, self.B.T @ x - self.nu * y)
+    # the oracles stay in each class body: perfbench wraps vars(cls)
+    def sample_gradient(self, z: Vec, xi: SampleId) -> Vec:
+        return self._add_noise(self.M @ z, xi)
 
-    def sample_gradient(self, x: Vec, y: Vec, xi: SampleId) -> GradPair:
-        return self._add_noise(self._exact_gradient(x, y), xi)
+    def sample_hvp(self, z: Vec, xi: SampleId, dz: Vec) -> Vec:
+        return self.M @ dz
 
-    def sample_hvp(self, x: Vec, y: Vec, xi: SampleId, dx: Vec, dy: Vec) -> HvpResult:
-        return HvpResult(self.A @ dx + self.B @ dy, self.B.T @ dx - self.nu * dy)
-
-    def full_gradient(self, x: Vec, y: Vec) -> GradPair:
-        return self._exact_gradient(x, y)
+    def full_gradient(self, z: Vec) -> Vec:
+        return self.M @ z
 
     def objective(self, x: Vec, y: Vec) -> float:
         return float(0.5 * x @ self.A @ x + x @ self.B @ y
@@ -295,17 +332,18 @@ class PlToyProblem(_AdditiveNoise):
         self.A, self.B, self.C = A, B, C
         self.noise_sigma = float(noise_sigma)
         self.dim_x, self.dim_y = B.shape
-        self.lipschitz_L_f = _joint_hessian_norm(A, B, -C)
+        self.M = _joint_hessian(A, B, -C)
+        self.lipschitz_L_f = float(np.linalg.norm(self.M, 2))
         self._p_hessian = A + B @ self.C_pinv @ B.T
 
-    def sample_gradient(self, x: Vec, y: Vec, xi: SampleId) -> GradPair:
-        return self._add_noise(self.full_gradient(x, y), xi)
+    def sample_gradient(self, z: Vec, xi: SampleId) -> Vec:
+        return self._add_noise(self.M @ z, xi)
 
-    def sample_hvp(self, x: Vec, y: Vec, xi: SampleId, dx: Vec, dy: Vec) -> HvpResult:
-        return HvpResult(self.A @ dx + self.B @ dy, self.B.T @ dx - self.C @ dy)
+    def sample_hvp(self, z: Vec, xi: SampleId, dz: Vec) -> Vec:
+        return self.M @ dz
 
-    def full_gradient(self, x: Vec, y: Vec) -> GradPair:
-        return GradPair(self.A @ x + self.B @ y, self.B.T @ x - self.C @ y)
+    def full_gradient(self, z: Vec) -> Vec:
+        return self.M @ z
 
     def objective(self, x: Vec, y: Vec) -> float:
         return float(0.5 * x @ self.A @ x + x @ self.B @ y - 0.5 * y @ self.C @ y)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 # passes of the threshold iteration before the sort takes over; inputs that
@@ -19,8 +21,9 @@ def sort_threshold(u: np.ndarray) -> float:
     return (css[k - 1] - 1.0) / k
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Project v onto {w : w_i >= 0, sum w_i = 1} in the Euclidean norm.
+def project_simplex(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Project v onto {w : w_i >= 0, sum w_i = 1} in the Euclidean norm,
+    into `out` when given (it may be v itself, to project in place).
 
     The result is max(v - tau, 0). Michelot's threshold iteration finds tau
     without sorting: start from the candidates C = all of v and
@@ -48,5 +51,5 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
         tau = (cand.sum() - 1.0) / k
     else:
         tau = sort_threshold(cand)
-    w = v - tau
+    w = np.subtract(v, tau, out=out)
     return np.maximum(w, 0.0, out=w)

@@ -7,6 +7,11 @@ import scipy.sparse as sp
 from hcmm.problems import QuadraticMinimaxProblem, RobustLogisticProblem
 
 
+def join(x, y):
+    """The joint vector z = (x, y) of the oracle interface."""
+    return np.concatenate((x, y))
+
+
 def make_sparse_rows(n, d, density=0.3, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     X = sp.random(n, d, density=density, random_state=np.random.RandomState(seed),

@@ -13,14 +13,14 @@ import pytest
 from hcmm.core import ProblemConstants, clip_momentum, schedule_hcmm1
 from hcmm.harness import (build_config, emit_plot, grid_search, rate_study,
                           run_experiment)
-from hcmm.optimizers import (Hcmm1, Hcmm2, StepState, StormGda,
-                             iterate_steps, step)
+from hcmm.optimizers import (Hcmm1, Hcmm2, JointSchedule, StepState,
+                             StormGda, iterate_steps, sample_stream, step)
 from hcmm.oracle import finite_difference_hvp
 from hcmm.problems import QuadraticMinimaxProblem
 from hcmm.simplex import project_simplex
 from hcmm.libsvm import ParseError, load_dataset, parse_line
 
-from conftest import find_dataset, make_logistic, make_quadratic
+from conftest import find_dataset, join, make_logistic, make_quadratic
 
 
 def report(num, ok, detail):
@@ -48,11 +48,12 @@ def test_criterion_01_hvp_correctness():
         dx = rng.standard_normal(p.d)
         dy = rng.standard_normal(p.n)
         i = int(rng.integers(p.n))
-        fd = finite_difference_hvp(p, x, y, i, dx, dy)
-        an = p.sample_hvp(x, y, i, dx, dy)
-        denom = max(joint_norm(an.hx, an.hy), 1e-12)
+        fd = finite_difference_hvp(p, join(x, y), i, join(dx, dy))
+        an = p.sample_hvp(join(x, y), i, join(dx, dy))
+        d = p.dim_x
+        denom = max(joint_norm(an[:d], an[d:]), 1e-12)
         worst_log = max(worst_log,
-                        joint_norm(fd.hx - an.hx, fd.hy - an.hy) / denom)
+                        joint_norm(fd[:d] - an[:d], fd[d:] - an[d:]) / denom)
     q = make_quadratic(d=6, m=4, seed=11)
     worst_quad = 0.0
     for _ in range(100):
@@ -60,11 +61,12 @@ def test_criterion_01_hvp_correctness():
         y = rng.standard_normal(q.dim_y)
         dx = rng.standard_normal(q.dim_x)
         dy = rng.standard_normal(q.dim_y)
-        fd = finite_difference_hvp(q, x, y, 0, dx, dy)
-        an = q.sample_hvp(x, y, 0, dx, dy)
-        denom = max(joint_norm(an.hx, an.hy), 1e-12)
+        fd = finite_difference_hvp(q, join(x, y), 0, join(dx, dy))
+        an = q.sample_hvp(join(x, y), 0, join(dx, dy))
+        d = q.dim_x
+        denom = max(joint_norm(an[:d], an[d:]), 1e-12)
         worst_quad = max(worst_quad,
-                         joint_norm(fd.hx - an.hx, fd.hy - an.hy) / denom)
+                         joint_norm(fd[:d] - an[:d], fd[d:] - an[d:]) / denom)
     elapsed = time.time() - t0
     report(1, worst_log <= 1e-5 and worst_quad <= 1e-9 and elapsed < 5.0,
            f"rel err logistic {worst_log:.2e} (<=1e-5), "
@@ -86,24 +88,26 @@ def test_criterion_02_unbiasedness():
         hx = np.zeros(p.d)
         hy = np.zeros(p.n)
         for i in range(p.n):
-            g = p.sample_gradient(x, y, i)
-            h = p.sample_hvp(x, y, i, dx, dy)
-            gx += g.gx
-            gy += g.gy
-            hx += h.hx
-            hy += h.hy
-        full = p.full_gradient(x, y)
-        scale = max(joint_norm(full.gx, full.gy), 1e-12)
-        worst = max(worst, joint_norm(gx / p.n - full.gx,
-                                      gy / p.n - full.gy) / scale)
+            g = p.sample_gradient(join(x, y), i)
+            h = p.sample_hvp(join(x, y), i, join(dx, dy))
+            gx += g[:p.d]
+            gy += g[p.d:]
+            hx += h[:p.d]
+            hy += h[p.d:]
+        full = p.full_gradient(join(x, y))
+        scale = max(joint_norm(full[:p.d], full[p.d:]), 1e-12)
+        worst = max(worst, joint_norm(gx / p.n - full[:p.d],
+                                      gy / p.n - full[p.d:]) / scale)
     q = make_quadratic(d=5, m=4, seed=3)  # noiseless: sample == full exactly
     for _ in range(100):
         x = rng.standard_normal(q.dim_x)
         y = rng.standard_normal(q.dim_y)
-        s = q.sample_gradient(x, y, int(rng.integers(1 << 40)))
-        full = q.full_gradient(x, y)
-        scale = max(joint_norm(full.gx, full.gy), 1e-12)
-        worst = max(worst, joint_norm(s.gx - full.gx, s.gy - full.gy) / scale)
+        s = q.sample_gradient(join(x, y), int(rng.integers(1 << 40)))
+        full = q.full_gradient(join(x, y))
+        d = q.dim_x
+        scale = max(joint_norm(full[:d], full[d:]), 1e-12)
+        worst = max(worst, joint_norm(s[:d] - full[:d], s[d:] - full[d:])
+                    / scale)
     elapsed = time.time() - t0
     report(2, worst <= 1e-12 and elapsed < 10.0,
            f"max rel deviation {worst:.2e} (<=1e-12), {elapsed:.1f}s (<10s)")
@@ -116,6 +120,8 @@ def test_criterion_03_momentum_exactness():
     from hcmm.core import HyperSchedule
     sched = HyperSchedule(mu_x=0.02, mu_y=0.03, beta_x=beta, beta_y=beta,
                           clip_threshold=1e12, clip_norm=1e12)
+    js = JointSchedule.expand(sched, q.dim_x, q.dim_y)
+    d = q.dim_x
     worst = 0.0
     for kind in (Hcmm1(update_from_clipped=True), Hcmm2(), StormGda()):
         rng = np.random.default_rng(7)
@@ -123,14 +129,16 @@ def test_criterion_03_momentum_exactness():
         y = rng.standard_normal(q.dim_y)
         m0x = 3.0 + rng.standard_normal(q.dim_x)
         m0y = 3.0 + rng.standard_normal(q.dim_y)
-        state = StepState(x, y, x, y, m0x, m0y, m0x, m0y,
-                          np.linalg.norm(m0x), np.linalg.norm(m0y), (), 0)
-        g0 = q.full_gradient(x, y)
-        r0 = joint_norm(m0x - g0.gx, m0y - g0.gy)
+        z, m0 = join(x, y), join(m0x, m0y)
+        state = StepState(z, z, m0, m0, False, False, np.linalg.norm(m0x),
+                          np.linalg.norm(m0y), (), 0, d)
+        g0 = q.full_gradient(z)
+        r0 = joint_norm(m0x - g0[:d], m0y - g0[d:])
+        samples = sample_stream(q, rng, 100)
         for i in range(1, 101):
-            state = step(kind, state, sched, q, rng)
-            g = q.full_gradient(state.x_prev, state.y_prev)
-            r = joint_norm(state.m_x - g.gx, state.m_y - g.gy)
+            state = step(kind, state, js, q, samples)
+            g = q.full_gradient(state.z_prev)
+            r = joint_norm(state.m[:d] - g[:d], state.m[d:] - g[d:])
             worst = max(worst, abs(r - (1 - beta) ** i * r0)
                         / ((1 - beta) ** i * r0))
     elapsed = time.time() - t0
@@ -173,11 +181,11 @@ def test_criterion_05_taylor_remainder():
         y1 = rng.standard_normal(q.dim_y)
         dx = rng.standard_normal(q.dim_x)
         dy = rng.standard_normal(q.dim_y)
-        g2 = q.full_gradient(x1 + dx, y1 + dy)
-        g1 = q.full_gradient(x1, y1)
-        h = q.sample_hvp(x1, y1, 0, dx, dy)
-        worst_quad = max(worst_quad,
-                         joint_norm(g2.gx - g1.gx - h.hx, g2.gy - g1.gy - h.hy))
+        g2 = q.full_gradient(join(x1 + dx, y1 + dy))
+        g1 = q.full_gradient(join(x1, y1))
+        h = q.sample_hvp(join(x1, y1), 0, join(dx, dy))
+        r = g2 - g1 - h
+        worst_quad = max(worst_quad, joint_norm(r[:q.dim_x], r[q.dim_x:]))
     p = make_logistic(n=20, d=8, seed=1)
     pinned_c = 10.0  # empirical bound for this instance family
     worst_ratio = 0.0
@@ -192,14 +200,15 @@ def test_criterion_05_taylor_remainder():
         hx = np.zeros(p.d)
         hy = np.zeros(p.n)
         for i in range(p.n):
-            h = p.sample_hvp(x1, y1, i, dx, dy)
-            hx += h.hx
-            hy += h.hy
+            h = p.sample_hvp(join(x1, y1), i, join(dx, dy))
+            hx += h[:p.d]
+            hy += h[p.d:]
         hx /= p.n
         hy /= p.n
-        g2 = p.full_gradient(x1 + dx, y1 + dy)
-        g1 = p.full_gradient(x1, y1)
-        rem = joint_norm(g2.gx - g1.gx - hx, g2.gy - g1.gy - hy)
+        g2 = p.full_gradient(join(x1 + dx, y1 + dy))
+        g1 = p.full_gradient(join(x1, y1))
+        dg = g2 - g1
+        rem = joint_norm(dg[:p.d] - hx, dg[p.d:] - hy)
         worst_ratio = max(worst_ratio, rem / sz ** 2)
     elapsed = time.time() - t0
     report(5, worst_quad <= 1e-9 and worst_ratio <= pinned_c and elapsed < 5.0,

@@ -165,8 +165,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("kind", ["hcmm1", "hcmm2", "storm_gda", "sagda"])
     def test_clip_flags_match_step_record(self, tmp_path, kind):
-        # m_*_clipped is the momentum object itself unless HCMM-1 rescaled
-        # it (norm >= N = 0.4, to N1 = 0.2); the trace's flags say which
+        # a block of m_clipped is m's unless HCMM-1 rescaled it (norm >=
+        # N = 0.4, to N1 = 0.2); the record's and the trace's flags say which
         cfg = build_config(quad_mapping(
             tmp_path, **{"optimizer.kind": kind, "schedule.N": "0.4",
                          "schedule.N1": "0.2", "run.seeds": "1"}))
@@ -177,17 +177,19 @@ class TestRunExperiment:
                                     cfg.T, 1))
         assert len(rows) == len(states) == 40
         flags = []
+        d = problem.dim_x
         for s, row in zip(states, rows):
-            for m, mc, norm, col in ((s.m_x, s.m_x_clipped, s.m_x_norm,
-                                      "clipped_x"),
-                                     (s.m_y, s.m_y_clipped, s.m_y_norm,
-                                      "clipped_y")):
+            for m, mc, norm, flag, col in (
+                    (s.m[:d], s.m_clipped[:d], s.m_x_norm, s.clipped_x,
+                     "clipped_x"),
+                    (s.m[d:], s.m_clipped[d:], s.m_y_norm, s.clipped_y,
+                     "clipped_y")):
                 clipped = kind == "hcmm1" and norm >= 0.4
+                assert flag == clipped
                 if clipped:
-                    assert mc is not m
                     assert np.linalg.norm(mc) == pytest.approx(0.2)
                 else:
-                    assert mc is m
+                    assert mc.tobytes() == m.tobytes()
                 if kind == "sagda":
                     # zero momentum; the norms are the step's gradients'
                     assert not m.any() and norm > 0
@@ -437,6 +439,20 @@ class TestRateStudy:
             rate_study(cfg, T_values)
         assert not (tmp_path / "rate_storm_gda.csv").exists()
 
+    def test_explicit_schedule_rejected_before_any_step(self, tmp_path,
+                                                        monkeypatch):
+        # an explicit schedule runs every horizon with the same step sizes,
+        # so its slope is not the theorem rate
+        def no_steps(*args, **kwargs):
+            raise AssertionError("stepped on an explicit schedule")
+
+        monkeypatch.setattr(hcmm.harness, "iterate_steps", no_steps)
+        cfg = build_config(quad_mapping(tmp_path))
+        assert cfg.schedule_kind == "explicit"
+        with pytest.raises(ConfigError, match="schedule.kind"):
+            rate_study(cfg, [10, 100, 1000])
+        assert not (tmp_path / "rate_storm_gda.csv").exists()
+
 
 class TestPlot:
     def test_svg_deterministic_and_wellformed(self, tmp_path):
@@ -624,6 +640,13 @@ class TestCli:
         assert rc == 1
         assert "error: rate study needs at least 3 distinct integer " \
             "horizons >= 1" in capsys.readouterr().err
+
+    def test_rate_explicit_schedule_is_an_error(self, tmp_path, capsys):
+        rc = cli.main(["rate", "--config", self.write_cfg(tmp_path),
+                       "--T", "10,100,1000"])
+        assert rc == 1
+        assert "error: rate study needs schedule.kind = theorem1 or " \
+            "theorem2, got 'explicit'" in capsys.readouterr().err
 
     def test_seed_override_checked_before_run(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", self.write_cfg(tmp_path),

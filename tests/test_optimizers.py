@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from hcmm.core import HyperSchedule, clip_momentum
-from hcmm.optimizers import (Hcmm1, Hcmm2, Sagda, StepState, StormGda,
-                             hcmm_momentum_update, iterate_steps, step)
+from hcmm.optimizers import (Hcmm1, Hcmm2, JointSchedule, Sagda, StepState,
+                             StormGda, hcmm_momentum_update, iterate_steps,
+                             sample_stream, step)
 from hcmm.problems import QuadraticMinimaxProblem
 
-from conftest import make_logistic, make_quadratic
+from conftest import join, make_logistic, make_quadratic
 
 
 def explicit_schedule(mu_x=0.01, mu_y=0.01, beta=0.1, N=None, N1=None):
@@ -17,9 +18,23 @@ def explicit_schedule(mu_x=0.01, mu_y=0.01, beta=0.1, N=None, N1=None):
 def make_state(x, y, m_x, m_y, x_prev=None, y_prev=None):
     """The state at (x, y), moved to from (x_prev, y_prev) (default: the
     same point) with momentum (m_x, m_y), unclipped."""
-    return StepState(x, y, x if x_prev is None else x_prev,
-                     y if y_prev is None else y_prev, m_x, m_y, m_x, m_y,
-                     np.linalg.norm(m_x), np.linalg.norm(m_y), (), 0)
+    m = join(m_x, m_y)
+    return StepState(join(x, y), join(x if x_prev is None else x_prev,
+                                      y if y_prev is None else y_prev),
+                     m, m, False, False, np.linalg.norm(m_x),
+                     np.linalg.norm(m_y), (), 0, len(x))
+
+
+def run_step(kind, state, sched, problem, rng):
+    """One `step` with the schedule expanded and its samples drawn from rng."""
+    js = JointSchedule.expand(sched, problem.dim_x, problem.dim_y)
+    draws = 2 if isinstance(kind, Sagda) else 1
+    return step(kind, state, js, problem, sample_stream(problem, rng, draws))
+
+
+def blocks(s, v):
+    """The x and y blocks of a joint vector of state s."""
+    return v[:s.dim_x], v[s.dim_x:]
 
 
 class CountingProblem:
@@ -34,29 +49,29 @@ class CountingProblem:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def draw_sample(self, rng):
-        self.draws += 1
-        return self.inner.draw_sample(rng)
+    def draw_samples(self, rng, k):
+        self.draws += k
+        return self.inner.draw_samples(rng, k)
 
-    def sample_gradient(self, x, y, xi):
+    def sample_gradient(self, z, xi):
         self.grad_calls += 1
-        return self.inner.sample_gradient(x, y, xi)
+        return self.inner.sample_gradient(z, xi)
 
-    def sample_hvp(self, x, y, xi, dx, dy):
+    def sample_hvp(self, z, xi, dz):
         self.hvp_calls += 1
-        return self.inner.sample_hvp(x, y, xi, dx, dy)
+        return self.inner.sample_hvp(z, xi, dz)
 
 
 class TestMomentumUpdate:
     def test_beta_one_returns_gradient(self):
         g = np.array([1.0, 2.0])
-        out = hcmm_momentum_update(np.array([9.0, 9.0]), 1.0, g,
+        out = hcmm_momentum_update(np.array([9.0, 9.0]), 1.0, 0.0, g,
                                    np.array([5.0, 5.0]))
         np.testing.assert_array_equal(out, g)
 
     def test_beta_zero_no_hvp_keeps_history(self):
         m = np.array([1.0, -1.0])
-        out = hcmm_momentum_update(m, 0.0, np.array([7.0, 7.0]),
+        out = hcmm_momentum_update(m, 0.0, 1.0, np.array([7.0, 7.0]),
                                    np.zeros(2))
         np.testing.assert_array_equal(out, m)
 
@@ -66,7 +81,7 @@ class TestMomentumUpdate:
             for beta in (1e-4, 0.1, 0.5, 1.0):
                 m, g, c = (rng.standard_normal(n) for _ in range(3))
                 saved = [v.copy() for v in (m, g, c)]
-                out = hcmm_momentum_update(m, beta, g, c)
+                out = hcmm_momentum_update(m, beta, 1.0 - beta, g, c)
                 ref = (1.0 - beta) * (m + c) + beta * g
                 assert out.tobytes() == ref.tobytes()
                 for v, v0 in zip((m, g, c), saved):
@@ -87,15 +102,16 @@ class TestMomentumUpdate:
         m0x = rng.standard_normal(q.dim_x)
         m0y = rng.standard_normal(q.dim_y)
         s = make_state(x, y, m0x, m0y)
-        g0 = q.full_gradient(x, y)
-        r_prev = np.sqrt(np.sum((m0x - g0.gx) ** 2)
-                         + np.sum((m0y - g0.gy) ** 2))
+        g0x, g0y = blocks(s, q.full_gradient(join(x, y)))
+        r_prev = np.sqrt(np.sum((m0x - g0x) ** 2)
+                         + np.sum((m0y - g0y) ** 2))
         for i in range(1, 101):
-            s = step(kind, s, sched, q, rng)
+            s = run_step(kind, s, sched, q, rng)
             # m_i is formed at z_i before the move to z_{i+1}
-            g = q.full_gradient(s.x_prev, s.y_prev)
-            r = np.sqrt(np.sum((s.m_x - g.gx) ** 2)
-                        + np.sum((s.m_y - g.gy) ** 2))
+            gx, gy = blocks(s, q.full_gradient(s.z_prev))
+            m_x, m_y = blocks(s, s.m)
+            r = np.sqrt(np.sum((m_x - gx) ** 2)
+                        + np.sum((m_y - gy) ** 2))
             # per-step contraction is exact; avoid compounding rounding
             # abs floor covers cancellation noise once r is near eps scale
             assert r == pytest.approx((1 - beta) * r_prev, rel=1e-9,
@@ -109,8 +125,8 @@ class TestHcmm1:
         sched = explicit_schedule(N=10.0, N1=10.0)
         x = np.zeros(3)
         y = np.zeros(3)
-        out = step(Hcmm1(), make_state(x, y, np.zeros(3), np.zeros(3)),
-                   sched, q, np.random.default_rng(0))
+        out = run_step(Hcmm1(), make_state(x, y, np.zeros(3), np.zeros(3)),
+                       sched, q, np.random.default_rng(0))
         np.testing.assert_array_equal(out.x, x)
         np.testing.assert_array_equal(out.y, y)
 
@@ -121,8 +137,8 @@ class TestHcmm1:
                               clip_threshold=100.0, clip_norm=100.0)
         state = make_state(np.zeros(1), np.array([1.0]), np.zeros(1),
                            np.zeros(1))
-        out = step(Hcmm1(), state, sched, q, np.random.default_rng(0))
-        assert out.m_y[0] == pytest.approx(-1.0)
+        out = run_step(Hcmm1(), state, sched, q, np.random.default_rng(0))
+        assert blocks(out, out.m)[1][0] == pytest.approx(-1.0)
         assert out.y[0] == pytest.approx(0.9)
 
     def test_infinite_clip_matches_unclipped_recursion(self):
@@ -130,15 +146,17 @@ class TestHcmm1:
         big = explicit_schedule(N=1e300, N1=1e300)
         outs = list(iterate_steps(Hcmm1(), q, big, np.ones(4), np.zeros(3),
                                   50, 9))
-        np.testing.assert_allclose(outs[-1].m_x, outs[-1].m_x_clipped)
+        np.testing.assert_allclose(blocks(outs[-1], outs[-1].m)[0],
+                                   blocks(outs[-1], outs[-1].m_clipped)[0])
 
     def test_clipping_flag_reported(self):
         q = make_quadratic(d=3, m=3, seed=0)
         sched = explicit_schedule(N=1e-6, N1=1e-6)
         outs = list(iterate_steps(Hcmm1(), q, sched, np.ones(3) * 5,
                                   np.zeros(3), 3, 0))
-        assert outs[0].m_x_clipped is not outs[0].m_x
-        assert np.linalg.norm(outs[0].m_x_clipped) == pytest.approx(1e-6)
+        assert outs[0].clipped_x
+        assert np.linalg.norm(blocks(outs[0], outs[0].m_clipped)[0]) \
+            == pytest.approx(1e-6)
 
     @pytest.mark.parametrize("big", ["x", "y"])
     def test_each_block_clipped_by_its_own_norm(self, big):
@@ -146,17 +164,21 @@ class TestHcmm1:
         sched = explicit_schedule(beta=1e-3, N=1.0, N1=1.0)
         mx, my = (100.0, 0.01) if big == "x" else (0.01, 100.0)
         x, y = np.full(4, 0.01), np.full(3, 0.01)
-        out = step(Hcmm1(), make_state(x, y, np.full(4, mx), np.full(3, my)),
-                   sched, q, np.random.default_rng(0))
-        for raw, clipped in ((out.m_x, out.m_x_clipped),
-                             (out.m_y, out.m_y_clipped)):
+        out = run_step(Hcmm1(), make_state(x, y, np.full(4, mx),
+                                           np.full(3, my)),
+                       sched, q, np.random.default_rng(0))
+        for raw, clipped, flag in zip(blocks(out, out.m),
+                                      blocks(out, out.m_clipped),
+                                      (out.clipped_x, out.clipped_y)):
             ref = clip_momentum(raw, 1.0, 1.0)
             if ref is raw:
-                assert clipped is raw
+                assert not flag
+                assert clipped.tobytes() == raw.tobytes()
             else:
+                assert flag
                 assert clipped.tobytes() == ref.tobytes()
-        assert (out.m_x_clipped is not out.m_x) == (big == "x")
-        assert (out.m_y_clipped is not out.m_y) == (big == "y")
+        assert out.clipped_x == (big == "x")
+        assert out.clipped_y == (big == "y")
 
     def test_requires_clip_fields(self):
         # init_run is the one place that checks N and N1, before any draw
@@ -177,7 +199,7 @@ class TestHcmm2:
         outs = list(iterate_steps(Hcmm2(), q, sched, np.ones(4), np.ones(3),
                                   20, 3))
         for out in outs:
-            dx = np.linalg.norm(out.x - out.x_prev)
+            dx = np.linalg.norm(out.x - blocks(out, out.z_prev)[0])
             assert dx == pytest.approx(0.05) or dx == 0.0
 
     def test_norm_floor_skips_update(self):
@@ -185,8 +207,8 @@ class TestHcmm2:
         # the momentum is 0 and the normalized step must be skipped
         q = make_quadratic(d=3, m=3, seed=0)
         z = np.zeros(3)
-        out = step(Hcmm2(), make_state(z, z, z, z),
-                   explicit_schedule(beta=1.0), q, np.random.default_rng(0))
+        out = run_step(Hcmm2(), make_state(z, z, z, z),
+                       explicit_schedule(beta=1.0), q, np.random.default_rng(0))
         np.testing.assert_array_equal(out.x, np.zeros(3))
 
     def test_direction_invariance(self):
@@ -197,10 +219,10 @@ class TestHcmm2:
         x = np.ones(4)
         y = np.ones(3)
         m_x, m_y = np.array([1.0, 2, 3, 4]), np.array([1.0, 1, 1])
-        a = step(Hcmm2(), make_state(x, y, m_x, m_y),
-                 explicit_schedule(beta=1e-9), q, rng_a)
-        b = step(Hcmm2(), make_state(x, y, 10 * m_x, 10 * m_y),
-                 explicit_schedule(beta=1e-9), q, rng_b)
+        a = run_step(Hcmm2(), make_state(x, y, m_x, m_y),
+                     explicit_schedule(beta=1e-9), q, rng_a)
+        b = run_step(Hcmm2(), make_state(x, y, 10 * m_x, 10 * m_y),
+                     explicit_schedule(beta=1e-9), q, rng_b)
         np.testing.assert_allclose(a.x, b.x, atol=1e-7)
 
 
@@ -213,11 +235,11 @@ class TestStormGda:
         state = make_state(x, y, np.full(3, 99.0), np.full(2, 99.0),
                            0.5 * x, 0.5 * y)
         sched = explicit_schedule(beta=1.0)
-        out = step(StormGda(), state, sched, q, rng)
+        out = run_step(StormGda(), state, sched, q, rng)
         xi = out.samples[0]
-        g = q.sample_gradient(x, y, xi)
-        np.testing.assert_allclose(out.m_x, g.gx)
-        np.testing.assert_allclose(out.m_y, g.gy)
+        g = q.sample_gradient(join(x, y), xi)
+        np.testing.assert_allclose(blocks(out, out.m)[0], blocks(out, g)[0])
+        np.testing.assert_allclose(blocks(out, out.m)[1], blocks(out, g)[1])
 
     def test_same_sample_difference_is_exact(self):
         # the noise draw is the sample, so the correction g(z; xi) -
@@ -226,15 +248,18 @@ class TestStormGda:
         rng = np.random.default_rng(4)
         x, y = rng.standard_normal(4), rng.standard_normal(3)
         xp, yp = rng.standard_normal(4), rng.standard_normal(3)
-        out = step(StormGda(), make_state(x, y, np.zeros(4), np.zeros(3),
-                                          xp, yp),
-                   explicit_schedule(beta=0.5), q, rng)
+        out = run_step(StormGda(), make_state(x, y, np.zeros(4), np.zeros(3),
+                                              xp, yp),
+                       explicit_schedule(beta=0.5), q, rng)
         xi = out.samples[0]
-        g, g_prev = q.sample_gradient(x, y, xi), q.sample_gradient(xp, yp, xi)
-        f, f_prev = q.full_gradient(x, y), q.full_gradient(xp, yp)
-        np.testing.assert_allclose(g.gx - g_prev.gx, f.gx - f_prev.gx,
+        z, zp = join(x, y), join(xp, yp)
+        g, g_prev = q.sample_gradient(z, xi), q.sample_gradient(zp, xi)
+        f, f_prev = q.full_gradient(z), q.full_gradient(zp)
+        np.testing.assert_allclose(blocks(out, g - g_prev)[0],
+                                   blocks(out, f - f_prev)[0],
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(g.gy - g_prev.gy, f.gy - f_prev.gy,
+        np.testing.assert_allclose(blocks(out, g - g_prev)[1],
+                                   blocks(out, f - f_prev)[1],
                                    rtol=0, atol=1e-12)
 
     def test_equal_iterate_degeneracy(self):
@@ -243,18 +268,19 @@ class TestStormGda:
         y = np.ones(2)
         m_x = np.array([1.0, 2, 3])
         beta = 0.25
-        out = step(StormGda(), make_state(x, y, m_x, np.array([4.0, 5])),
-                   explicit_schedule(beta=beta), q, np.random.default_rng(2))
-        g = q.sample_gradient(x, y, out.samples[0])
-        np.testing.assert_allclose(out.m_x, g.gx + (1 - beta) * (m_x - g.gx))
+        out = run_step(StormGda(), make_state(x, y, m_x, np.array([4.0, 5])),
+                       explicit_schedule(beta=beta), q, np.random.default_rng(2))
+        gx = blocks(out, q.sample_gradient(join(x, y), out.samples[0]))[0]
+        np.testing.assert_allclose(blocks(out, out.m)[0],
+                                   gx + (1 - beta) * (m_x - gx))
 
 
 class TestSagda:
     def test_fixed_point(self):
         q = make_quadratic(d=3, m=3, seed=1)
         z = np.zeros(3)
-        out = step(Sagda(), make_state(z, z, z, z), explicit_schedule(), q,
-                   np.random.default_rng(0))
+        out = run_step(Sagda(), make_state(z, z, z, z), explicit_schedule(), q,
+                       np.random.default_rng(0))
         np.testing.assert_array_equal(out.x, np.zeros(3))
         np.testing.assert_array_equal(out.y, np.zeros(3))
 
@@ -265,8 +291,8 @@ class TestSagda:
         mu = 0.1
         state = make_state(np.array([1.0]), np.array([1.0]), np.zeros(1),
                            np.zeros(1))
-        out = step(Sagda(), state, explicit_schedule(mu_x=mu, mu_y=mu), q,
-                   np.random.default_rng(0))
+        out = run_step(Sagda(), state, explicit_schedule(mu_x=mu, mu_y=mu), q,
+                       np.random.default_rng(0))
         assert out.x[0] == pytest.approx(1 - mu)
         assert out.y[0] == pytest.approx(1 + mu * (1 - mu), rel=1e-9)
 
@@ -278,9 +304,9 @@ class TestSagda:
         q = QuadraticMinimaxProblem(A, np.zeros((d, d)), 1.0)
         x = rng.standard_normal(d)
         y = rng.standard_normal(d)
-        out = step(Sagda(), make_state(x, y, np.zeros(d), np.zeros(d)),
-                   explicit_schedule(mu_x=0.1, mu_y=0.1), q,
-                   np.random.default_rng(1))
+        out = run_step(Sagda(), make_state(x, y, np.zeros(d), np.zeros(d)),
+                       explicit_schedule(mu_x=0.1, mu_y=0.1), q,
+                       np.random.default_rng(1))
         np.testing.assert_allclose(out.x, x - 0.1 * (A @ x))
         np.testing.assert_allclose(out.y, y + 0.1 * (-y))
 
@@ -315,8 +341,9 @@ class TestRunDiscipline:
             for out in iterate_steps(kind, q, s, np.ones(4), np.ones(3),
                                      20, 3):
                 if prev is not None:
-                    np.testing.assert_array_equal(out.x_prev, prev.x)
-                    np.testing.assert_array_equal(out.y_prev, prev.y)
+                    x_prev, y_prev = blocks(out, out.z_prev)
+                    np.testing.assert_array_equal(x_prev, prev.x)
+                    np.testing.assert_array_equal(y_prev, prev.y)
                 prev = out
             assert prev.iter == 20
 
@@ -344,12 +371,68 @@ class TestRunDiscipline:
 
     def test_oracle_error_carries_iteration(self):
         class Exploding(CountingProblem):
-            def sample_gradient(self, x, y, xi):
+            def sample_gradient(self, z, xi):
                 if self.grad_calls >= 3:
                     raise RuntimeError("boom")
-                return super().sample_gradient(x, y, xi)
+                return super().sample_gradient(z, xi)
 
         p = Exploding(make_quadratic())
         with pytest.raises(RuntimeError, match="iteration"):
             list(iterate_steps(StormGda(), p, explicit_schedule(),
                                np.ones(4), np.ones(3), 10, 0))
+
+
+class TestSampleStream:
+    """Block draws give the samples that one draw per call gave, in order."""
+
+    def per_call_draws(self, problem, seed, count):
+        # the one-sample draws, written out: a row index, or a noise vector
+        rng = np.random.default_rng(seed)
+        if problem.n_samples is not None:
+            return [int(rng.integers(problem.n_samples)) for _ in range(count)]
+        return [problem.noise_sigma
+                * rng.standard_normal(problem.dim_x + problem.dim_y)
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_quadratic(d=4, m=3, noise_sigma=0.7),
+        lambda: make_logistic(n=50, d=5)])
+    def test_blocks_equal_per_call_draws(self, make):
+        p = make()
+        # 7 samples in blocks of 3: two block boundaries and a short block
+        blocked = list(sample_stream(p, np.random.default_rng(3), 7, block=3))
+        expected = self.per_call_draws(p, 3, 7)
+        assert len(blocked) == 7
+        for got, want in zip(blocked, expected):
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_sagda_draws_two_per_step_in_order(self):
+        q = make_quadratic(d=4, m=3, noise_sigma=0.5)
+        states = list(iterate_steps(Sagda(), q, explicit_schedule(), np.ones(4),
+                                    np.ones(3), 5, 8))
+        drawn = [xi for s in states for xi in s.samples]
+        assert [len(s.samples) for s in states] == [2] * 5
+        for got, want in zip(drawn, self.per_call_draws(q, 8, 10)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_momentum_methods_draw_init_then_one_per_step(self):
+        p = make_logistic(n=30, d=5)
+        states = list(iterate_steps(Hcmm2(), p, explicit_schedule(),
+                                    np.zeros(5), np.full(30, 1 / 30), 6, 2))
+        assert [xi for s in states for xi in s.samples] \
+            == self.per_call_draws(p, 2, 7)[1:]
+
+    def test_recorded_sample_unchanged_by_later_draws(self):
+        # run past a block boundary: later blocks must not overwrite the
+        # array a recorded sample views
+        q = make_quadratic(d=4, m=3, noise_sigma=0.5)
+        run = iterate_steps(StormGda(), q, explicit_schedule(), np.ones(4),
+                            np.ones(3), 2500, 1)
+        first = next(run)
+        saved = first.samples[0].copy()
+        last = None
+        for last in run:
+            pass
+        assert last.iter == 2500
+        assert first.samples[0].tobytes() == saved.tobytes()

@@ -4,7 +4,7 @@ import pytest
 from hcmm.oracle import evaluate_P, finite_difference_hvp, metric_ci
 from hcmm.problems import QuadraticMinimaxProblem
 
-from conftest import make_logistic, make_quadratic, simplex_grid_3
+from conftest import join, make_logistic, make_quadratic, simplex_grid_3
 
 
 def joint_norm(ax, ay):
@@ -17,7 +17,7 @@ def projected_gradient_residual(problem, x, y, step):
     Zero exactly at the maximizer of the concave inner problem, so it checks
     a closed-form y*(x) without using its formula.
     """
-    gy = problem.full_gradient(x, y).gy
+    gy = problem.full_gradient(join(x, y))[problem.dim_x:]
     y_next = problem.project_y(y + step * gy)
     return np.linalg.norm(y - y_next) / step
 
@@ -28,25 +28,25 @@ class TestFiniteDifferenceHvp:
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal(q.dim_x), rng.standard_normal(q.dim_y)
         dx, dy = rng.standard_normal(q.dim_x), rng.standard_normal(q.dim_y)
-        fd = finite_difference_hvp(q, x, y, 0, dx, dy)
-        an = q.sample_hvp(x, y, 0, dx, dy)
-        np.testing.assert_allclose(fd.hx, an.hx, atol=1e-9)
-        np.testing.assert_allclose(fd.hy, an.hy, atol=1e-9)
+        fd = finite_difference_hvp(q, join(x, y), 0, join(dx, dy))
+        an = q.sample_hvp(join(x, y), 0, join(dx, dy))
+        d = q.dim_x
+        np.testing.assert_allclose(fd[:d], an[:d], atol=1e-9)
+        np.testing.assert_allclose(fd[d:], an[d:], atol=1e-9)
 
     def test_zero_direction(self, quadratic_small):
         q = quadratic_small
-        fd = finite_difference_hvp(q, np.ones(q.dim_x), np.ones(q.dim_y), 0,
-                                   np.zeros(q.dim_x), np.zeros(q.dim_y))
-        np.testing.assert_array_equal(fd.hx, np.zeros(q.dim_x))
-        np.testing.assert_array_equal(fd.hy, np.zeros(q.dim_y))
+        fd = finite_difference_hvp(q, np.ones(q.dim_x + q.dim_y), 0,
+                                   np.zeros(q.dim_x + q.dim_y))
+        np.testing.assert_array_equal(fd[:q.dim_x], np.zeros(q.dim_x))
+        np.testing.assert_array_equal(fd[q.dim_x:], np.zeros(q.dim_y))
 
     def test_scalar_saddle_constant_hessian(self):
         # J = x^2/2 - y^2/2 + xy has Hessian [[1, 1], [1, -1]]
         q = QuadraticMinimaxProblem(np.array([[1.0]]), np.array([[1.0]]), 1.0)
-        h = q.sample_hvp(np.array([0.3]), np.array([-0.2]), 0,
-                         np.array([1.0]), np.array([0.0]))
-        assert h.hx[0] == pytest.approx(1.0)
-        assert h.hy[0] == pytest.approx(1.0)
+        h = q.sample_hvp(np.array([0.3, -0.2]), 0, np.array([1.0, 0.0]))
+        assert h[0] == pytest.approx(1.0)
+        assert h[1] == pytest.approx(1.0)
 
     def test_matches_analytic_on_logistic(self):
         p = make_logistic(n=50, d=10, seed=3)
@@ -57,10 +57,11 @@ class TestFiniteDifferenceHvp:
             dx = rng.standard_normal(p.d)
             dy = rng.standard_normal(p.n)
             i = int(rng.integers(p.n))
-            fd = finite_difference_hvp(p, x, y, i, dx, dy)
-            an = p.sample_hvp(x, y, i, dx, dy)
-            denom = max(joint_norm(an.hx, an.hy), 1e-12)
-            rel = joint_norm(fd.hx - an.hx, fd.hy - an.hy) / denom
+            fd = finite_difference_hvp(p, join(x, y), i, join(dx, dy))
+            an = p.sample_hvp(join(x, y), i, join(dx, dy))
+            d = p.dim_x
+            denom = max(joint_norm(an[:d], an[d:]), 1e-12)
+            rel = joint_norm(fd[:d] - an[:d], fd[d:] - an[d:]) / denom
             assert rel <= 1e-5
 
 
@@ -76,10 +77,11 @@ class TestHvpStructure:
             d1x, d1y = rng.standard_normal(p.dim_x), rng.standard_normal(p.dim_y)
             d2x, d2y = rng.standard_normal(p.dim_x), rng.standard_normal(p.dim_y)
             xi = int(rng.integers(p.n_samples or 100))
-            h1 = p.sample_hvp(x, y, xi, d1x, d1y)
-            h2 = p.sample_hvp(x, y, xi, d2x, d2y)
-            a = np.dot(h1.hx, d2x) + np.dot(h1.hy, d2y)
-            b = np.dot(h2.hx, d1x) + np.dot(h2.hy, d1y)
+            h1 = p.sample_hvp(join(x, y), xi, join(d1x, d1y))
+            h2 = p.sample_hvp(join(x, y), xi, join(d2x, d2y))
+            d = p.dim_x
+            a = np.dot(h1[:d], d2x) + np.dot(h1[d:], d2y)
+            b = np.dot(h2[:d], d1x) + np.dot(h2[d:], d1y)
             assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("maker", [make_quadratic,
@@ -93,12 +95,14 @@ class TestHvpStructure:
         d2x, d2y = rng.standard_normal(p.dim_x), rng.standard_normal(p.dim_y)
         alpha = 2.75
         xi = 1
-        lhs = p.sample_hvp(x, y, xi, alpha * d1x + d2x, alpha * d1y + d2y)
-        h1 = p.sample_hvp(x, y, xi, d1x, d1y)
-        h2 = p.sample_hvp(x, y, xi, d2x, d2y)
-        np.testing.assert_allclose(lhs.hx, alpha * h1.hx + h2.hx,
+        z = join(x, y)
+        lhs = p.sample_hvp(z, xi, join(alpha * d1x + d2x, alpha * d1y + d2y))
+        h1 = p.sample_hvp(z, xi, join(d1x, d1y))
+        h2 = p.sample_hvp(z, xi, join(d2x, d2y))
+        d = p.dim_x
+        np.testing.assert_allclose(lhs[:d], alpha * h1[:d] + h2[:d],
                                    rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(lhs.hy, alpha * h1.hy + h2.hy,
+        np.testing.assert_allclose(lhs[d:], alpha * h1[d:] + h2[d:],
                                    rtol=1e-10, atol=1e-12)
 
 
@@ -110,11 +114,11 @@ class TestTaylorRemainder:
             x1, y1 = rng.standard_normal(q.dim_x), rng.standard_normal(q.dim_y)
             x2, y2 = x1 + rng.standard_normal(q.dim_x), \
                 y1 + rng.standard_normal(q.dim_y)
-            g2 = q.full_gradient(x2, y2)
-            g1 = q.full_gradient(x1, y1)
-            h = q.sample_hvp(x1, y1, 0, x2 - x1, y2 - y1)
-            rx = g2.gx - g1.gx - h.hx
-            ry = g2.gy - g1.gy - h.hy
+            g2 = q.full_gradient(join(x2, y2))
+            g1 = q.full_gradient(join(x1, y1))
+            h = q.sample_hvp(join(x1, y1), 0, join(x2 - x1, y2 - y1))
+            r = g2 - g1 - h
+            rx, ry = r[:q.dim_x], r[q.dim_x:]
             assert joint_norm(rx, ry) <= 1e-9
 
     def test_logistic_remainder_quadratic_bound(self):
@@ -125,9 +129,9 @@ class TestTaylorRemainder:
             hx = np.zeros(p.d)
             hy = np.zeros(p.n)
             for i in range(p.n):
-                h = p.sample_hvp(x, y, i, dx, dy)
-                hx += h.hx
-                hy += h.hy
+                h = p.sample_hvp(join(x, y), i, join(dx, dy))
+                hx += h[:p.d]
+                hy += h[p.d:]
             return hx / p.n, hy / p.n
         rng = np.random.default_rng(13)
         ratio_max = 0.0
@@ -139,10 +143,11 @@ class TestTaylorRemainder:
             uy = rng.standard_normal(p.n)
             un = joint_norm(ux, uy)
             dx, dy = step * ux / un, step * uy / un
-            g2 = p.full_gradient(x1 + dx, y1 + dy)
-            g1 = p.full_gradient(x1, y1)
+            g2 = p.full_gradient(join(x1 + dx, y1 + dy))
+            g1 = p.full_gradient(join(x1, y1))
             hx, hy = full_hvp(x1, y1, dx, dy)
-            rem = joint_norm(g2.gx - g1.gx - hx, g2.gy - g1.gy - hy)
+            dg = g2 - g1
+            rem = joint_norm(dg[:p.d] - hx, dg[p.d:] - hy)
             ratio_max = max(ratio_max, rem / step ** 2)
         # pinned from the instance family (n*max||r||^3 scale); observed
         # maxima sit near 2, leave headroom for RNG variation
@@ -205,7 +210,7 @@ class TestMetricCi:
         q = quadratic_small
         x = np.zeros(q.dim_x)
         y = np.zeros(q.dim_y)
-        assert metric_ci(q, x, y, np.zeros(q.dim_x),
+        assert metric_ci(q, join(x, y), np.zeros(q.dim_x),
                          q.inner_max(x).y_star) == pytest.approx(0.0)
 
     def test_reduces_to_grad_p_norm(self, quadratic_small):
@@ -213,9 +218,9 @@ class TestMetricCi:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(q.dim_x)
         y = q.inner_max(x).y_star
-        m = q.full_gradient(x, y).gx
+        m = q.full_gradient(join(x, y))[:q.dim_x]
         # first two terms vanish: value is ||grad_x J|| = ||grad P||
-        assert metric_ci(q, x, y, m, y) == pytest.approx(
+        assert metric_ci(q, join(x, y), m, y) == pytest.approx(
             np.linalg.norm(q.grad_p(x)), rel=1e-10)
 
     def test_upper_bounds_grad_p(self, quadratic_small):
@@ -225,5 +230,5 @@ class TestMetricCi:
                 x = rng.standard_normal(q.dim_x)
                 y = q.project_y(rng.standard_normal(q.dim_y))
                 m = rng.standard_normal(q.dim_x)
-                ci = metric_ci(q, x, y, m, q.inner_max(x).y_star)
+                ci = metric_ci(q, join(x, y), m, q.inner_max(x).y_star)
                 assert np.linalg.norm(q.grad_p(x)) <= ci + 1e-9

@@ -4,7 +4,7 @@ import pytest
 from hcmm.problems import (PlToyProblem, QuadraticMinimaxProblem,
                            RobustLogisticProblem)
 
-from conftest import make_logistic, make_quadratic
+from conftest import join, make_logistic, make_quadratic
 
 
 class TestRobustLogisticValues:
@@ -36,18 +36,18 @@ class TestRobustLogisticValues:
         x = np.zeros(p.d)
         y = np.zeros(p.n)
         for i in range(3):
-            g = p.sample_gradient(x, y, i)
+            g = p.sample_gradient(join(x, y), i)
             idx, val = p._row(i)
             expect = np.zeros(p.d)
             # n*y_i term vanishes at y=0; only grad g(x)=0 remains in gx
-            np.testing.assert_allclose(g.gx, expect, atol=1e-14)
+            np.testing.assert_allclose(g[:p.d], expect, atol=1e-14)
 
     def test_grad_y_at_origin_uniform(self, logistic_small):
         p = logistic_small
         x = np.zeros(p.d)
         y = np.full(p.n, 1.0 / p.n)
-        g = p.full_gradient(x, y)
-        np.testing.assert_allclose(g.gy, np.full(p.n, np.log(2.0)), atol=1e-12)
+        g = p.full_gradient(join(x, y))
+        np.testing.assert_allclose(g[p.d:], np.full(p.n, np.log(2.0)), atol=1e-12)
 
     def test_sample_grad_y_structure_at_origin(self, logistic_small):
         # gy = n*log2*e_i when x = 0, y uniform (V-gradient vanishes)
@@ -55,10 +55,10 @@ class TestRobustLogisticValues:
         x = np.zeros(p.d)
         y = np.full(p.n, 1.0 / p.n)
         i = 3
-        g = p.sample_gradient(x, y, i)
+        g = p.sample_gradient(join(x, y), i)
         expect = np.zeros(p.n)
         expect[i] = p.n * np.log(2.0)
-        np.testing.assert_allclose(g.gy, expect, atol=1e-12)
+        np.testing.assert_allclose(g[p.d:], expect, atol=1e-12)
 
     def test_g_gradient_odd(self, logistic_small):
         p = logistic_small
@@ -72,11 +72,11 @@ class TestRobustLogisticValues:
         x = rng.standard_normal(p.d)
         y = rng.dirichlet(np.ones(p.n))
         dy = rng.standard_normal(p.n)
-        h = p.sample_hvp(x, y, 0, np.zeros(p.d), dy)
+        h = p.sample_hvp(join(x, y), 0, join(np.zeros(p.d), dy))
         # with dx = 0 the cross term only touches entry 0 of hy
         mask = np.ones(p.n, bool)
         mask[0] = False
-        np.testing.assert_allclose(h.hy[mask],
+        np.testing.assert_allclose(h[p.d:][mask],
                                    (-p.lambda1 * p.n ** 2 * dy)[mask],
                                    rtol=1e-12)
 
@@ -91,7 +91,7 @@ class TestRobustLogisticValues:
     def test_sample_index_out_of_range(self, logistic_small):
         p = logistic_small
         with pytest.raises(IndexError):
-            p.sample_gradient(np.zeros(p.d), np.zeros(p.n), p.n)
+            p.sample_gradient(np.zeros(p.d + p.n), p.n)
 
 
 class TestRobustLogisticUnbiasedness:
@@ -104,12 +104,12 @@ class TestRobustLogisticUnbiasedness:
             gx = np.zeros(p.d)
             gy = np.zeros(p.n)
             for i in range(p.n):
-                g = p.sample_gradient(x, y, i)
-                gx += g.gx
-                gy += g.gy
-            full = p.full_gradient(x, y)
-            np.testing.assert_allclose(gx / p.n, full.gx, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(gy / p.n, full.gy, rtol=1e-12, atol=1e-14)
+                g = p.sample_gradient(join(x, y), i)
+                gx += g[:p.d]
+                gy += g[p.d:]
+            full = p.full_gradient(join(x, y))
+            np.testing.assert_allclose(gx / p.n, full[:p.d], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(gy / p.n, full[p.d:], rtol=1e-12, atol=1e-14)
 
     def test_hvp_mean_matches_full_fd(self, logistic_small):
         # average the analytic per-sample HVPs and compare against a
@@ -123,17 +123,17 @@ class TestRobustLogisticUnbiasedness:
         hx = np.zeros(p.d)
         hy = np.zeros(p.n)
         for i in range(p.n):
-            h = p.sample_hvp(x, y, i, dx, dy)
-            hx += h.hx
-            hy += h.hy
+            h = p.sample_hvp(join(x, y), i, join(dx, dy))
+            hx += h[:p.d]
+            hy += h[p.d:]
         hx /= p.n
         hy /= p.n
         eps = 1e-6
-        gp = p.full_gradient(x + eps * dx, y + eps * dy)
-        gm = p.full_gradient(x - eps * dx, y - eps * dy)
-        np.testing.assert_allclose(hx, (gp.gx - gm.gx) / (2 * eps),
+        gp = p.full_gradient(join(x + eps * dx, y + eps * dy))
+        gm = p.full_gradient(join(x - eps * dx, y - eps * dy))
+        np.testing.assert_allclose(hx, (gp[:p.d] - gm[:p.d]) / (2 * eps),
                                    rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(hy, (gp.gy - gm.gy) / (2 * eps),
+        np.testing.assert_allclose(hy, (gp[p.d:] - gm[p.d:]) / (2 * eps),
                                    rtol=1e-5, atol=1e-8)
 
     def test_gradient_lipschitz_spot_check(self, logistic_small):
@@ -145,10 +145,10 @@ class TestRobustLogisticUnbiasedness:
             y1 = rng.dirichlet(np.ones(p.n))
             x2 = x1 + 0.1 * rng.standard_normal(p.d)
             y2 = y1 + 0.01 * rng.standard_normal(p.n)
-            g1 = p.full_gradient(x1, y1)
-            g2 = p.full_gradient(x2, y2)
-            dg = np.sqrt(np.sum((g1.gx - g2.gx) ** 2)
-                         + np.sum((g1.gy - g2.gy) ** 2))
+            g1 = p.full_gradient(join(x1, y1))
+            g2 = p.full_gradient(join(x2, y2))
+            dg = np.sqrt(np.sum((g1[:p.d] - g2[:p.d]) ** 2)
+                         + np.sum((g1[p.d:] - g2[p.d:]) ** 2))
             dz = np.sqrt(np.sum((x1 - x2) ** 2) + np.sum((y1 - y2) ** 2))
             assert dg <= L_hat * dz + 1e-12
 
@@ -194,31 +194,32 @@ class TestQuadratic:
         rng = np.random.default_rng(4)
         for _ in range(10):
             x = rng.standard_normal(q.dim_x)
-            gx = q.full_gradient(x, q.inner_max(x).y_star).gx
+            gx = q.full_gradient(join(x, q.inner_max(x).y_star))[:q.dim_x]
             np.testing.assert_allclose(gx, q.grad_p(x), rtol=1e-10, atol=1e-12)
 
     def test_noiseless_sample_equals_full(self, quadratic_small):
         q = quadratic_small
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal(q.dim_x), rng.standard_normal(q.dim_y)
-        s = q.sample_gradient(x, y, 12345)
-        f = q.full_gradient(x, y)
-        np.testing.assert_array_equal(s.gx, f.gx)
-        np.testing.assert_array_equal(s.gy, f.gy)
+        s = q.sample_gradient(join(x, y), 12345)
+        f = q.full_gradient(join(x, y))
+        np.testing.assert_array_equal(s[:q.dim_x], f[:q.dim_x])
+        np.testing.assert_array_equal(s[q.dim_x:], f[q.dim_x:])
 
     def test_noise_reproducible_and_zero_mean(self):
         q = make_quadratic(noise_sigma=0.5)
         x, y = np.ones(q.dim_x), np.ones(q.dim_y)
         rng = np.random.default_rng(42)
+        z = join(x, y)
         xi = q.draw_sample(rng)
-        a = q.sample_gradient(x, y, xi)
-        b = q.sample_gradient(x, y, xi)
-        np.testing.assert_array_equal(a.gx, b.gx)
-        np.testing.assert_array_equal(a.gy, b.gy)
-        full = q.full_gradient(x, y)
-        mean = np.mean([q.sample_gradient(x, y, q.draw_sample(rng)).gx
+        a = q.sample_gradient(z, xi)
+        b = q.sample_gradient(z, xi)
+        np.testing.assert_array_equal(a[:q.dim_x], b[:q.dim_x])
+        np.testing.assert_array_equal(a[q.dim_x:], b[q.dim_x:])
+        full = q.full_gradient(z)
+        mean = np.mean([q.sample_gradient(z, q.draw_sample(rng))[:q.dim_x]
                         for _ in range(4000)], axis=0)
-        assert np.linalg.norm(mean - full.gx) < 0.05
+        assert np.linalg.norm(mean - full[:q.dim_x]) < 0.05
 
     def test_strong_concavity_witness(self, quadratic_small):
         q = quadratic_small
@@ -228,7 +229,7 @@ class TestQuadratic:
             y1 = rng.standard_normal(q.dim_y)
             y2 = rng.standard_normal(q.dim_y)
             lhs = q.objective(x, y2)
-            gy = q.full_gradient(x, y1).gy
+            gy = q.full_gradient(join(x, y1))[q.dim_x:]
             rhs = (q.objective(x, y1) + gy @ (y2 - y1)
                    - 0.5 * q.nu * np.sum((y2 - y1) ** 2))
             assert lhs <= rhs + 1e-9
@@ -261,11 +262,11 @@ class TestAdditiveNoise:
         p = make(sigma)
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal(p.dim_x), rng.standard_normal(p.dim_y)
-        full = p.full_gradient(x, y)
+        full = p.full_gradient(join(x, y))
         dev = []
         for _ in range(4000):
-            g = p.sample_gradient(x, y, p.draw_sample(rng))
-            dev.append(np.concatenate([g.gx - full.gx, g.gy - full.gy]))
+            g = p.sample_gradient(join(x, y), p.draw_sample(rng))
+            dev.append(g - full)
         assert np.var(np.array(dev)) == pytest.approx(sigma ** 2, rel=0.1)
 
     def test_noiseless_draw_leaves_stream(self, make):
@@ -275,9 +276,10 @@ class TestAdditiveNoise:
         xi = p.draw_sample(rng)
         assert rng.bit_generator.state == before
         x, y = np.ones(p.dim_x), np.ones(p.dim_y)
-        g, full = p.sample_gradient(x, y, xi), p.full_gradient(x, y)
-        np.testing.assert_array_equal(g.gx, full.gx)
-        np.testing.assert_array_equal(g.gy, full.gy)
+        z = join(x, y)
+        g, full = p.sample_gradient(z, xi), p.full_gradient(z)
+        np.testing.assert_array_equal(g[:p.dim_x], full[:p.dim_x])
+        np.testing.assert_array_equal(g[p.dim_x:], full[p.dim_x:])
 
 
 class TestPlToy:
@@ -323,7 +325,75 @@ class TestPlToy:
         for _ in range(1000):
             x = rng.standard_normal(p.dim_x)
             y = rng.standard_normal(p.dim_y)
-            gy = p.full_gradient(x, y).gy
+            gy = p.full_gradient(join(x, y))[p.dim_x:]
             maxval = p.objective(x, p.inner_max(x).y_star)
             gap = maxval - p.objective(x, y)
             assert np.sum(gy ** 2) >= 2.0 * p.delta * gap - 1e-9
+
+
+class TestJointOracles:
+    """The joint oracles against the per-block formulas, written out."""
+
+    @staticmethod
+    def assert_close(joint, split, rel=1e-13):
+        split = np.concatenate(split)
+        assert np.linalg.norm(joint - split) <= rel * np.linalg.norm(split)
+
+    @pytest.mark.parametrize("make", [noisy_quadratic, noisy_pl_toy])
+    def test_quadratic_and_pl_match_split_formulas(self, make):
+        p = make(0.4)
+        # -nu I for the quadratic, -C for the PL toy
+        Hyy = -p.C if isinstance(p, PlToyProblem) else -p.nu * np.eye(p.dim_y)
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            x, y = rng.standard_normal(p.dim_x), rng.standard_normal(p.dim_y)
+            dx, dy = rng.standard_normal(p.dim_x), rng.standard_normal(p.dim_y)
+            xi = p.draw_sample(rng)
+            gx = p.A @ x + p.B @ y
+            gy = p.B.T @ x + Hyy @ y
+            z = join(x, y)
+            self.assert_close(p.full_gradient(z), (gx, gy))
+            self.assert_close(p.sample_gradient(z, xi),
+                              (gx + xi[:p.dim_x], gy + xi[p.dim_x:]))
+            self.assert_close(p.sample_hvp(z, xi, join(dx, dy)),
+                              (p.A @ dx + p.B @ dy, p.B.T @ dx + Hyy @ dy))
+
+    def test_logistic_bit_equal_to_split_formulas(self):
+        from scipy.special import expit
+        p = make_logistic(n=40, d=9, seed=4)
+        n, lam1, lam2, rho = p.n, p.lambda1, p.lambda2, p.rho
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            x = rng.standard_normal(p.d)
+            y = rng.dirichlet(np.ones(n))
+            dx, dy = rng.standard_normal(p.d), rng.standard_normal(n)
+            i = int(rng.integers(n))
+            idx, val = p._row(i)
+            li = p.labels[i]
+            t = li * float(np.dot(val, x[idx]))
+            # the gradient, block by block
+            gx = 2.0 * lam2 * rho * x / (1.0 + rho * x * x) ** 2
+            gx[idx] += n * y[i] * (-li * expit(-t)) * val
+            gy = -(lam1 * n * (n * y - 1.0))
+            gy[i] += n * np.logaddexp(0.0, -t)
+            # the Hessian-vector product, block by block
+            s = expit(-t)
+            q2 = s * (1.0 - s)
+            rdx = float(np.dot(val, dx[idx]))
+            gq_coef = -li * s
+            rx2 = rho * x * x
+            hx = 2.0 * lam2 * rho * (1.0 - 3.0 * rx2) / (1.0 + rx2) ** 3 * dx
+            hx[idx] += n * (y[i] * q2 * rdx + dy[i] * gq_coef) * val
+            hy = -lam1 * n ** 2 * dy
+            hy[i] += n * gq_coef * rdx
+            z = join(x, y)
+            assert p.sample_gradient(z, i).tobytes() == join(gx, gy).tobytes()
+            assert p.sample_hvp(z, i, join(dx, dy)).tobytes() \
+                == join(hx, hy).tobytes()
+
+    @pytest.mark.parametrize("cls", [RobustLogisticProblem,
+                                     QuadraticMinimaxProblem, PlToyProblem])
+    def test_oracles_in_own_class_body(self, cls):
+        # per-layer tracing wraps the methods each class itself defines
+        for name in ("sample_gradient", "sample_hvp", "full_gradient"):
+            assert name in vars(cls), f"{cls.__name__}.{name} is inherited"

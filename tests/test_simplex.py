@@ -42,6 +42,17 @@ class TestExamples:
         with pytest.raises(ValueError):
             project_simplex(np.array([]))
 
+    def test_in_place_into_a_view(self):
+        # the optimizers project the y view of a joint iterate in place
+        rng = np.random.default_rng(2)
+        for n in (1, 7, 500):
+            z = rng.standard_normal(n + 3)
+            x_before, expected = z[:3].copy(), project_simplex(z[3:])
+            out = project_simplex(z[3:], out=z[3:])
+            assert np.shares_memory(out, z)
+            assert z[3:].tobytes() == expected.tobytes()
+            assert z[:3].tobytes() == x_before.tobytes()
+
 
 class TestProperties:
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=64))
