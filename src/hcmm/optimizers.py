@@ -232,11 +232,16 @@ def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
         mc = m
         if isinstance(kind, Hcmm2):
             u = js.move * m
-            z_next = z.copy()
             if nx > NORM_FLOOR:
-                z_next[:d] += u[:d] / nx
+                u[:d] /= nx
             if ny > NORM_FLOOR:
-                z_next[d:] += u[d:] / ny
+                u[d:] /= ny
+            z_next = z + u
+            # a block whose momentum is at most the floor stays where it is
+            if nx <= NORM_FLOOR:
+                z_next[:d] = z[:d]
+            if ny <= NORM_FLOOR:
+                z_next[d:] = z[d:]
         else:
             if isinstance(kind, Hcmm1):
                 mc, cx, cy = _clip_blocks(m, d, nx, ny, js.schedule)

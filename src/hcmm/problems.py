@@ -101,8 +101,8 @@ class RobustLogisticProblem(MinimaxProblem):
         rx2 = self.rho * x * x
         return self.lambda2 * float(np.sum(rx2 / (1.0 + rx2)))
 
-    # the x-block helpers write into `out` when given, in the operation order
-    # of their formulas, so the oracles fill their joint result in place
+    # the g helpers write into `out` when given, in the operation order of
+    # their formulas, so the oracles fill their joint result in place
     def _g_grad(self, x: Vec, out: Optional[Vec] = None) -> Vec:
         # 2 lambda2 rho x / (1 + rho x^2)^2
         den = self.rho * x
@@ -128,12 +128,8 @@ class RobustLogisticProblem(MinimaxProblem):
     def _v_value(self, y: Vec) -> float:
         return 0.5 * self.lambda1 * float(np.sum((self.n * y - 1.0) ** 2))
 
-    def _v_grad(self, y: Vec, out: Optional[Vec] = None) -> Vec:
-        # lambda1 n (n y - 1)
-        out = np.multiply(self.n, y, out=out)
-        out -= 1.0
-        out *= self.lambda1 * self.n
-        return out
+    def _v_grad(self, y: Vec) -> Vec:
+        return self.lambda1 * self.n * (self.n * y - 1.0)
 
     # -- oracle interface --------------------------------------------------
     def sample_loss(self, x: Vec, y: Vec, xi: SampleId) -> float:
@@ -152,7 +148,10 @@ class RobustLogisticProblem(MinimaxProblem):
         gx, gy = g[:d], g[d:]
         self._g_grad(x, out=gx)
         gx[idx] += self.n * y[xi] * coef * val
-        np.negative(self._v_grad(y, out=gy), out=gy)
+        # -V'(y) = -(lambda1 n (n y - 1)); negating the factor is exact
+        np.multiply(self.n, y, out=gy)
+        gy -= 1.0
+        gy *= -self.lambda1 * self.n
         gy[xi] += self.n * self._q_of_margin(t)
         return g
 
