@@ -101,8 +101,9 @@ class RobustLogisticProblem(MinimaxProblem):
         rx2 = self.rho * x * x
         return self.lambda2 * float(np.sum(rx2 / (1.0 + rx2)))
 
-    # the g helpers write into `out` when given, in the operation order of
-    # their formulas, so the oracles fill their joint result in place
+    # the g helpers write into `out` (_g_grad returns a new array without
+    # one) in the operation order of their formulas, so the oracles fill
+    # their joint result in place with the bits of those formulas
     def _g_grad(self, x: Vec, out: Optional[Vec] = None) -> Vec:
         # 2 lambda2 rho x / (1 + rho x^2)^2
         den = self.rho * x
@@ -113,13 +114,13 @@ class RobustLogisticProblem(MinimaxProblem):
         out /= den
         return out
 
-    def _g_hess_diag(self, x: Vec, out: Optional[Vec] = None) -> Vec:
+    def _g_hess_diag(self, x: Vec, out: Vec) -> Vec:
         # 2 lambda2 rho (1 - 3 rho x^2) / (1 + rho x^2)^3
         rx2 = self.rho * x
         rx2 *= x
         den = rx2 + 1.0
         np.power(den, 3, out=den)
-        out = np.multiply(3.0, rx2, out=out)
+        np.multiply(3.0, rx2, out=out)
         np.subtract(1.0, out, out=out)
         out *= 2.0 * self.lambda2 * self.rho
         out /= den
