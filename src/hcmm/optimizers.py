@@ -108,7 +108,8 @@ class StepState:
     keeps its momentum at zero and records the norms of its descent and
     ascent stochastic gradients there. `samples` holds one id per
     stochastic oracle draw, and `iter` counts steps from 0 at `init_run`.
-    x and y are views into z.
+    x and y are views into z; each state carries dim_x (the problem and the
+    JointSchedule hold it too) so that these views need nothing else.
     """
 
     z: Vec
@@ -132,28 +133,26 @@ class StepState:
         return self.z[self.dim_x:]
 
 
-def hcmm_momentum_update(prev_m: Vec, beta, keep, grad_sample: Vec,
+def hcmm_momentum_update(prev_m: Vec, js: JointSchedule, grad_sample: Vec,
                          hvp_sample: Vec) -> Vec:
     """(1 - beta) [prev_m + H d] + beta g, the bias-corrected recursion,
-    with keep = 1 - beta (scalars or per-coordinate vectors).
+    with js's per-coordinate beta and keep = 1 - beta.
 
     Computed in place on one new vector, in the operation order of the
     expression, so the bits match it exactly."""
     m = prev_m + hvp_sample
-    m *= keep
-    m += beta * grad_sample
+    m *= js.keep
+    m += js.beta * grad_sample
     return m
 
 
-def sample_stream(problem: MinimaxProblem, rng: np.random.Generator,
-                  count: int, block: int = SAMPLE_BLOCK) -> Iterator[SampleId]:
-    """The next `count` samples of `problem` from rng, drawn `block` at a
-    time: the same samples, in the same order, as `count` calls of
-    draw_sample. Each block is a fresh array, so a sample stays as drawn."""
-    while count > 0:
-        k = min(count, block)
-        yield from problem.draw_samples(rng, k)
-        count -= k
+def sample_stream(problem: MinimaxProblem,
+                  rng: np.random.Generator) -> Iterator[SampleId]:
+    """The samples of `problem` from rng, endlessly, drawn SAMPLE_BLOCK at a
+    time: the same samples, in the same order, as one draw per sample. Each
+    block is a fresh array, so a sample stays as drawn."""
+    while True:
+        yield from problem.draw_samples(rng, SAMPLE_BLOCK)
 
 
 def _clip_blocks(m: Vec, d: int, nx: float, ny: float,
@@ -227,7 +226,7 @@ def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
             h = problem.sample_hvp(z, xi, z - s.z_prev)
             from_clipped = isinstance(kind, Hcmm1) and kind.update_from_clipped
             m = hcmm_momentum_update(s.m_clipped if from_clipped else s.m,
-                                     js.beta, js.keep, g, h)
+                                     js, g, h)
         nx, ny = norm2(m[:d]), norm2(m[d:])
         mc = m
         if isinstance(kind, Hcmm2):
@@ -248,7 +247,10 @@ def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
             z_next = js.move * mc
             z_next += z
     if project_y:
-        problem.project_y(z_next[d:])
+        y_next = z_next[d:]
+        if problem.project_y(y_next) is not y_next:
+            raise TypeError(f"{type(problem).__name__}.project_y must project "
+                            "in place and return its argument")
     return StepState(z_next, z, m, mc, cx, cy, nx, ny, used, s.iter + 1, d)
 
 
@@ -257,9 +259,7 @@ def iterate_steps(kind: OptimizerKind, problem: MinimaxProblem,
                   rng_seed: int, project_y: bool = True) -> Iterator[StepState]:
     """Yield the T states after steps 1..T; deterministic for a fixed
     (seed, config)."""
-    sagda = isinstance(kind, Sagda)
-    samples = sample_stream(problem, np.random.default_rng(rng_seed),
-                            2 * T if sagda else T + 1)
+    samples = sample_stream(problem, np.random.default_rng(rng_seed))
     js = JointSchedule.expand(schedule, problem.dim_x, problem.dim_y)
     s = init_run(kind, problem, js, x0, y0, samples)
     for i in range(T):

@@ -56,9 +56,6 @@ class MinimaxProblem:
         order, as k successive one-sample draws."""
         return rng.integers(self.n_samples, size=k).tolist()
 
-    def draw_sample(self, rng: np.random.Generator) -> SampleId:
-        return self.draw_samples(rng, 1)[0]
-
     def sample_gradient(self, z: Vec, xi: SampleId) -> Vec:
         raise NotImplementedError
 
@@ -73,7 +70,9 @@ class MinimaxProblem:
 
     # -- constraint hook ---------------------------------------------------
     def project_y(self, y: Vec) -> Vec:
-        """Project y onto the feasible set in place and return it."""
+        """Project y onto the feasible set in place and return y itself;
+        `step` passes a view into the new iterate and rejects any other
+        return value."""
         return y
 
     # -- closed-form inner max ---------------------------------------------

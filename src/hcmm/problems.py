@@ -101,30 +101,12 @@ class RobustLogisticProblem(MinimaxProblem):
         rx2 = self.rho * x * x
         return self.lambda2 * float(np.sum(rx2 / (1.0 + rx2)))
 
-    # the g helpers write into `out` (_g_grad returns a new array without
-    # one) in the operation order of their formulas, so the oracles fill
-    # their joint result in place with the bits of those formulas
-    def _g_grad(self, x: Vec, out: Optional[Vec] = None) -> Vec:
-        # 2 lambda2 rho x / (1 + rho x^2)^2
-        den = self.rho * x
-        den *= x
-        den += 1.0
-        np.square(den, out=den)
-        out = np.multiply(2.0 * self.lambda2 * self.rho, x, out=out)
-        out /= den
-        return out
+    def _g_grad(self, x: Vec) -> Vec:
+        return 2.0 * self.lambda2 * self.rho * x / (1.0 + self.rho * x * x) ** 2
 
-    def _g_hess_diag(self, x: Vec, out: Vec) -> Vec:
-        # 2 lambda2 rho (1 - 3 rho x^2) / (1 + rho x^2)^3
-        rx2 = self.rho * x
-        rx2 *= x
-        den = rx2 + 1.0
-        np.power(den, 3, out=den)
-        np.multiply(3.0, rx2, out=out)
-        np.subtract(1.0, out, out=out)
-        out *= 2.0 * self.lambda2 * self.rho
-        out /= den
-        return out
+    def _g_hess_diag(self, x: Vec) -> Vec:
+        rx2 = self.rho * x * x
+        return 2.0 * self.lambda2 * self.rho * (1.0 - 3.0 * rx2) / (1.0 + rx2) ** 3
 
     def _v_value(self, y: Vec) -> float:
         return 0.5 * self.lambda1 * float(np.sum((self.n * y - 1.0) ** 2))
@@ -147,12 +129,9 @@ class RobustLogisticProblem(MinimaxProblem):
         coef = -self.labels[xi] * expit(-t)
         g = np.empty_like(z)
         gx, gy = g[:d], g[d:]
-        self._g_grad(x, out=gx)
+        gx[:] = self._g_grad(x)
         gx[idx] += self.n * y[xi] * coef * val
-        # -V'(y) = -(lambda1 n (n y - 1)); negating the factor is exact
-        np.multiply(self.n, y, out=gy)
-        gy -= 1.0
-        gy *= -self.lambda1 * self.n
+        np.negative(self._v_grad(y), out=gy)
         gy[xi] += self.n * self._q_of_margin(t)
         return g
 
@@ -168,8 +147,7 @@ class RobustLogisticProblem(MinimaxProblem):
         gq_coef = -li * s                      # grad Q_i = gq_coef * r_i
         h = np.empty_like(z)
         hx, hy = h[:d], h[d:]
-        self._g_hess_diag(x, out=hx)
-        hx *= dx
+        np.multiply(self._g_hess_diag(x), dx, out=hx)
         hx[idx] += self.n * (y[xi] * q2 * rdx + dy[xi] * gq_coef) * val
         np.multiply(-self.lambda1 * self.n ** 2, dy, out=hy)
         hy[xi] += self.n * gq_coef * rdx

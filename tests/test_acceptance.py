@@ -134,7 +134,7 @@ def test_criterion_03_momentum_exactness():
                           np.linalg.norm(m0y), (), 0, d)
         g0 = q.full_gradient(z)
         r0 = joint_norm(m0x - g0[:d], m0y - g0[d:])
-        samples = sample_stream(q, rng, 100)
+        samples = sample_stream(q, rng)
         for i in range(1, 101):
             state = step(kind, state, js, q, samples)
             g = q.full_gradient(state.z_prev)

@@ -1,10 +1,13 @@
+from itertools import islice
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hcmm.core import HyperSchedule, clip_momentum
-from hcmm.optimizers import (Hcmm1, Hcmm2, JointSchedule, Sagda, StepState,
-                             StormGda, hcmm_momentum_update, iterate_steps,
-                             sample_stream, step)
+from hcmm.optimizers import (SAMPLE_BLOCK, Hcmm1, Hcmm2, JointSchedule, Sagda,
+                             StepState, StormGda, hcmm_momentum_update,
+                             iterate_steps, sample_stream, step)
 from hcmm.problems import QuadraticMinimaxProblem
 
 from conftest import join, make_logistic, make_quadratic
@@ -28,8 +31,14 @@ def make_state(x, y, m_x, m_y, x_prev=None, y_prev=None):
 def run_step(kind, state, sched, problem, rng):
     """One `step` with the schedule expanded and its samples drawn from rng."""
     js = JointSchedule.expand(sched, problem.dim_x, problem.dim_y)
-    draws = 2 if isinstance(kind, Sagda) else 1
-    return step(kind, state, js, problem, sample_stream(problem, rng, draws))
+    return step(kind, state, js, problem, sample_stream(problem, rng))
+
+
+def weights(beta, n):
+    """beta and keep = 1 - beta over n coordinates, the two fields of a
+    JointSchedule that hcmm_momentum_update reads (beta = 0 included)."""
+    b = np.full(n, float(beta))
+    return SimpleNamespace(beta=b, keep=1.0 - b)
 
 
 def blocks(s, v):
@@ -38,7 +47,8 @@ def blocks(s, v):
 
 
 class CountingProblem:
-    """Wrapper that counts oracle calls and sample draws."""
+    """Wrapper that counts oracle calls and the samples taken off the
+    stream."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -50,8 +60,9 @@ class CountingProblem:
         return getattr(self.inner, name)
 
     def draw_samples(self, rng, k):
-        self.draws += k
-        return self.inner.draw_samples(rng, k)
+        for xi in self.inner.draw_samples(rng, k):
+            self.draws += 1
+            yield xi
 
     def sample_gradient(self, z, xi):
         self.grad_calls += 1
@@ -65,13 +76,13 @@ class CountingProblem:
 class TestMomentumUpdate:
     def test_beta_one_returns_gradient(self):
         g = np.array([1.0, 2.0])
-        out = hcmm_momentum_update(np.array([9.0, 9.0]), 1.0, 0.0, g,
+        out = hcmm_momentum_update(np.array([9.0, 9.0]), weights(1.0, 2), g,
                                    np.array([5.0, 5.0]))
         np.testing.assert_array_equal(out, g)
 
     def test_beta_zero_no_hvp_keeps_history(self):
         m = np.array([1.0, -1.0])
-        out = hcmm_momentum_update(m, 0.0, 1.0, np.array([7.0, 7.0]),
+        out = hcmm_momentum_update(m, weights(0.0, 2), np.array([7.0, 7.0]),
                                    np.zeros(2))
         np.testing.assert_array_equal(out, m)
 
@@ -81,7 +92,7 @@ class TestMomentumUpdate:
             for beta in (1e-4, 0.1, 0.5, 1.0):
                 m, g, c = (rng.standard_normal(n) for _ in range(3))
                 saved = [v.copy() for v in (m, g, c)]
-                out = hcmm_momentum_update(m, beta, 1.0 - beta, g, c)
+                out = hcmm_momentum_update(m, weights(beta, n), g, c)
                 ref = (1.0 - beta) * (m + c) + beta * g
                 assert out.tobytes() == ref.tobytes()
                 for v, v0 in zip((m, g, c), saved):
@@ -369,6 +380,18 @@ class TestRunDiscipline:
                 y = out.y
                 assert np.all(y >= 0) and abs(y.sum() - 1) <= 1e-12
 
+    def test_projection_that_returns_a_copy_is_rejected(self):
+        class CopyingProjection(CountingProblem):
+            def project_y(self, y):
+                return self.inner.project_y(y.copy())
+
+        p = CopyingProjection(make_logistic(n=8, d=4))
+        run = iterate_steps(Hcmm2(), p, explicit_schedule(), np.zeros(4),
+                            np.full(8, 1 / 8), 3, 0)
+        with pytest.raises(RuntimeError, match="iteration 1") as err:
+            next(run)
+        assert "in place" in str(err.value.__cause__)
+
     def test_oracle_error_carries_iteration(self):
         class Exploding(CountingProblem):
             def sample_gradient(self, z, xi):
@@ -399,10 +422,12 @@ class TestSampleStream:
         lambda: make_logistic(n=50, d=5)])
     def test_blocks_equal_per_call_draws(self, make):
         p = make()
-        # 7 samples in blocks of 3: two block boundaries and a short block
-        blocked = list(sample_stream(p, np.random.default_rng(3), 7, block=3))
-        expected = self.per_call_draws(p, 3, 7)
-        assert len(blocked) == 7
+        # past the first block boundary, into the second block
+        count = SAMPLE_BLOCK + 5
+        blocked = list(islice(sample_stream(p, np.random.default_rng(3)),
+                              count))
+        expected = self.per_call_draws(p, 3, count)
+        assert len(blocked) == count
         for got, want in zip(blocked, expected):
             assert type(got) is type(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

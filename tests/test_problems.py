@@ -3,6 +3,7 @@ import pytest
 
 from hcmm.problems import (PlToyProblem, QuadraticMinimaxProblem,
                            RobustLogisticProblem)
+from hcmm.simplex import project_simplex
 
 from conftest import join, make_logistic, make_quadratic
 
@@ -211,14 +212,14 @@ class TestQuadratic:
         x, y = np.ones(q.dim_x), np.ones(q.dim_y)
         rng = np.random.default_rng(42)
         z = join(x, y)
-        xi = q.draw_sample(rng)
+        xi = q.draw_samples(rng, 1)[0]
         a = q.sample_gradient(z, xi)
         b = q.sample_gradient(z, xi)
         np.testing.assert_array_equal(a[:q.dim_x], b[:q.dim_x])
         np.testing.assert_array_equal(a[q.dim_x:], b[q.dim_x:])
         full = q.full_gradient(z)
-        mean = np.mean([q.sample_gradient(z, q.draw_sample(rng))[:q.dim_x]
-                        for _ in range(4000)], axis=0)
+        mean = np.mean([q.sample_gradient(z, xi)[:q.dim_x]
+                        for xi in q.draw_samples(rng, 4000)], axis=0)
         assert np.linalg.norm(mean - full[:q.dim_x]) < 0.05
 
     def test_strong_concavity_witness(self, quadratic_small):
@@ -265,7 +266,7 @@ class TestAdditiveNoise:
         full = p.full_gradient(join(x, y))
         dev = []
         for _ in range(4000):
-            g = p.sample_gradient(join(x, y), p.draw_sample(rng))
+            g = p.sample_gradient(join(x, y), p.draw_samples(rng, 1)[0])
             dev.append(g - full)
         assert np.var(np.array(dev)) == pytest.approx(sigma ** 2, rel=0.1)
 
@@ -273,7 +274,7 @@ class TestAdditiveNoise:
         p = make(0.0)
         rng = np.random.default_rng(9)
         before = rng.bit_generator.state
-        xi = p.draw_sample(rng)
+        xi = p.draw_samples(rng, 1)[0]
         assert rng.bit_generator.state == before
         x, y = np.ones(p.dim_x), np.ones(p.dim_y)
         z = join(x, y)
@@ -348,7 +349,7 @@ class TestJointOracles:
         for _ in range(50):
             x, y = rng.standard_normal(p.dim_x), rng.standard_normal(p.dim_y)
             dx, dy = rng.standard_normal(p.dim_x), rng.standard_normal(p.dim_y)
-            xi = p.draw_sample(rng)
+            xi = p.draw_samples(rng, 1)[0]
             gx = p.A @ x + p.B @ y
             gy = p.B.T @ x + Hyy @ y
             z = join(x, y)
@@ -397,3 +398,19 @@ class TestJointOracles:
         # per-layer tracing wraps the methods each class itself defines
         for name in ("sample_gradient", "sample_hvp", "full_gradient"):
             assert name in vars(cls), f"{cls.__name__}.{name} is inherited"
+
+    @pytest.mark.parametrize("make", [lambda: make_logistic(n=9, d=4),
+                                      lambda: noisy_quadratic(0.0),
+                                      lambda: noisy_pl_toy(0.0)])
+    def test_project_y_works_in_place_on_a_view(self, make):
+        # step projects the y view of the new iterate and keeps no result
+        p = make()
+        z = np.random.default_rng(5).standard_normal(p.dim_x + p.dim_y)
+        x0, y0 = z[:p.dim_x].copy(), z[p.dim_x:].copy()
+        y = z[p.dim_x:]
+        assert p.project_y(y) is y
+        np.testing.assert_array_equal(z[:p.dim_x], x0)
+        if isinstance(p, RobustLogisticProblem):
+            np.testing.assert_array_equal(y, project_simplex(y0))
+        else:
+            np.testing.assert_array_equal(y, y0)
