@@ -17,7 +17,8 @@ Iterates, momenta and oracle results are single arrays of length
 dim_x + dim_y, with x and y as views into them, so the recursion, the
 displacement and the descent-ascent update are one numpy call each.
 `JointSchedule` expands a schedule's per-block scalars over the coordinates
-once per run; elementwise this gives the same bits as the scalars.
+once per run (one scalar stays when both blocks share it); elementwise this
+gives the same bits as the scalars.
 
 One `StepState` holds what a step leaves behind and all the next step reads.
 `step` is a pure function of (kind, state, joint schedule, problem,
@@ -76,18 +77,23 @@ class JointSchedule:
 
     beta is beta_x on x and beta_y on y, keep = 1 - beta, and move is
     -mu_x on x and +mu_y on y, so z + move * m is the descent-ascent update.
+    Each is one scalar when both blocks share its value (beta_x = beta_y
+    in every shipped schedule): the same bits, and on a large z one
+    vector fewer to read per numpy call.
     """
 
     schedule: HyperSchedule
     dim_x: int
-    beta: Vec
-    keep: Vec
+    beta: Union[float, Vec]
+    keep: Union[float, Vec]
     move: Vec
 
     @classmethod
     def expand(cls, schedule: HyperSchedule, dim_x: int,
                dim_y: int) -> "JointSchedule":
-        def per_block(vx: float, vy: float) -> Vec:
+        def per_block(vx: float, vy: float) -> Union[float, Vec]:
+            if vx == vy:
+                return vx
             return np.repeat([vx, vy], [dim_x, dim_y])
 
         s = schedule
@@ -136,7 +142,7 @@ class StepState:
 def hcmm_momentum_update(prev_m: Vec, js: JointSchedule, grad_sample: Vec,
                          hvp_sample: Vec) -> Vec:
     """(1 - beta) [prev_m + H d] + beta g, the bias-corrected recursion,
-    with js's per-coordinate beta and keep = 1 - beta.
+    with js's beta and keep = 1 - beta (scalars or per-coordinate vectors).
 
     Computed in place on one new vector, in the operation order of the
     expression, so the bits match it exactly."""

@@ -92,11 +92,15 @@ class TestMomentumUpdate:
             for beta in (1e-4, 0.1, 0.5, 1.0):
                 m, g, c = (rng.standard_normal(n) for _ in range(3))
                 saved = [v.copy() for v in (m, g, c)]
-                out = hcmm_momentum_update(m, weights(beta, n), g, c)
                 ref = (1.0 - beta) * (m + c) + beta * g
-                assert out.tobytes() == ref.tobytes()
-                for v, v0 in zip((m, g, c), saved):
-                    assert v.tobytes() == v0.tobytes()
+                # per-coordinate vectors, and the scalars a JointSchedule
+                # keeps when both blocks share beta
+                for js in (weights(beta, n),
+                           SimpleNamespace(beta=beta, keep=1.0 - beta)):
+                    out = hcmm_momentum_update(m, js, g, c)
+                    assert out.tobytes() == ref.tobytes()
+                    for v, v0 in zip((m, g, c), saved):
+                        assert v.tobytes() == v0.tobytes()
 
     @pytest.mark.parametrize("kind", [Hcmm1(update_from_clipped=True),
                                       Hcmm2(), StormGda()])
@@ -128,6 +132,30 @@ class TestMomentumUpdate:
             assert r == pytest.approx((1 - beta) * r_prev, rel=1e-9,
                                       abs=1e-12)
             r_prev = r
+
+    @pytest.mark.parametrize("kind", [Hcmm1(), Hcmm2(), StormGda()])
+    def test_distinct_block_betas_bit_equal_per_block(self, kind):
+        # beta_x != beta_y takes the per-coordinate vectors; each block of
+        # the new momentum is the per-block scalar formula, written out
+        q = make_quadratic(d=4, m=3, seed=3)
+        bx, by = 0.3, 0.05
+        sched = HyperSchedule(mu_x=0.02, mu_y=0.03, beta_x=bx, beta_y=by,
+                              clip_threshold=1e9, clip_norm=1e9)
+        rng = np.random.default_rng(4)
+        x, y, xp, yp, m0x, m0y = (rng.standard_normal(n)
+                                  for n in (4, 3, 4, 3, 4, 3))
+        s = run_step(kind, make_state(x, y, m0x, m0y, xp, yp), sched, q,
+                     np.random.default_rng(0))
+        gx, gy = blocks(s, q.M @ join(x, y))
+        if isinstance(kind, StormGda):
+            px, py = blocks(s, q.M @ join(xp, yp))
+            want_x = gx + (1.0 - bx) * (m0x - px)
+            want_y = gy + (1.0 - by) * (m0y - py)
+        else:
+            hx, hy = blocks(s, q.M @ (join(x, y) - join(xp, yp)))
+            want_x = (1.0 - bx) * (m0x + hx) + bx * gx
+            want_y = (1.0 - by) * (m0y + hy) + by * gy
+        assert s.m.tobytes() == join(want_x, want_y).tobytes()
 
 
 class TestHcmm1:
