@@ -77,9 +77,10 @@ class JointSchedule:
 
     beta is beta_x on x and beta_y on y, keep = 1 - beta, and move is
     -mu_x on x and +mu_y on y, so z + move * m is the descent-ascent update.
-    Each is one scalar when both blocks share its value (beta_x = beta_y
-    in every shipped schedule): the same bits, and on a large z one
-    vector fewer to read per numpy call.
+    beta and keep are one scalar each when beta_x = beta_y, as in every
+    shipped schedule: the same bits, and on a large z one vector fewer to
+    read per numpy call. move differs in sign between the blocks, so it is
+    always a vector.
     """
 
     schedule: HyperSchedule
