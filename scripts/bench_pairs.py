@@ -11,7 +11,9 @@ pairs and head first on odd ones, so slow drift of a shared machine falls on
 both sides alike. The JSON output holds, per workload, side and
 end-to-end metric, the median, quartiles and IQR over the k runs, the
 number of pairs in which head beat base (the direction comes from
-BENCHMARK.json), and every run's perfbench result and run record.
+BENCHMARK.json), whether the gap between the medians exceeds the base's
+IQR, and every run's perfbench result and run record. The same verdicts
+are printed as a table at the end.
 """
 
 from __future__ import annotations
@@ -48,8 +50,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(runs: list, metrics: list) -> dict:
-    """Per workload: each side's median, quartiles and IQR per metric, and
-    the pairs in which head is better than base."""
+    """Per workload: each side's median, quartiles and IQR per metric, the
+    pairs in which head is better than base, and whether the medians differ
+    by more than the base's IQR (a gain claimed on the metric needs that
+    and at least nine tenths of the pairs)."""
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
         entry = {}
@@ -69,9 +73,27 @@ def summarize(runs: list, metrics: list) -> dict:
                 sign * (h - b) < 0 for b, h in zip(sides["base"], sides["head"]))
             stats["head_over_base"] = (stats["head"]["median"]
                                        / stats["base"]["median"])
+            stats["gap_beats_base_iqr"] = (abs(stats["head"]["median"]
+                                               - stats["base"]["median"])
+                                           > stats["base"]["iqr"])
             entry[name] = stats
         summary[workload] = entry
     return summary
+
+
+def verdict_table(summary: dict, pairs: int) -> str:
+    """One line per workload and metric: the medians, their ratio, the
+    pairs head won and whether the median gap beats the base IQR."""
+    lines = [f"{'workload':<16}{'metric':<14}{'base':>11}{'head':>11}"
+             f"{'head/base':>11}{'won':>8}  gap > base IQR"]
+    for workload, entry in summary.items():
+        for name, s in entry.items():
+            lines.append(f"{workload:<16}{name:<14}{s['base']['median']:>11.4g}"
+                         f"{s['head']['median']:>11.4g}"
+                         f"{s['head_over_base']:>11.3f}"
+                         f"{s['head_better_pairs']:>5}/{pairs:<2}  "
+                         f"{'yes' if s['gap_beats_base_iqr'] else 'no'}")
+    return "\n".join(lines)
 
 
 def main() -> int:
@@ -106,6 +128,7 @@ def main() -> int:
               "pairs": args.pairs, "seconds": seconds,
               "summary": summarize(runs, bench["end_to_end"]), "runs": runs}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    print(verdict_table(report["summary"], args.pairs))
     return 0
 
 

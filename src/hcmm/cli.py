@@ -9,7 +9,7 @@ from pathlib import Path
 from .core import ConfigError
 from .harness import (build_schedule, emit_plot, grid_search,
                       parse_config_text, rate_study, read_config,
-                      run_experiment)
+                      run_experiment, unbounded_p_warning)
 
 
 def main(argv=None) -> int:
@@ -66,6 +66,9 @@ def main(argv=None) -> int:
             # the schedule checks, with the first grid combo filled in
             build_schedule(config, overrides={k: v[0] for k, v in
                                               config.grid.items()})
+            warning = unbounded_p_warning(config)
+            if warning:
+                print(f"warning: {warning}", file=sys.stderr)
             print("config ok")
             return 0
         if args.command == "run":

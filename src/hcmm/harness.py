@@ -23,7 +23,7 @@ from .core import (ConfigError, HyperSchedule, ProblemConstants, norm2,
                    schedule_hcmm1, schedule_hcmm2)
 from .libsvm import Dataset, load_dataset
 from .optimizers import (Hcmm1, Hcmm2, OptimizerKind, Sagda, StormGda,
-                         iterate_steps)
+                         iterate_steps, sample_stream, samples_per_run)
 from .oracle import MinimaxProblem, evaluate_P, metric_ci
 from .problems import PlToyProblem, QuadraticMinimaxProblem, RobustLogisticProblem
 
@@ -301,6 +301,21 @@ def build_problem(config: ExperimentConfig) -> Tuple[MinimaxProblem, np.ndarray,
     return problem, p["x0_scale"] * v / np.linalg.norm(v), np.zeros(m)
 
 
+def unbounded_p_warning(config: ExperimentConfig) -> Optional[str]:
+    """Why P is unbounded below on a quadratic config, or None: P(x) =
+    0.5 x'(A + BB'/nu)x, so one negative eigenvalue of A + BB'/nu lets a run
+    (and a grid's best combo) drive P to -inf. Eigenvalues within rounding
+    of 0 do not count."""
+    if config.problem_kind != "quadratic":
+        return None
+    eigs = np.linalg.eigvalsh(build_problem(config)[0].p_hessian)
+    if eigs[0] >= -1e-12 * np.abs(eigs).max():
+        return None
+    return (f"P(x) is unbounded below: its Hessian A + BB'/nu has eigenvalue "
+            f"{eigs[0]:.3g} < 0 (problem.spectrum = "
+            f"{','.join(map(repr, config.problem_params['spectrum']))})")
+
+
 def build_schedule(config: ExperimentConfig, T: Optional[int] = None,
                    overrides: Optional[Dict[str, float]] = None) -> HyperSchedule:
     T = config.T if T is None else T
@@ -346,15 +361,20 @@ def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
                collect_rows: bool = True):
     """Run one (config, seed) pair; returns (trace rows, final iterates).
 
-    An evaluated row solves the inner max once, and its P(x), grad P(x) and
-    y*(x) fill p_x, grad_p_norm and metric_ci. With collect_rows=False no
-    row is built and nothing is evaluated: only the final iterates are
-    returned.
+    The steps run on `problem.restrict` of the samples the run will draw
+    (the rows a robust-logistic run draws); the evaluations and the final
+    iterates are on `problem`. An evaluated row solves the inner max once,
+    and its P(x), grad P(x) and y*(x) fill p_x, grad_p_norm and metric_ci.
+    With collect_rows=False no row is built and nothing is evaluated: only
+    the final iterates are returned.
     """
+    drawn = itertools.islice(sample_stream(problem, np.random.default_rng(seed)),
+                             samples_per_run(config.optimizer, config.T))
+    stepped, y0_stepped = problem.restrict(drawn, np.asarray(y0))
     rows: List[List[str]] = []
-    x_i, y_i = np.asarray(x0), np.asarray(y0)
+    x_i, y_i = np.asarray(x0), y0_stepped
     t0 = time.monotonic_ns()
-    for s in iterate_steps(config.optimizer, problem, schedule, x0, y0,
+    for s in iterate_steps(config.optimizer, stepped, schedule, x0, y0_stepped,
                            config.T, seed, project_y=config.project_y):
         x_i, y_i = s.x, s.y
         if not collect_rows:
@@ -364,13 +384,14 @@ def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
             inner = evaluate_P(problem, x_i)
             p_x = inner.p_value
             grad_p = norm2(inner.grad_p)
-            m_ci = metric_ci(problem, s.z, s.m_clipped[:s.dim_x], inner.y_star)
+            z = np.concatenate((x_i, stepped.lift_y(y_i)))
+            m_ci = metric_ci(problem, z, s.m_clipped[:s.dim_x], inner.y_star)
         wall = str(time.monotonic_ns() - t0) if config.record_wall else ""
         rows.append([str(s.iter), _fmt_float(p_x), _fmt_float(grad_p),
                      _fmt_float(m_ci), _fmt_float(s.m_x_norm),
                      _fmt_float(s.m_y_norm), "1" if s.clipped_x else "0",
                      "1" if s.clipped_y else "0", wall])
-    return rows, {"final_x": x_i, "final_y": y_i}
+    return rows, {"final_x": x_i, "final_y": stepped.lift_y(y_i)}
 
 
 def final_p(config: ExperimentConfig, problem: MinimaxProblem,

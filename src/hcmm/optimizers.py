@@ -153,6 +153,12 @@ def hcmm_momentum_update(prev_m: Vec, js: JointSchedule, grad_sample: Vec,
     return m
 
 
+def samples_per_run(kind: OptimizerKind, T: int) -> int:
+    """How many samples a run of T steps draws: two per SAGDA step; one per
+    step plus the initial momentum's for the others."""
+    return 2 * T if isinstance(kind, Sagda) else T + 1
+
+
 def sample_stream(problem: MinimaxProblem,
                   rng: np.random.Generator) -> Iterator[SampleId]:
     """The samples of `problem` from rng, endlessly, drawn SAMPLE_BLOCK at a

@@ -13,7 +13,7 @@ the analytic code paths it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class MinimaxProblem:
     def full_gradient(self, z: Vec) -> Vec:
         raise NotImplementedError
 
+    def grad_x(self, z: Vec) -> Vec:
+        """The exact x-gradient grad_x J(z)."""
+        return self.full_gradient(z)[:self.dim_x]
+
     def objective(self, x: Vec, y: Vec) -> float:
         raise NotImplementedError
 
@@ -73,6 +77,18 @@ class MinimaxProblem:
         """Project y onto the feasible set in place and return y itself;
         `step` passes a view into the new iterate and rejects any other
         return value."""
+        return y
+
+    # -- the problem a run steps on ----------------------------------------
+    def restrict(self, samples: Iterable[SampleId],
+                 y0: Vec) -> Tuple["MinimaxProblem", Vec]:
+        """(problem, y0) for a run that draws `samples` (lazily: the
+        identity restriction here never reads them). A problem may return
+        one that steps on a shorter y; `lift_y` maps its y back."""
+        return self, y0
+
+    def lift_y(self, y: Vec) -> Vec:
+        """A y of the problem `restrict` returned, on this problem."""
         return y
 
     # -- closed-form inner max ---------------------------------------------
@@ -115,7 +131,6 @@ def metric_ci(problem: MinimaxProblem, z: Vec, m_x_clipped: Vec,
 
     Upper-bounds ||grad P(x)|| = ||grad_x J(x, y*(x))|| (Danskin).
     """
-    d = problem.dim_x
-    gx = problem.full_gradient(z)[:d]
-    return (problem.lipschitz_L_f * norm2(y_star - z[d:])
+    gx = problem.grad_x(z)
+    return (problem.lipschitz_L_f * norm2(y_star - z[problem.dim_x:])
             + norm2(gx - m_x_clipped) + norm2(m_x_clipped))

@@ -8,7 +8,8 @@ oracle.py); x and y are views into z.
   the simplex weights y. Single-sample stochastic model: drawing row i gives
   the surrogate Q(x, y; i) = n*y_i*Q_i(x) - V(y) + g(x), which is unbiased
   for the full objective under uniform i. The inner max is a simplex
-  projection in closed form.
+  projection in closed form. A run steps on the restriction to the rows it
+  draws, with one pooled y coordinate for the rest (`restrict`).
 - QuadraticMinimaxProblem: strongly concave quadratic testbed with closed
   forms for the inner max, P(x) and grad P(x); optional additive Gaussian
   gradient noise, where the noise draw itself is the sample; its oracles
@@ -20,7 +21,9 @@ oracle.py); x and y are views into z.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import copy
+import math
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,7 +49,17 @@ class RobustLogisticProblem(MinimaxProblem):
     -0.5 lambda1 n^2 ||y - (1/n + q(x) / (lambda1 n^2))||^2 plus terms free
     of y, with q_i = Q_i(x); its maximizer over the simplex is the projection
     of that centre.
+
+    `restrict` gives the instance a run steps on: the same class, so the
+    same oracle code, holding only the rows the run draws. On the full
+    problem `rows` is None and `pooled` is 0.
     """
+
+    rows: Optional[np.ndarray] = None   # row ids held, when restricted
+    pooled = 0                          # rows behind the pooled y coordinate
+    # n y - ones is n y - 1 per row; the pooled coordinate's entry is sqrt(w)
+    _ones = 1.0
+    _local: Optional[np.ndarray] = None  # row id -> position, -1 if not held
 
     def __init__(self, rows: sp.spmatrix, labels: np.ndarray,
                  lambda1: Optional[float] = None, lambda2: float = 0.001,
@@ -83,8 +96,9 @@ class RobustLogisticProblem(MinimaxProblem):
 
     # -- single-row helpers ------------------------------------------------
     def _row(self, i: SampleId) -> Tuple[np.ndarray, np.ndarray]:
-        if not (0 <= i < self.n):
-            raise IndexError(f"sample index {i} out of range [0, {self.n})")
+        held = len(self.labels)
+        if not (0 <= i < held):
+            raise IndexError(f"sample index {i} out of range [0, {held})")
         s, e = self.X.indptr[i], self.X.indptr[i + 1]
         return self.X.indices[s:e], self.X.data[s:e]
 
@@ -109,12 +123,64 @@ class RobustLogisticProblem(MinimaxProblem):
         return 2.0 * self.lambda2 * self.rho * (1.0 - 3.0 * rx2) / (1.0 + rx2) ** 3
 
     def _v_value(self, y: Vec) -> float:
-        return 0.5 * self.lambda1 * float(np.sum((self.n * y - 1.0) ** 2))
+        return 0.5 * self.lambda1 * float(np.sum((self.n * y - self._ones) ** 2))
 
     def _v_grad(self, y: Vec) -> Vec:
-        return self.lambda1 * self.n * (self.n * y - 1.0)
+        return self.lambda1 * self.n * (self.n * y - self._ones)
+
+    def _all_rows(self, what: str) -> None:
+        if self.rows is not None:
+            raise NotImplementedError(
+                f"{what} needs every row; this restriction holds "
+                f"{self.rows.size} of {self.n}")
+
+    # -- restriction to the rows a run draws --------------------------------
+    def restrict(self, samples: Iterable[SampleId],
+                 y0: Vec) -> Tuple["RobustLogisticProblem", Vec]:
+        """This problem on the rows in `samples`, and y0 on it.
+
+        Every y-side operation of the four optimizers works entry by entry,
+        except the bump at the sampled row. So the w rows a run never draws
+        keep one common value c for the whole run when they start with one.
+        The restriction holds one y coordinate per drawn row, in row order,
+        and one pooled coordinate sqrt(w) c last. That keeps ||y||, so the
+        HCMM-2 normalisation and HCMM-1's clipping see full-length norms;
+        the pooled coordinate's gradient constant is sqrt(w) (`_ones`) and
+        `project_y` weighs it w times. X and labels hold the drawn rows;
+        n and n_samples stay the full count. `draw_samples` maps row ids to
+        positions, so a run draws the same rows, and an undrawn row fails
+        in `_row`. Oracles that need every row raise.
+
+        Returns (self, y0) when every row is drawn or y0 differs on the
+        undrawn rows.
+        """
+        rows = np.unique(np.fromiter(samples, dtype=np.int64))
+        held = np.zeros(self.n, dtype=bool)
+        held[rows] = True
+        rest = y0[~held]
+        if rest.size == 0 or np.any(rest != rest[0]):
+            return self, y0
+        r = math.sqrt(rest.size)
+        sub = copy.copy(self)
+        sub.X, sub.labels = self.X[rows], self.labels[rows]
+        sub.rows, sub.pooled, sub.dim_y = rows, rest.size, rows.size + 1
+        sub._ones = np.append(np.ones(rows.size), r)
+        sub._local = np.full(self.n, -1)
+        sub._local[rows] = np.arange(rows.size)
+        return sub, np.append(y0[rows], r * rest[0])
+
+    def lift_y(self, y: Vec) -> Vec:
+        if self.rows is None:
+            return y
+        full = np.full(self.n, y[-1] / math.sqrt(self.pooled))
+        full[self.rows] = y[:-1]
+        return full
 
     # -- oracle interface --------------------------------------------------
+    def draw_samples(self, rng: np.random.Generator, k: int) -> Sequence[SampleId]:
+        rows = super().draw_samples(rng, k)
+        return rows if self._local is None else self._local[rows].tolist()
+
     def sample_loss(self, x: Vec, y: Vec, xi: SampleId) -> float:
         t = self._margin(xi, x)
         return (self.n * y[xi] * float(self._q_of_margin(t)) - self._v_value(y)
@@ -165,18 +231,27 @@ class RobustLogisticProblem(MinimaxProblem):
         return np.asarray(self.X.T @ coef).ravel() + self._g_grad(x)
 
     def full_gradient(self, z: Vec) -> Vec:
+        self._all_rows("full_gradient")
         x, y = z[:self.d], z[self.d:]
         t = self._margins(x)
         return np.concatenate((self._grad_x_at(t, x, y),
                                self._q_of_margin(t) - self._v_grad(y)))
 
+    def grad_x(self, z: Vec) -> Vec:
+        # full_gradient's x block, without its y block
+        self._all_rows("grad_x")
+        x, y = z[:self.d], z[self.d:]
+        return self._grad_x_at(self._margins(x), x, y)
+
     def objective(self, x: Vec, y: Vec) -> float:
+        self._all_rows("objective")
         return self._objective_at(self._q_of_margin(self._margins(x)), x, y)
 
     def project_y(self, y: Vec) -> Vec:
-        return project_simplex(y, out=y)
+        return project_simplex(y, out=y, pooled=self.pooled)
 
     def inner_max(self, x: Vec) -> InnerMaxReport:
+        self._all_rows("inner_max")
         # one margin vector serves y*, P(x) = J(x, y*) and, by Danskin (the
         # maximizer is unique), grad P(x) = grad_x J(x, y*)
         t = self._margins(x)
@@ -242,7 +317,8 @@ class QuadraticMinimaxProblem(_AdditiveNoise):
         self.dim_x, self.dim_y = B.shape
         self.M = _joint_hessian(A, B, -nu * np.eye(self.dim_y))
         self.lipschitz_L_f = float(np.linalg.norm(self.M, 2))
-        self._p_hessian = A + B @ B.T / nu
+        # P(x) = 0.5 x' p_hessian x
+        self.p_hessian = A + B @ B.T / nu
 
     @classmethod
     def random(cls, d: int, m: int, nu: float, noise_sigma: float, seed: int,
@@ -270,11 +346,11 @@ class QuadraticMinimaxProblem(_AdditiveNoise):
 
     def inner_max(self, x: Vec) -> InnerMaxReport:
         return InnerMaxReport(self.B.T @ x / self.nu,
-                              float(0.5 * x @ self._p_hessian @ x),
+                              float(0.5 * x @ self.p_hessian @ x),
                               self.grad_p(x))
 
     def grad_p(self, x: Vec) -> Vec:
-        return self._p_hessian @ x
+        return self.p_hessian @ x
 
 
 class PlToyProblem(_AdditiveNoise):
@@ -312,7 +388,7 @@ class PlToyProblem(_AdditiveNoise):
         self.dim_x, self.dim_y = B.shape
         self.M = _joint_hessian(A, B, -C)
         self.lipschitz_L_f = float(np.linalg.norm(self.M, 2))
-        self._p_hessian = A + B @ self.C_pinv @ B.T
+        self.p_hessian = A + B @ self.C_pinv @ B.T
 
     def sample_gradient(self, z: Vec, xi: SampleId) -> Vec:
         return self._add_noise(self.M @ z, xi)
@@ -328,8 +404,8 @@ class PlToyProblem(_AdditiveNoise):
 
     def inner_max(self, x: Vec) -> InnerMaxReport:
         return InnerMaxReport(self.C_pinv @ (self.B.T @ x),
-                              float(0.5 * x @ self._p_hessian @ x),
+                              float(0.5 * x @ self.p_hessian @ x),
                               self.grad_p(x))
 
     def grad_p(self, x: Vec) -> Vec:
-        return self._p_hessian @ x
+        return self.p_hessian @ x

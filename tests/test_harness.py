@@ -13,7 +13,7 @@ from hcmm.harness import (TRACE_COLUMNS, build_config, build_problem,
                           optimizer_label, parse_config_text, rate_study,
                           read_config, read_trace, run_experiment, run_single)
 from hcmm.optimizers import Hcmm1, Sagda, iterate_steps
-from hcmm.oracle import evaluate_P
+from hcmm.oracle import MinimaxProblem, evaluate_P
 from hcmm import cli
 
 from conftest import write_libsvm
@@ -320,6 +320,101 @@ class TestDatasetReuse:
         assert len(loads) == 3
 
 
+def full_y_run(monkeypatch):
+    """Make robust-logistic runs step on the full y block, and metric_ci
+    take its x-gradient from full_gradient: the code path of a run before
+    runs stepped on the rows they draw."""
+    cls = hcmm.problems.RobustLogisticProblem
+    monkeypatch.setattr(cls, "restrict", MinimaxProblem.restrict)
+    monkeypatch.setattr(cls, "grad_x", MinimaxProblem.grad_x)
+
+
+def spy_restrictions(monkeypatch):
+    """Record the problem each run steps on."""
+    stepped = []
+    restrict = hcmm.problems.RobustLogisticProblem.restrict
+
+    def spy(self, samples, y0):
+        result = restrict(self, samples, y0)
+        stepped.append(result[0])
+        return result
+
+    monkeypatch.setattr(hcmm.problems.RobustLogisticProblem, "restrict", spy)
+    return stepped
+
+
+class TestRestrictedRun:
+    """Runs step on the rows they draw (RobustLogisticProblem.restrict)."""
+
+    def mapping(self, path, out_dir, optimizer, T):
+        return {"problem.kind": "robust_logistic",
+                "problem.dataset_path": str(path),
+                "optimizer.kind": optimizer, "schedule.kind": "explicit",
+                "schedule.mu_x": "0.01", "schedule.mu_y": "0.0001",
+                "schedule.beta_x": "0.1", "schedule.beta_y": "0.1",
+                "schedule.N": "10", "schedule.N1": "10",
+                "run.T": str(T), "run.seeds": "2", "run.eval_every": "10",
+                "run.output_dir": str(out_dir)}
+
+    @pytest.mark.parametrize("optimizer", ["hcmm1", "hcmm2", "storm_gda",
+                                           "sagda"])
+    def test_matches_full_y_run(self, tmp_path, monkeypatch, optimizer):
+        path = logistic_file(tmp_path / "a.svm", n=1500, seed=3)
+        config = build_config(self.mapping(path, tmp_path, optimizer, 120))
+        problem, x0, y0 = build_problem(config)
+        schedule = build_schedule(config)
+        rows, info = run_single(config, 2, problem, x0, y0, schedule)
+        with monkeypatch.context() as m:
+            full_y_run(m)
+            want_rows, want = run_single(config, 2, problem, x0, y0, schedule)
+        assert len(rows) == len(want_rows) == 120
+        numeric = [c not in ("iter", "clipped_x", "clipped_y", "wall_ns")
+                   for c in TRACE_COLUMNS]
+        for got_row, want_row in zip(rows, want_rows):
+            for is_number, got, expect in zip(numeric, got_row, want_row):
+                if is_number and expect:
+                    assert float(got) == pytest.approx(float(expect),
+                                                       rel=1e-12)
+                else:
+                    assert got == expect
+        np.testing.assert_allclose(info["final_x"], want["final_x"],
+                                   rtol=1e-12, atol=1e-15)
+        y = info["final_y"]
+        assert y.shape == (1500,)
+        assert np.all(y >= 0.0) and abs(y.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(y, want["final_y"], rtol=1e-12,
+                                   atol=1e-15)
+
+    def test_steps_on_drawn_rows(self, tmp_path, monkeypatch):
+        path = logistic_file(tmp_path / "a.svm", n=1500, seed=3)
+        stepped = spy_restrictions(monkeypatch)
+        run_experiment(build_config(self.mapping(path, tmp_path, "sagda", 50)))
+        # SAGDA draws 100 samples: at most 100 rows plus the pooled one
+        (sub,) = stepped
+        assert sub.dim_y <= 101 and sub.pooled == 1500 - sub.rows.size
+
+    def test_every_row_drawn_writes_identical_files(self, tmp_path,
+                                                    monkeypatch):
+        # 40 rows and 301 or more draws: every row is drawn, so the run
+        # steps on the problem itself and every byte is as before
+        path = logistic_file(tmp_path / "tiny.svm", n=40)
+        for optimizer in ("hcmm1", "hcmm2", "storm_gda", "sagda"):
+            written = []
+            for out, full in (("a", False), ("b", True)):
+                with monkeypatch.context() as m:
+                    if full:
+                        full_y_run(m)
+                    else:
+                        stepped = spy_restrictions(m)
+                    run_experiment(build_config(self.mapping(
+                        path, tmp_path / out, optimizer, 300)))
+                written.append(sorted(
+                    (f.name, f.read_bytes())
+                    for f in (tmp_path / out).glob(f"*_{optimizer}*.csv")))
+            assert [s.rows for s in stepped] == [None]
+            assert len(written[0]) == 2 and written[0] == written[1]
+
+
 class TestInnerMaxOnce:
     def test_evaluate_p_on_logistic(self, tmp_path):
         path = logistic_file(tmp_path / "a.svm", n=30, seed=4)
@@ -555,8 +650,25 @@ class TestCli:
         assert "config ok" in captured.out
         assert captured.err.splitlines() == [
             f"warning: unknown key {key} (ignored)"
-            for key in ("grid.bogus", "problem.lamda2", "run.x0")]
+            for key in ("grid.bogus", "problem.lamda2", "run.x0")] + [
+            "warning: P(x) is unbounded below: its Hessian A + BB'/nu has "
+            "eigenvalue -0.467 < 0 (problem.spectrum = -0.5,0.5)"]
         assert cli.main(["run", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_validate_warns_when_p_unbounded(self, tmp_path, capsys):
+        # the default spectrum -0.5,0.5 leaves A + BB'/nu indefinite here
+        # (smallest eigenvalue -0.467); a bounded one does not warn, and
+        # neither does `run`
+        assert cli.main(["validate", "--config", self.write_cfg(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "config ok" in captured.out
+        assert captured.err.startswith("warning: P(x) is unbounded below")
+        assert "-0.467" in captured.err
+        bounded = self.write_cfg(tmp_path, "problem.spectrum = 0.5,1.0\n")
+        assert cli.main(["validate", "--config", bounded]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main(["run", "--config", self.write_cfg(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),

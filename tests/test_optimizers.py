@@ -7,7 +7,8 @@ import pytest
 from hcmm.core import HyperSchedule, clip_momentum
 from hcmm.optimizers import (SAMPLE_BLOCK, Hcmm1, Hcmm2, JointSchedule, Sagda,
                              StepState, StormGda, hcmm_momentum_update,
-                             iterate_steps, sample_stream, step)
+                             iterate_steps, sample_stream, samples_per_run,
+                             step)
 from hcmm.problems import QuadraticMinimaxProblem
 
 from conftest import join, make_logistic, make_quadratic
@@ -398,6 +399,8 @@ class TestRunDiscipline:
             list(iterate_steps(kind, counter, sched, x0, y0, T, 0))
             init_draws = 0 if isinstance(kind, Sagda) else 1
             assert counter.draws == init_draws + expected_draws * T
+            # the count a restriction to the drawn rows is built from
+            assert counter.draws == samples_per_run(kind, T)
 
     def test_y_feasible_on_simplex_problem(self):
         p = make_logistic(n=8, d=4)

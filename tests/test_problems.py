@@ -392,6 +392,15 @@ class TestJointOracles:
             assert p.sample_hvp(z, i, join(dx, dy)).tobytes() \
                 == join(hx, hy).tobytes()
 
+    @pytest.mark.parametrize("make", [lambda: make_logistic(n=30, d=5),
+                                      lambda: noisy_quadratic(0.4),
+                                      lambda: noisy_pl_toy(0.4)])
+    def test_grad_x_is_the_full_gradient_x_block(self, make):
+        # metric_ci reads grad_x; robust logistic skips the y block
+        p = make()
+        z = np.random.default_rng(6).uniform(0.0, 1.0, p.dim_x + p.dim_y)
+        assert p.grad_x(z).tobytes() == p.full_gradient(z)[:p.dim_x].tobytes()
+
     @pytest.mark.parametrize("cls", [RobustLogisticProblem,
                                      QuadraticMinimaxProblem, PlToyProblem])
     def test_oracles_in_own_class_body(self, cls):
@@ -414,3 +423,105 @@ class TestJointOracles:
             np.testing.assert_array_equal(y, project_simplex(y0))
         else:
             np.testing.assert_array_equal(y, y0)
+
+
+class TestRestriction:
+    """A robust-logistic problem restricted to the rows a run draws, with
+    one pooled y coordinate sqrt(w) c for the w undrawn rows of value c."""
+
+    SAMPLES = [3, 17, 3, 25, 8, 17]
+
+    def restricted(self, n=40, d=6):
+        p = make_logistic(n=n, d=d, seed=2)
+        sub, y0 = p.restrict(iter(self.SAMPLES), np.full(n, 1.0 / n))
+        return p, sub, y0
+
+    def lifted(self, p, sub, z):
+        """The full-problem joint vector for a restricted one."""
+        return np.concatenate((z[:p.d], sub.lift_y(z[p.d:])))
+
+    def test_layout(self):
+        p, sub, y0 = self.restricted()
+        assert isinstance(sub, RobustLogisticProblem) and sub is not p
+        np.testing.assert_array_equal(sub.rows, [3, 8, 17, 25])
+        assert (sub.pooled, sub.dim_y, sub.n, sub.n_samples) == (36, 5, 40, 40)
+        np.testing.assert_array_equal(y0[:4], np.full(4, 1.0 / 40))
+        assert y0[-1] == 6.0 * (1.0 / 40)
+        full_y = sub.lift_y(y0)
+        assert full_y.shape == (40,)
+        assert np.linalg.norm(full_y) == pytest.approx(np.linalg.norm(y0),
+                                                       rel=1e-15)
+        np.testing.assert_allclose(full_y, 1.0 / 40, rtol=1e-15)
+
+    def test_oracles_match_full_problem(self):
+        # every block of the restricted oracles is the full problem's at
+        # the lifted iterate: the drawn rows as they are, the undrawn rows
+        # as one entry times sqrt(w)
+        p, sub, _ = self.restricted()
+        undrawn = np.setdiff1d(np.arange(p.n), sub.rows)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            z = np.concatenate((rng.standard_normal(p.d),
+                                rng.dirichlet(np.ones(sub.dim_y))))
+            dz = rng.standard_normal(z.size)
+            full_z, full_dz = self.lifted(p, sub, z), self.lifted(p, sub, dz)
+            for local, row in enumerate(sub.rows):
+                for got, want in ((sub.sample_gradient(z, local),
+                                   p.sample_gradient(full_z, row)),
+                                  (sub.sample_hvp(z, local, dz),
+                                   p.sample_hvp(full_z, row, full_dz))):
+                    wy = want[p.d:]
+                    np.testing.assert_allclose(wy[undrawn], wy[undrawn[0]],
+                                               rtol=1e-15)
+                    expect = np.concatenate((want[:p.d], wy[sub.rows],
+                                             [6.0 * wy[undrawn[0]]]))
+                    np.testing.assert_allclose(got, expect, rtol=1e-13,
+                                               atol=1e-13 * np.abs(expect).max())
+                    assert sub.sample_loss(z[:p.d], z[p.d:], local) \
+                        == pytest.approx(p.sample_loss(full_z[:p.d],
+                                                       full_z[p.d:], row),
+                                         rel=1e-13)
+
+    def test_projection_matches_full_problem(self):
+        p, sub, _ = self.restricted()
+        rng = np.random.default_rng(7)
+        for scale in (1e-3, 0.1, 3.0):
+            y = 1.0 / 40 + scale * rng.standard_normal(sub.dim_y)
+            want = project_simplex(sub.lift_y(y))
+            got = sub.project_y(y)
+            np.testing.assert_allclose(sub.lift_y(got), want, rtol=0,
+                                       atol=1e-15)
+
+    def test_draws_map_rows_to_positions(self):
+        p, sub, _ = self.restricted()
+        rows = p.draw_samples(np.random.default_rng(9), 50)
+        local = sub.draw_samples(np.random.default_rng(9), 50)
+        position = {row: j for j, row in enumerate(sub.rows.tolist())}
+        assert local == [position.get(row, -1) for row in rows]
+        assert -1 in local
+        z = np.zeros(p.d + sub.dim_y)
+        # an undrawn row, and a position past the held rows, fail in _row
+        for bad in (-1, sub.dim_y - 1):
+            with pytest.raises(IndexError, match="out of range"):
+                sub.sample_gradient(z, bad)
+
+    def test_oracles_needing_every_row_raise(self):
+        # they would otherwise answer from the drawn rows alone
+        p, sub, y0 = self.restricted()
+        x = np.full(p.d, 0.1)
+        z = np.concatenate((x, y0))
+        for call in (lambda: sub.full_gradient(z), lambda: sub.grad_x(z),
+                     lambda: sub.objective(x, y0),
+                     lambda: sub.inner_max(x)):
+            with pytest.raises(NotImplementedError, match="every row"):
+                call()
+
+    def test_identity_when_all_drawn_or_undrawn_rows_differ(self):
+        p = make_logistic(n=10, d=4)
+        y0 = np.full(10, 0.1)
+        got, got_y = p.restrict(iter(range(10)), y0)
+        assert got is p and got_y is y0
+        uneven = np.linspace(0.0, 0.2, 10)
+        got, got_y = p.restrict(iter([1, 2]), uneven)
+        assert got is p and got_y is uneven
+        assert p.lift_y(y0) is y0

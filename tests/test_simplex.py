@@ -172,3 +172,73 @@ class TestAgainstSort:
         self.assert_matches_sort(factorial_input(hcmm.simplex.MAX_PASSES))
         self.assert_matches_sort(np.random.default_rng(0).uniform(-1, 1, 500))
         assert calls == []
+
+
+def pooled_lifted(v, w):
+    """v with its last entry p written out as w entries p / sqrt(w)."""
+    return np.concatenate((v[:-1], np.full(w, v[-1] / math.sqrt(w))))
+
+
+class TestPooled:
+    """project_simplex(v, pooled=w) against the plain projection of the
+    vector with the pooled rows written out."""
+
+    def assert_matches_lifted(self, v, w):
+        got = project_simplex(v.copy(), pooled=w)
+        want = project_simplex(pooled_lifted(v, w))
+        # the written-out rows stay equal, so they lift back exactly
+        assert np.all(want[v.size - 1:] == want[-1])
+        np.testing.assert_allclose(pooled_lifted(got, w), want, rtol=0,
+                                   atol=1e-15)
+        in_place = v.copy()
+        assert project_simplex(in_place, out=in_place, pooled=w) is in_place
+        assert in_place.tobytes() == got.tobytes()
+        return got
+
+    @pytest.mark.parametrize("n, w", [(5, 1), (40, 460), (600, 49400)])
+    def test_pooled_entry_in_and_out_of_support(self, n, w):
+        rng = np.random.default_rng(n)
+        for c, spread in ((1.0 / (n + w), 1e-3 / (n + w)),   # all in
+                          (1.0 / (n + w), 0.5),              # pooled out
+                          (0.2, 1.0)):
+            v = np.append(c + spread * rng.standard_normal(n - 1),
+                          math.sqrt(w) * c)
+            got = self.assert_matches_lifted(v, w)
+            if spread < c:
+                assert got[-1] > 0.0
+        # the pooled rows alone hold the mass, or none of it
+        v = np.append(np.full(n - 1, -5.0), math.sqrt(w))
+        assert self.assert_matches_lifted(v, w)[-1] > 0.0
+        v = np.append(np.full(n - 1, 0.5), -math.sqrt(w))
+        assert self.assert_matches_lifted(v, w)[-1] == 0.0
+
+    @pytest.mark.parametrize("n, w", [(1, 7), (3, 1), (500, 49500)])
+    @pytest.mark.parametrize("value", [-7.0, 0.0, 1e-3, 2.5])
+    def test_all_equal(self, n, w, value):
+        v = np.append(np.full(n - 1, value), math.sqrt(w) * value)
+        got = self.assert_matches_lifted(v, w)
+        np.testing.assert_allclose(pooled_lifted(got, w), 1.0 / (n - 1 + w),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("huge", [2e16, 1e17])
+    def test_lost_threshold_rejected(self, huge):
+        v = np.random.default_rng(2).uniform(-1, 1, 50)
+        v[7] = huge
+        for u, w in ((v, 30), (np.array([0.0, 0.0, 2.0 * huge]), 4)):
+            with pytest.raises(ValueError, match="lost to rounding"):
+                project_simplex(u, pooled=w)
+
+    def test_fallback_past_the_pass_cap(self, monkeypatch):
+        calls = []
+        sort_threshold = hcmm.simplex.sort_threshold
+        monkeypatch.setattr(hcmm.simplex, "sort_threshold",
+                            lambda u: calls.append(u.copy()) or sort_threshold(u))
+        # the pooled rows (-0.5 / 3 each) are still candidates when the
+        # pass cap hands over to the sort, which sees them written out
+        v = np.append(factorial_input(100), -0.5)
+        got = project_simplex(v.copy(), pooled=9)
+        want = project_simplex_sort(pooled_lifted(v, 9))
+        np.testing.assert_allclose(pooled_lifted(got, 9), want, rtol=0,
+                                   atol=1e-15)
+        assert len(calls) == 1
+        assert np.all(calls[0][-9:] == -0.5 / 3.0)
