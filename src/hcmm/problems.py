@@ -21,9 +21,8 @@ oracle.py); x and y are views into z.
 
 from __future__ import annotations
 
-import copy
 import math
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +36,14 @@ from .simplex import project_simplex
 # ---------------------------------------------------------------------------
 # robust logistic regression
 # ---------------------------------------------------------------------------
+
+# fewest undrawn rows a restriction pools: each pooled row saves about 13 ns
+# of a step, while the pooled bookkeeping (the set-up, the weighted
+# projection) costs about 7 us a step. Measured on a 2-vCPU VM (Python 3.11,
+# numpy 2.4) at n = 2000 over 500 HCMM-2 steps: pooling 16 rows cost 10 us
+# a step more than the full step, 512 about broke even, 1024 saved 3 us.
+MIN_POOLED = 1024
+
 
 class RobustLogisticProblem(MinimaxProblem):
     """min_x max_{y in simplex}  sum_i y_i Q_i(x) - V(y) + g(x).
@@ -54,12 +61,6 @@ class RobustLogisticProblem(MinimaxProblem):
     same oracle code, holding only the rows the run draws. On the full
     problem `rows` is None and `pooled` is 0.
     """
-
-    rows: Optional[np.ndarray] = None   # row ids held, when restricted
-    pooled = 0                          # rows behind the pooled y coordinate
-    # n y - ones is n y - 1 per row; the pooled coordinate's entry is sqrt(w)
-    _ones = 1.0
-    _local: Optional[np.ndarray] = None  # row id -> position, -1 if not held
 
     def __init__(self, rows: sp.spmatrix, labels: np.ndarray,
                  lambda1: Optional[float] = None, lambda2: float = 0.001,
@@ -89,6 +90,13 @@ class RobustLogisticProblem(MinimaxProblem):
         self.dim_x = d
         self.dim_y = n
         self.n_samples = n
+        # set by `restrict`: the row ids held, the rows behind the pooled y
+        # coordinate, n y - ones (1 per row, sqrt(w) at the pooled
+        # coordinate) and row id -> position (-1 if not held)
+        self.rows: Optional[np.ndarray] = None
+        self.pooled = 0
+        self._ones: Union[float, np.ndarray] = 1.0
+        self._local: Optional[np.ndarray] = None
         # crude analytic bound on the joint-gradient Lipschitz constant
         rmax = float(np.sqrt(X.power(2).sum(axis=1).max()))
         self.lipschitz_L_f = (n * rmax ** 2 / 4.0 + 2.0 * self.lambda2 * self.rho
@@ -151,18 +159,24 @@ class RobustLogisticProblem(MinimaxProblem):
         positions, so a run draws the same rows, and an undrawn row fails
         in `_row`. Oracles that need every row raise.
 
-        Returns (self, y0) when every row is drawn or y0 differs on the
-        undrawn rows.
+        Returns (self, y0) when fewer than MIN_POOLED rows go undrawn (the
+        pooling would cost more than it saves) or y0 differs on the undrawn
+        rows.
         """
         rows = np.unique(np.fromiter(samples, dtype=np.int64))
         held = np.zeros(self.n, dtype=bool)
         held[rows] = True
         rest = y0[~held]
-        if rest.size == 0 or np.any(rest != rest[0]):
+        if rest.size < MIN_POOLED or np.any(rest != rest[0]):
             return self, y0
         r = math.sqrt(rest.size)
-        sub = copy.copy(self)
-        sub.X, sub.labels = self.X[rows], self.labels[rows]
+        # built by __init__, not copied: a copied instance keeps its
+        # attributes in a plain dict, which makes every attribute read in
+        # the oracles slower
+        sub = RobustLogisticProblem(self.X[rows], self.labels[rows],
+                                    self.lambda1, self.lambda2, self.rho)
+        sub.n = sub.n_samples = self.n
+        sub.lipschitz_L_f = self.lipschitz_L_f
         sub.rows, sub.pooled, sub.dim_y = rows, rest.size, rows.size + 1
         sub._ones = np.append(np.ones(rows.size), r)
         sub._local = np.full(self.n, -1)

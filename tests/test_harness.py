@@ -359,14 +359,19 @@ class TestRestrictedRun:
     @pytest.mark.parametrize("optimizer", ["hcmm1", "hcmm2", "storm_gda",
                                            "sagda"])
     def test_matches_full_y_run(self, tmp_path, monkeypatch, optimizer):
-        path = logistic_file(tmp_path / "a.svm", n=1500, seed=3)
+        path = logistic_file(tmp_path / "a.svm", n=2000, seed=3)
         config = build_config(self.mapping(path, tmp_path, optimizer, 120))
         problem, x0, y0 = build_problem(config)
         schedule = build_schedule(config)
-        rows, info = run_single(config, 2, problem, x0, y0, schedule)
+        with monkeypatch.context() as m:
+            stepped = spy_restrictions(m)
+            rows, info = run_single(config, 2, problem, x0, y0, schedule)
         with monkeypatch.context() as m:
             full_y_run(m)
             want_rows, want = run_single(config, 2, problem, x0, y0, schedule)
+        # at most 240 rows drawn (SAGDA) of 2000, plus the pooled one
+        (sub,) = stepped
+        assert sub.dim_y <= 241 and sub.pooled == 2000 - sub.rows.size
         assert len(rows) == len(want_rows) == 120
         numeric = [c not in ("iter", "clipped_x", "clipped_y", "wall_ns")
                    for c in TRACE_COLUMNS]
@@ -380,23 +385,16 @@ class TestRestrictedRun:
         np.testing.assert_allclose(info["final_x"], want["final_x"],
                                    rtol=1e-12, atol=1e-15)
         y = info["final_y"]
-        assert y.shape == (1500,)
+        assert y.shape == (2000,)
         assert np.all(y >= 0.0) and abs(y.sum() - 1.0) <= 1e-12
         np.testing.assert_allclose(y, want["final_y"], rtol=1e-12,
                                    atol=1e-15)
 
-    def test_steps_on_drawn_rows(self, tmp_path, monkeypatch):
-        path = logistic_file(tmp_path / "a.svm", n=1500, seed=3)
-        stepped = spy_restrictions(monkeypatch)
-        run_experiment(build_config(self.mapping(path, tmp_path, "sagda", 50)))
-        # SAGDA draws 100 samples: at most 100 rows plus the pooled one
-        (sub,) = stepped
-        assert sub.dim_y <= 101 and sub.pooled == 1500 - sub.rows.size
-
-    def test_every_row_drawn_writes_identical_files(self, tmp_path,
+    def test_few_undrawn_rows_write_identical_files(self, tmp_path,
                                                     monkeypatch):
-        # 40 rows and 301 or more draws: every row is drawn, so the run
-        # steps on the problem itself and every byte is as before
+        # 40 rows and 301 or more draws: every row is drawn, and fewer than
+        # MIN_POOLED go undrawn in any case, so the run steps on the
+        # problem itself and every byte is as before
         path = logistic_file(tmp_path / "tiny.svm", n=40)
         for optimizer in ("hcmm1", "hcmm2", "storm_gda", "sagda"):
             written = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hcmm.problems
 from hcmm.problems import (PlToyProblem, QuadraticMinimaxProblem,
                            RobustLogisticProblem)
 from hcmm.simplex import project_simplex
@@ -431,6 +432,11 @@ class TestRestriction:
 
     SAMPLES = [3, 17, 3, 25, 8, 17]
 
+    @pytest.fixture(autouse=True)
+    def pool_any_rows(self, monkeypatch):
+        # these problems have tens of rows, too few to pool by default
+        monkeypatch.setattr(hcmm.problems, "MIN_POOLED", 1)
+
     def restricted(self, n=40, d=6):
         p = make_logistic(n=n, d=d, seed=2)
         sub, y0 = p.restrict(iter(self.SAMPLES), np.full(n, 1.0 / n))
@@ -516,11 +522,15 @@ class TestRestriction:
             with pytest.raises(NotImplementedError, match="every row"):
                 call()
 
-    def test_identity_when_all_drawn_or_undrawn_rows_differ(self):
+    def test_identity_when_few_undrawn_or_undrawn_rows_differ(
+            self, monkeypatch):
+        monkeypatch.setattr(hcmm.problems, "MIN_POOLED", 3)
         p = make_logistic(n=10, d=4)
         y0 = np.full(10, 0.1)
-        got, got_y = p.restrict(iter(range(10)), y0)
-        assert got is p and got_y is y0
+        for drawn in (10, 8):        # 0 and 2 rows undrawn, fewer than 3
+            got, got_y = p.restrict(iter(range(drawn)), y0)
+            assert got is p and got_y is y0
+        assert p.restrict(iter(range(7)), y0)[0].pooled == 3
         uneven = np.linspace(0.0, 0.2, 10)
         got, got_y = p.restrict(iter([1, 2]), uneven)
         assert got is p and got_y is uneven
