@@ -302,18 +302,23 @@ def build_problem(config: ExperimentConfig) -> Tuple[MinimaxProblem, np.ndarray,
 
 
 def unbounded_p_warning(config: ExperimentConfig) -> Optional[str]:
-    """Why P is unbounded below on a quadratic config, or None: P(x) =
-    0.5 x'(A + BB'/nu)x, so one negative eigenvalue of A + BB'/nu lets a run
-    (and a grid's best combo) drive P to -inf. Eigenvalues within rounding
-    of 0 do not count."""
-    if config.problem_kind != "quadratic":
+    """Why P is unbounded below on a quadratic or pl_toy config, or None:
+    P(x) = 0.5 x'Hx with H = A + BB'/nu (quadratic) or A + B pinv(C) B'
+    (pl_toy), so one negative eigenvalue of H lets a run (and a grid's best
+    combo) drive P to -inf. Eigenvalues within rounding of 0 do not count."""
+    if config.problem_kind not in ("quadratic", "pl_toy"):
         return None
     eigs = np.linalg.eigvalsh(build_problem(config)[0].p_hessian)
     if eigs[0] >= -1e-12 * np.abs(eigs).max():
         return None
-    return (f"P(x) is unbounded below: its Hessian A + BB'/nu has eigenvalue "
-            f"{eigs[0]:.3g} < 0 (problem.spectrum = "
-            f"{','.join(map(repr, config.problem_params['spectrum']))})")
+    p = config.problem_params
+    hessian, cause = (
+        ("A + BB'/nu",
+         f"problem.spectrum = {','.join(map(repr, p['spectrum']))}")
+        if config.problem_kind == "quadratic" else
+        ("A + B pinv(C) B'", f"problem.seed = {p['seed']}"))
+    return (f"P(x) is unbounded below: its Hessian {hessian} has eigenvalue "
+            f"{eigs[0]:.3g} < 0 ({cause})")
 
 
 def build_schedule(config: ExperimentConfig, T: Optional[int] = None,
@@ -396,8 +401,9 @@ def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
 
 def final_p(config: ExperimentConfig, problem: MinimaxProblem,
             x: np.ndarray, y: np.ndarray) -> float:
-    """P(x) at a run's final x; the inner max is exact, so y is not used."""
-    return evaluate_P(problem, x).p_value
+    """P(x) at a run's final x, without grad P; the inner max is exact, so
+    y is not used."""
+    return problem.p_value(x)
 
 
 def run_experiment(config: ExperimentConfig) -> Dict[str, float]:

@@ -3,6 +3,14 @@
 Grammar per line: `<label> <idx>:<val> <idx>:<val> ...` with 1-based,
 strictly increasing indices; `#` starts a comment; blank lines are skipped.
 Files ending in .gz are decompressed transparently.
+
+`load_dataset` parses CHUNK_BYTES binary chunks, each cut after its last
+newline, with array operations. This fast path takes only the bytes
+`0-9 . e E + - :` and ASCII whitespace, and makes the line parser's checks
+as array checks. Any other byte (a comment, non-ASCII text, `nan`, `inf`,
+hex, `_`) or a failed check sends the whole file to the line parser. So
+accepted files, errors (line and column) and Datasets are the line
+parser's; only the time and the transient memory differ.
 """
 
 from __future__ import annotations
@@ -110,10 +118,8 @@ def _parse_fields(line: str, lineno: int,
     return label, features
 
 
-def _open_text(path: str):
-    if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+def _open(path: str):
+    return gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb")
 
 
 def _read_rows(path: str, parse):
@@ -122,7 +128,7 @@ def _read_rows(path: str, parse):
     indptr = [0]
     indices: List[int] = []
     data: List[float] = []
-    with _open_text(path) as fh:
+    with io.TextIOWrapper(_open(path), encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.split("#", 1)[0].strip():
                 continue
@@ -135,19 +141,87 @@ def _read_rows(path: str, parse):
     return labels, indptr, indices, data
 
 
+CHUNK_BYTES = 1 << 16  # fast-path read size; it bounds the transient memory
+
+# byte -> class on the fast path: whitespace, newline, ':', digit, the other
+# bytes of a float; class 0 sends the file to the line parser
+_NL, _COLON, _DIGIT = 2, 3, 4
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+for _cls, _bytes in enumerate((b" \t\r\v\f", b"\n", b":", b"0123456789",
+                               b".eE+-"), start=1):
+    _BYTE_CLASS[list(_bytes)] = _cls
+
+
+def _parse_chunk(chunk: bytes):
+    """(labels, row lengths, 0-based indices, values) of whole lines, or
+    None if the line parser must read the file. A lone '\r' (a line end
+    there) is a space here, so the label after it fails the ':' check."""
+    cls = _BYTE_CLASS[np.frombuffer(chunk, dtype=np.uint8)]
+    if not cls.all():
+        return None
+    edge = np.diff(np.concatenate(([True], cls <= _NL, [True])).view(np.int8))
+    starts, ends = np.flatnonzero(edge == -1), np.flatnonzero(edge == 1)
+    line = np.searchsorted(np.flatnonzero(cls == _NL), starts)
+    first = np.diff(line, prepend=-1) != 0  # label tokens
+    # one ':' in each feature token and none in a label, with a non-empty
+    # digits-only index before it and a non-empty value after it
+    feat, cpos = np.flatnonzero(~first), np.flatnonzero(cls == _COLON)
+    fstart, nondigits = starts[feat], np.cumsum(cls != _DIGIT)
+    if not (np.array_equal(np.searchsorted(starts, cpos, "right") - 1, feat)
+            and ((cpos > fstart) & (cpos + 1 < ends[feat])
+                 & (nondigits[cpos - 1] == nondigits[fstart - 1])).all()):
+        return None
+    try:  # (numpy reads a blank string as [-1.0])
+        nums = (np.fromstring(chunk.replace(b":", b" "), sep=" ")
+                if starts.size else np.empty(0))
+    except ValueError:  # a token that is no number, or only starts with one
+        return None
+    if nums.size != starts.size + feat.size:
+        return None
+    is_label = np.repeat(first, 2 - first)
+    idx, values = nums[~is_label].reshape(-1, 2).T
+    # indices from 1 to 2^31 - 1, increasing along each row; finiteness is
+    # load_dataset's check on either path
+    prev = np.where(feat[1:] == feat[:-1] + 1, idx[:-1], 0)
+    if not ((idx > np.append(0, prev)) & (idx < 2 ** 31)).all():
+        return None
+    lengths = np.diff(np.append(np.flatnonzero(first), first.size)) - 1
+    return nums[is_label], lengths, (idx - 1).astype(np.int32), values.copy()
+
+
+def _read_chunks(path: str):
+    """`_read_rows`'s (labels, indptr, indices, data) as arrays, through
+    `_parse_chunk`, or None once it declines a chunk."""
+    parts, rest, block = [], b"", b"\n"
+    with _open(path) as fh:
+        while block:  # the last pass parses what follows the last newline
+            block = fh.read(CHUNK_BYTES)
+            buf = rest + block
+            cut = buf.rfind(b"\n") + 1 if block else len(buf)
+            parts.append(_parse_chunk(buf[:cut]))
+            if parts[-1] is None:
+                return None
+            rest = buf[cut:]
+    labels, lengths, indices, data = map(np.concatenate, zip(*parts))
+    return labels, np.concatenate(([0], np.cumsum(lengths))), indices, data
+
+
 def load_dataset(path: str, subsample: Optional[int] = None,
                  seed: int = 0) -> Dataset:
-    """Load a LIBSVM file into a Dataset, reading it once.
+    """Load a LIBSVM file into a Dataset, by the fast path if it accepts
+    the file, else by the line parser.
 
     Labels <= 0 map to -1 and > 0 to +1 (some distributions ship {0, 1}
-    labels). A nan or infinite label or value is a ParseError; only then is
-    the file read again, to locate it. d is the largest feature index in
-    the whole file. With subsample = k (>= 1) and k < n, the rows
-    sorted(default_rng(seed).permutation(n)[:k]) are kept, in file order.
+    labels). A nan or infinite label or value is a ParseError, located by
+    reading the file once more through `parse_line`. d is the largest
+    feature index in the whole file. With subsample = k (>= 1) and k < n,
+    the rows sorted(default_rng(seed).permutation(n)[:k]) are kept, in file
+    order.
     """
     if subsample is not None and subsample < 1:
         raise ValueError(f"subsample must be >= 1, got {subsample}")
-    labels, indptr, indices, data = _read_rows(path, _parse_fields)
+    labels, indptr, indices, data = (_read_chunks(path)
+                                     or _read_rows(path, _parse_fields))
     n = len(labels)
     if not n:
         raise ParseError("no data rows", 1, path=str(path))
@@ -156,10 +230,9 @@ def load_dataset(path: str, subsample: Optional[int] = None,
     if not (np.isfinite(raw_labels).all() and np.isfinite(values).all()):
         _read_rows(path, parse_line)  # raises, located, at the first one
 
-    X = sp.csr_matrix(
-        (values, np.asarray(indices, dtype=np.int32),
-         np.asarray(indptr, dtype=np.int32)),
-        shape=(n, max(indices, default=-1) + 1))
+    indices = np.asarray(indices, dtype=np.int32)
+    X = sp.csr_matrix((values, indices, np.asarray(indptr, dtype=np.int32)),
+                      shape=(n, int(indices.max(initial=-1)) + 1))
     lab = np.where(raw_labels > 0, 1.0, -1.0)
     if subsample is not None and subsample < n:
         keep = sorted(np.random.default_rng(seed).permutation(n)[:subsample].tolist())

@@ -98,6 +98,11 @@ class MinimaxProblem:
     def grad_p(self, x: Vec) -> Vec:
         return self.inner_max(x).grad_p
 
+    def p_value(self, x: Vec) -> float:
+        """P(x) alone: the inner max's value, without grad P where that
+        costs a product of its own."""
+        return self.inner_max(x).p_value
+
 
 def finite_difference_hvp(problem: MinimaxProblem, z: Vec, xi: SampleId,
                           dz: Vec, h: Optional[float] = None) -> Vec:

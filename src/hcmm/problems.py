@@ -264,15 +264,26 @@ class RobustLogisticProblem(MinimaxProblem):
     def project_y(self, y: Vec) -> Vec:
         return project_simplex(y, out=y, pooled=self.pooled)
 
-    def inner_max(self, x: Vec) -> InnerMaxReport:
-        self._all_rows("inner_max")
-        # one margin vector serves y*, P(x) = J(x, y*) and, by Danskin (the
-        # maximizer is unique), grad P(x) = grad_x J(x, y*)
+    def _y_star(self, x: Vec) -> Tuple[np.ndarray, np.ndarray, Vec]:
+        # (margins t, losses q, y*(x)): one margin vector serves y*,
+        # P(x) = J(x, y*) and, by Danskin (the maximizer is unique),
+        # grad P(x) = grad_x J(x, y*)
         t = self._margins(x)
         q = self._q_of_margin(t)
-        y = project_simplex(1.0 / self.n + q / (self.lambda1 * self.n ** 2))
+        return t, q, project_simplex(1.0 / self.n
+                                     + q / (self.lambda1 * self.n ** 2))
+
+    def inner_max(self, x: Vec) -> InnerMaxReport:
+        self._all_rows("inner_max")
+        t, q, y = self._y_star(x)
         return InnerMaxReport(y, self._objective_at(q, x, y),
                               self._grad_x_at(t, x, y))
+
+    def p_value(self, x: Vec) -> float:
+        # inner_max's P(x), without the X' coef product of grad P
+        self._all_rows("p_value")
+        _, q, y = self._y_star(x)
+        return self._objective_at(q, x, y)
 
 
 # ---------------------------------------------------------------------------

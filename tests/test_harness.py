@@ -11,7 +11,8 @@ from hcmm.core import ConfigError
 from hcmm.harness import (TRACE_COLUMNS, build_config, build_problem,
                           build_schedule, emit_plot, grid_search,
                           optimizer_label, parse_config_text, rate_study,
-                          read_config, read_trace, run_experiment, run_single)
+                          read_config, read_trace, run_experiment, run_single,
+                          unbounded_p_warning)
 from hcmm.optimizers import Hcmm1, Sagda, iterate_steps
 from hcmm.oracle import MinimaxProblem, evaluate_P
 from hcmm import cli
@@ -222,6 +223,25 @@ class TestPlToy:
             tmp_path, **{"grid.mu_x": "0.01,0.02"})))
         assert len(board) == 2
         assert best["mu_x"] in (0.01, 0.02)
+
+    def test_default_p_unbounded_warns(self, tmp_path, capsys):
+        # the default pl_toy (problem.seed = 0) has A + B pinv(C) B' with
+        # smallest eigenvalue -0.118: a warning only, the run still goes
+        mapping = {k: v for k, v in self.mapping(tmp_path).items()
+                   if k not in ("problem.d", "problem.m")}
+        assert unbounded_p_warning(build_config(mapping)) == (
+            "P(x) is unbounded below: its Hessian A + B pinv(C) B' has "
+            "eigenvalue -0.118 < 0 (problem.seed = 0)")
+        cfg = tmp_path / "pl.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+        assert cli.main(["validate", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert "config ok" in captured.out
+        assert captured.err == ("warning: " + unbounded_p_warning(
+            build_config(mapping)) + "\n")
+        # a quadratic with a bounded P still gives none
+        assert unbounded_p_warning(build_config(quad_mapping(
+            tmp_path, **{"problem.spectrum": "0.5,1.0"}))) is None
 
 
 def logistic_file(path, n=40, seed=0):

@@ -1,8 +1,11 @@
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hcmm import libsvm
 from hcmm.libsvm import ParseError, load_dataset, parse_line
 
 from conftest import write_libsvm
@@ -161,3 +164,138 @@ class TestLoadDataset:
         p = write_libsvm(tmp_path / "empty.txt", ["# only a comment"])
         with pytest.raises(ParseError, match="no data rows"):
             load_dataset(p)
+
+
+def _outcome(path, line_parser_only, **kw):
+    """load_dataset's Dataset or the exception it raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        if line_parser_only:
+            mp.setattr(libsvm, "_read_chunks", lambda path: None)
+        try:
+            return load_dataset(path, **kw)
+        except (ValueError, OverflowError) as exc:  # UnicodeDecodeError too
+            return exc
+
+
+def assert_same_as_line_parser(path, **kw):
+    """load_dataset gives the line parser's arrays, bit for bit, or raises
+    the same exception with the same message, line and column."""
+    got, want = _outcome(path, False, **kw), _outcome(path, True, **kw)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, ParseError):
+            assert (got.line, got.column) == (want.line, want.column)
+        return
+    assert not isinstance(got, Exception), got
+    assert (got.n, got.d, got.X.shape) == (want.n, want.d, want.X.shape)
+    for a, b in ((got.labels, want.labels), (got.X.data, want.X.data),
+                 (got.X.indices, want.X.indices),
+                 (got.X.indptr, want.X.indptr)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+LABELS = ["+1", "-1", "1", "0", "2.5", "-0.0", "1e0"]
+VALUES = ["1", "0.5", "-1.25", "1e-3", "2.5E+2", ".5", "5.", "+2", "-0", "007",
+          "123456.789"]
+# each sends the file to the line parser: most are errors there, "+3:1" and
+# a comment are not
+MALFORMED = ["1:2:3", ":5", "3:", "1.0:1", "1e0:1", "+3:1", "0:1", "3:nan",
+             "1e999", "3:1e999", "0x1p3", "3:0x1p3", "3:1_0", "3:1.2.3", "3:-",
+             "3:1e", "2147483648:1", "nan", "# comment 1:1", "\u00e9", "\xff"]
+
+
+@st.composite
+def libsvm_files(draw):
+    """(file bytes, whether the fast path must take it) from a token grammar:
+    rows of a label and increasing idx:val tokens, blank lines, comments,
+    malformed tokens, mixed separators and line ends."""
+    lines, clean = [], True
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t \v", "# c"])))
+            clean &= lines[-1] != "# c"
+            continue
+        idx = sorted(draw(st.sets(st.integers(1, 40), max_size=5)))
+        if draw(st.integers(0, 7)) == 0:
+            idx.reverse()  # non-increasing unless it has < 2 entries
+            clean &= len(idx) < 2
+        form = draw(st.sampled_from(["{}", "{:03d}"]))
+        tokens = [draw(st.sampled_from(LABELS))] + [
+            form.format(i) + ":" + draw(st.sampled_from(VALUES)) for i in idx]
+        if draw(st.integers(0, 7)) == 0:
+            tokens.insert(draw(st.integers(0, len(tokens))),
+                          draw(st.sampled_from(MALFORMED)))
+            clean = False
+        lines.append(draw(st.sampled_from(["", " ", "\t"]))
+                     + draw(st.sampled_from([" ", "  ", "\t", " \t"])).join(tokens))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    clean &= "\r" not in ends
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    data = text.encode("utf-8", "surrogateescape").replace(b"\\xff", b"\xff")
+    return data, clean
+
+
+class TestFastPath:
+    """The chunked array parser against the line parser it falls back to."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(libsvm_files(), st.sampled_from([1 << 16, 64, 7]),
+           st.sampled_from([None, 2]))
+    def test_differential(self, tmp_path, case, chunk_bytes, subsample):
+        data, clean = case
+        p = tmp_path / "g.svm"
+        p.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(libsvm, "CHUNK_BYTES", chunk_bytes)
+            if clean:
+                assert libsvm._read_chunks(str(p)) is not None
+            assert_same_as_line_parser(str(p), subsample=subsample)
+
+    @pytest.mark.parametrize("name,text", [
+        ("straddle", "".join(f"{(-1) ** i} {1 + i % 7}:{i}.25 {9 + i % 5}:-1e-3\n"
+                             for i in range(4000))
+         + "+1 " + " ".join(f"{j}:0.5" for j in range(1, 9001)) + "\n-1 3:1\n"),
+        ("no_final_newline", "+1 1:1\n-1 2:0.5"),
+        ("blank_lines", "\n  \n+1 1:1\n\t\n\n-1 2:2 5:1\n \n"),
+        ("label_only_rows", "+1\n-1 3:1\n0\n  2.5  \n"),
+        ("crlf", "+1 1:1\r\n-1 2:1\r\n"),
+    ])
+    def test_fixed_cases(self, tmp_path, name, text):
+        p = tmp_path / f"{name}.svm"
+        p.write_bytes(text.encode())
+        if name == "straddle":
+            assert max(map(len, text.splitlines())) > libsvm.CHUNK_BYTES
+            assert len(text) > 2 * libsvm.CHUNK_BYTES
+        assert libsvm._read_chunks(str(p)) is not None
+        for subsample in (None, 1, 3):
+            assert_same_as_line_parser(str(p), subsample=subsample)
+
+    def test_gzip(self, tmp_path):
+        gz = tmp_path / "data.svm.gz"
+        with gzip.open(gz, "wt") as fh:
+            fh.write("".join(f"{(-1) ** i} {1 + i % 3}:{i}\n" for i in range(9000)))
+        assert libsvm._read_chunks(str(gz)) is not None
+        assert_same_as_line_parser(str(gz))
+        assert_same_as_line_parser(str(gz), subsample=100, seed=4)
+
+    def test_memory_below_line_parser(self, tmp_path):
+        # mushrooms-shaped: 22 one-hot groups over 112 features, 20000 rows
+        rng = np.random.default_rng(0)
+        edges = np.arange(23) * 112 // 22
+        cols = edges[:-1] + (rng.random((20000, 22)) * np.diff(edges)).astype(int)
+        p = write_libsvm(tmp_path / "mush.svm", [
+            ("+1 " if rng.random() < 0.5 else "-1 ")
+            + " ".join(f"{c + 1}:1" for c in row) for row in cols])
+
+        def peak(line_parser_only):
+            tracemalloc.start()
+            try:
+                _outcome(p, line_parser_only)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(False) <= 0.6 * peak(True)

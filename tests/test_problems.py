@@ -402,6 +402,17 @@ class TestJointOracles:
         z = np.random.default_rng(6).uniform(0.0, 1.0, p.dim_x + p.dim_y)
         assert p.grad_x(z).tobytes() == p.full_gradient(z)[:p.dim_x].tobytes()
 
+    @pytest.mark.parametrize("make", [lambda: make_logistic(n=30, d=6),
+                                      lambda: noisy_quadratic(0.0),
+                                      lambda: noisy_pl_toy(0.0)])
+    def test_p_value_is_inner_max_p_bits(self, make, monkeypatch):
+        # final_p reads P alone; robust logistic then skips grad P's X' coef
+        p = make()
+        x = np.random.default_rng(7).standard_normal(p.dim_x)
+        want = p.inner_max(x).p_value
+        monkeypatch.setattr(type(p), "_grad_x_at", None, raising=False)
+        assert np.float64(p.p_value(x)).tobytes() == np.float64(want).tobytes()
+
     @pytest.mark.parametrize("cls", [RobustLogisticProblem,
                                      QuadraticMinimaxProblem, PlToyProblem])
     def test_oracles_in_own_class_body(self, cls):
@@ -518,7 +529,7 @@ class TestRestriction:
         z = np.concatenate((x, y0))
         for call in (lambda: sub.full_gradient(z), lambda: sub.grad_x(z),
                      lambda: sub.objective(x, y0),
-                     lambda: sub.inner_max(x)):
+                     lambda: sub.inner_max(x), lambda: sub.p_value(x)):
             with pytest.raises(NotImplementedError, match="every row"):
                 call()
 
