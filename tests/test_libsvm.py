@@ -201,7 +201,8 @@ VALUES = ["1", "0.5", "-1.25", "1e-3", "2.5E+2", ".5", "5.", "+2", "-0", "007",
 # a comment are not
 MALFORMED = ["1:2:3", ":5", "3:", "1.0:1", "1e0:1", "+3:1", "0:1", "3:nan",
              "1e999", "3:1e999", "0x1p3", "3:0x1p3", "3:1_0", "3:1.2.3", "3:-",
-             "3:1e", "2147483648:1", "nan", "# comment 1:1", "\u00e9", "\xff"]
+             "3:1e", "2147483648:1", "nan", "# comment 1:1", "\u00e9",
+             "\udcff"]  # the last one is written as the byte 0xff, not UTF-8
 
 
 @st.composite
@@ -233,8 +234,7 @@ def libsvm_files(draw):
     text = "".join(line + end for line, end in zip(lines, ends))
     if lines and not draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final line end
-    data = text.encode("utf-8", "surrogateescape").replace(b"\\xff", b"\xff")
-    return data, clean
+    return text.encode("utf-8", "surrogateescape"), clean
 
 
 class TestFastPath:
@@ -262,7 +262,7 @@ class TestFastPath:
         ("blank_lines", "\n  \n+1 1:1\n\t\n\n-1 2:2 5:1\n \n"),
         ("label_only_rows", "+1\n-1 3:1\n0\n  2.5  \n"),
         ("crlf", "+1 1:1\r\n-1 2:1\r\n"),
-    ])
+    ], ids=lambda v: v if len(v) < 20 else "")
     def test_fixed_cases(self, tmp_path, name, text):
         p = tmp_path / f"{name}.svm"
         p.write_bytes(text.encode())
@@ -272,6 +272,17 @@ class TestFastPath:
         assert libsvm._read_chunks(str(p)) is not None
         for subsample in (None, 1, 3):
             assert_same_as_line_parser(str(p), subsample=subsample)
+
+    @pytest.mark.parametrize("data", [
+        b"+1 1:1\n# comment\n-1 2:1\n", b"+1 1:1\n-1 2:1 \xff\n",
+        "+1 1:1\n-1 2:1 \u00e9\n".encode(), b"+1 +3:1\n", b"nan 1:1\n",
+        b"+1 1:1\r-1 2:1\n", b"+1 3:1 2:1\n", b"+1 0:1\n"])
+    def test_declined_files(self, tmp_path, data):
+        # the line parser reads these, or raises on them, alone
+        p = tmp_path / "d.svm"
+        p.write_bytes(data)
+        assert libsvm._read_chunks(str(p)) is None
+        assert_same_as_line_parser(str(p))
 
     def test_gzip(self, tmp_path):
         gz = tmp_path / "data.svm.gz"
