@@ -5,12 +5,14 @@ strictly increasing indices; `#` starts a comment; blank lines are skipped.
 Files ending in .gz are decompressed transparently.
 
 `load_dataset` parses CHUNK_BYTES binary chunks, each cut after its last
-newline, with array operations. This fast path takes only the bytes
-`0-9 . e E + - :` and ASCII whitespace, and makes the line parser's checks
-as array checks. Any other byte (a comment, non-ASCII text, `nan`, `inf`,
-hex, `_`) or a failed check sends the whole file to the line parser. So
-accepted files, errors (line and column) and Datasets are the line
-parser's; only the time and the transient memory differ.
+line end, with array operations. This fast path takes only the bytes
+`0-9 . e E + - :` and ASCII whitespace, ends lines where text mode does
+(LF, CR, CR LF), and makes the line parser's checks as array checks. Any
+other byte (a comment, non-ASCII text, `nan`, `inf`, hex, `_`) or a failed
+check sends the whole file to the line parser. So accepted files, errors
+(line and column) and Datasets are the line parser's; only the time and
+the transient memory differ. A declined file is read twice: the chunks
+parsed before the declined one are wasted.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -143,19 +146,19 @@ def _read_rows(path: str, parse):
 
 CHUNK_BYTES = 1 << 16  # fast-path read size; it bounds the transient memory
 
-# byte -> class on the fast path: whitespace, newline, ':', digit, the other
+# byte -> class on the fast path: whitespace, line end, ':', digit, the other
 # bytes of a float; class 0 sends the file to the line parser
 _NL, _COLON, _DIGIT = 2, 3, 4
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-for _cls, _bytes in enumerate((b" \t\r\v\f", b"\n", b":", b"0123456789",
+for _cls, _bytes in enumerate((b" \t\v\f", b"\n\r", b":", b"0123456789",
                                b".eE+-"), start=1):
     _BYTE_CLASS[list(_bytes)] = _cls
 
 
 def _parse_chunk(chunk: bytes):
     """(labels, row lengths, 0-based indices, values) of whole lines, or
-    None if the line parser must read the file. A lone '\r' (a line end
-    there) is a space here, so the label after it fails the ':' check."""
+    None if the line parser must read the file. CR LF reads as two line
+    ends around an empty line."""
     cls = _BYTE_CLASS[np.frombuffer(chunk, dtype=np.uint8)]
     if not cls.all():
         return None
@@ -171,10 +174,15 @@ def _parse_chunk(chunk: bytes):
             and ((cpos > fstart) & (cpos + 1 < ends[feat])
                  & (nondigits[cpos - 1] == nondigits[fstart - 1])).all()):
         return None
-    try:  # (numpy reads a blank string as [-1.0])
-        nums = (np.fromstring(chunk.replace(b":", b" "), sep=" ")
-                if starts.size else np.empty(0))
-    except ValueError:  # a token that is no number, or only starts with one
+    # a token that is no number, or only starts with one, raises ValueError;
+    # older numpy only warned and returned the numbers before it, which the
+    # count check below can miss. (numpy reads a blank string as [-1.0].)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            nums = (np.fromstring(chunk.replace(b":", b" "), sep=" ")
+                    if starts.size else np.empty(0))
+    except (ValueError, DeprecationWarning):
         return None
     if nums.size != starts.size + feat.size:
         return None
@@ -194,10 +202,11 @@ def _read_chunks(path: str):
     `_parse_chunk`, or None once it declines a chunk."""
     parts, rest, block = [], b"", b"\n"
     with _open(path) as fh:
-        while block:  # the last pass parses what follows the last newline
+        while block:  # the last pass parses what follows the last line end
             block = fh.read(CHUNK_BYTES)
             buf = rest + block
-            cut = buf.rfind(b"\n") + 1 if block else len(buf)
+            cut = (max(buf.rfind(b"\n"), buf.rfind(b"\r")) + 1 if block
+                   else len(buf))
             parts.append(_parse_chunk(buf[:cut]))
             if parts[-1] is None:
                 return None

@@ -1,5 +1,6 @@
 import gzip
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ MALFORMED = ["1:2:3", ":5", "3:", "1.0:1", "1e0:1", "+3:1", "0:1", "3:nan",
 def libsvm_files(draw):
     """(file bytes, whether the fast path must take it) from a token grammar:
     rows of a label and increasing idx:val tokens, blank lines, comments,
-    malformed tokens, mixed separators and line ends."""
+    malformed tokens, rows without a label, mixed separators and line ends."""
     lines, clean = [], True
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 5)) == 0:
@@ -223,6 +224,9 @@ def libsvm_files(draw):
         form = draw(st.sampled_from(["{}", "{:03d}"]))
         tokens = [draw(st.sampled_from(LABELS))] + [
             form.format(i) + ":" + draw(st.sampled_from(VALUES)) for i in idx]
+        if len(tokens) > 1 and draw(st.integers(0, 7)) == 0:
+            del tokens[0]  # an idx:val token where the label belongs
+            clean = False
         if draw(st.integers(0, 7)) == 0:
             tokens.insert(draw(st.integers(0, len(tokens))),
                           draw(st.sampled_from(MALFORMED)))
@@ -230,7 +234,6 @@ def libsvm_files(draw):
         lines.append(draw(st.sampled_from(["", " ", "\t"]))
                      + draw(st.sampled_from([" ", "  ", "\t", " \t"])).join(tokens))
     ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
-    clean &= "\r" not in ends
     text = "".join(line + end for line, end in zip(lines, ends))
     if lines and not draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final line end
@@ -262,6 +265,7 @@ class TestFastPath:
         ("blank_lines", "\n  \n+1 1:1\n\t\n\n-1 2:2 5:1\n \n"),
         ("label_only_rows", "+1\n-1 3:1\n0\n  2.5  \n"),
         ("crlf", "+1 1:1\r\n-1 2:1\r\n"),
+        ("lone_cr", "+1 1:1\r-1 2:1\r\r+1 3:1\n\r-1"),
     ], ids=lambda v: v if len(v) < 20 else "")
     def test_fixed_cases(self, tmp_path, name, text):
         p = tmp_path / f"{name}.svm"
@@ -276,13 +280,29 @@ class TestFastPath:
     @pytest.mark.parametrize("data", [
         b"+1 1:1\n# comment\n-1 2:1\n", b"+1 1:1\n-1 2:1 \xff\n",
         "+1 1:1\n-1 2:1 \u00e9\n".encode(), b"+1 +3:1\n", b"nan 1:1\n",
-        b"+1 1:1\r-1 2:1\n", b"+1 3:1 2:1\n", b"+1 0:1\n"])
+        b"+1 1:1\r2:1\n", b"+1 1:1\r  5:2\n", b"+1 3:1 2:1\n",
+        b"+1 0:1\n"])
     def test_declined_files(self, tmp_path, data):
         # the line parser reads these, or raises on them, alone
         p = tmp_path / "d.svm"
         p.write_bytes(data)
         assert libsvm._read_chunks(str(p)) is None
         assert_same_as_line_parser(str(p))
+
+    def test_partial_read_warning_declines(self, tmp_path, monkeypatch):
+        # numpy releases that warn on a token read only in part, and return
+        # the numbers before it: "1+2" as two, "e" as none, so the count holds
+        def fromstring(string, sep):
+            warnings.warn("string or file could not be read to its end",
+                          DeprecationWarning)
+            return np.array([1.0, 1.0, 1.0, 2.0, 3.0])
+
+        p = tmp_path / "w.svm"
+        p.write_bytes(b"+1 1:1+2 3:e\n")
+        monkeypatch.setattr(libsvm.np, "fromstring", fromstring)
+        assert libsvm._read_chunks(str(p)) is None
+        with pytest.raises(ParseError, match="unparseable feature value '1\\+2'"):
+            load_dataset(str(p))
 
     def test_gzip(self, tmp_path):
         gz = tmp_path / "data.svm.gz"
