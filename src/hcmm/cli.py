@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .core import ConfigError
-from .harness import (build_schedule, emit_plot, grid_search,
+from .harness import (emit_plot, grid_schedules, grid_search,
                       parse_config_text, rate_study, read_config,
                       run_experiment, unbounded_p_warning)
 
@@ -63,9 +63,8 @@ def main(argv=None) -> int:
         if issues:
             return 1
         if args.command == "validate":
-            # the schedule checks, with the first grid combo filled in
-            build_schedule(config, overrides={k: v[0] for k, v in
-                                              config.grid.items()})
+            # the schedule checks, for every grid combo
+            grid_schedules(config)
             warning = unbounded_p_warning(config)
             if warning:
                 print(f"warning: {warning}", file=sys.stderr)

@@ -66,6 +66,9 @@ class HyperSchedule:
         if self.mu_x <= 0 or self.mu_y <= 0:
             raise ConfigError(
                 f"step sizes must be positive: mu_x={self.mu_x}, mu_y={self.mu_y}")
+        N, N1 = self.clip_threshold, self.clip_norm
+        if not all(c is None or c > 0 for c in (N, N1)):
+            raise ConfigError(f"clipping constants must be positive: N={N}, N1={N1}")
 
 
 def _require_positive(name: str, value: float) -> None:

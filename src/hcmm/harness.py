@@ -284,17 +284,8 @@ def build_problem(config: ExperimentConfig) -> Tuple[MinimaxProblem, np.ndarray,
             d, m, nu=p["nu"], noise_sigma=p["noise_sigma"], seed=seed,
             a_eigs=p["spectrum"], b_scale=p["b_scale"])
     elif config.problem_kind == "pl_toy":
-        rng = np.random.default_rng(seed)
-        Qm, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        evals = np.zeros(m)
-        evals[:p["rank"]] = np.linspace(p["c_min"], p["c_max"], p["rank"])
-        C = Qm @ np.diag(evals) @ Qm.T
-        C = 0.5 * (C + C.T)
-        Ad = rng.standard_normal((d, d))
-        A = 0.1 * (Ad + Ad.T) / 2.0
-        # coupling built inside range(C)
-        B = (C @ rng.standard_normal((m, d))).T * 0.3
-        problem = PlToyProblem(A, B, C, noise_sigma=p["noise_sigma"])
+        problem = PlToyProblem.random(d, m, p["rank"], p["c_min"], p["c_max"],
+                                      p["noise_sigma"], seed)
     else:
         raise ConfigError(f"unknown problem kind {config.problem_kind!r}")
     v = np.random.default_rng(seed + 1).standard_normal(d)
@@ -466,6 +457,16 @@ def read_trace(path: str) -> Dict[str, list]:
 # grid search
 # ---------------------------------------------------------------------------
 
+def grid_schedules(config: ExperimentConfig) -> List[Tuple[Dict[str, float],
+                                                             HyperSchedule]]:
+    """(overrides, schedule) of every grid combo, in grid order, all built
+    and so checked at once; one empty combo when there is no grid.* key."""
+    keys = sorted(config.grid)
+    combos = [dict(zip(keys, c))
+              for c in itertools.product(*(config.grid[k] for k in keys))]
+    return [(o, build_schedule(config, overrides=o)) for o in combos]
+
+
 def grid_search(config: ExperimentConfig) -> Tuple[Dict[str, float], List[dict]]:
     """Cross-product search over grid.* value lists.
 
@@ -475,12 +476,11 @@ def grid_search(config: ExperimentConfig) -> Tuple[Dict[str, float], List[dict]]
     """
     if not config.grid:
         raise ConfigError("grid search needs at least one grid.* key")
+    schedules = grid_schedules(config)
     problem, x0, y0 = build_problem(config)
     keys = sorted(config.grid)
     leaderboard: List[dict] = []
-    for combo in itertools.product(*(config.grid[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
-        schedule = build_schedule(config, overrides=overrides)
+    for overrides, schedule in schedules:
         finals = []
         for seed in config.seeds:
             _, info = run_single(config, seed, problem, x0, y0, schedule,

@@ -1,8 +1,9 @@
 """Loader for the LIBSVM sparse text format.
 
-Grammar per line: `<label> <idx>:<val> <idx>:<val> ...` with 1-based,
-strictly increasing indices; `#` starts a comment; blank lines are skipped.
-Files ending in .gz are decompressed transparently.
+Grammar per line: `<label> <idx>:<val> <idx>:<val> ...` with strictly
+increasing indices from 1 to 2^31 - 1; `#` starts a comment; blank lines
+are skipped. The text is UTF-8, comments included. Files ending in .gz are
+decompressed transparently.
 
 `load_dataset` parses CHUNK_BYTES binary chunks, each cut after its last
 line end, with array operations. This fast path takes only the bytes
@@ -108,6 +109,8 @@ def _parse_fields(line: str, lineno: int,
                          lineno, path) from None
         if idx < 1:
             raise _error(f"feature index {idx} < 1", body, k, lineno, path)
+        if idx >= 2 ** 31:
+            raise _error(f"feature index {idx} >= 2^31", body, k, lineno, path)
         if idx <= prev_idx:
             raise _error(f"non-increasing feature index {idx} after {prev_idx}",
                          body, k, lineno, path)
@@ -131,8 +134,18 @@ def _read_rows(path: str, parse):
     indptr = [0]
     indices: List[int] = []
     data: List[float] = []
-    with io.TextIOWrapper(_open(path), encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, which no str
+    # encodes; so the line and column are the byte's own
+    with io.TextIOWrapper(_open(path), encoding="utf-8",
+                          errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode()
+                except UnicodeEncodeError as exc:
+                    byte = ord(raw[exc.start]) - 0xDC00
+                    raise ParseError(f"non-UTF-8 byte 0x{byte:02x}", lineno,
+                                     exc.start + 1, str(path)) from None
             if not raw.split("#", 1)[0].strip():
                 continue
             label, feats = parse(raw, lineno, str(path))

@@ -14,9 +14,9 @@ oracle.py); x and y are views into z.
   forms for the inner max, P(x) and grad P(x); optional additive Gaussian
   gradient noise, where the noise draw itself is the sample; its oracles
   are products with the joint Hessian M = [[A, B], [B', -nu I]].
-- PlToyProblem: rank-deficient concave part, PL in y but not strongly
-  concave; minimum-norm inner maximizer via the pseudo-inverse; joint
-  Hessian M = [[A, B], [B', -C]].
+- PlToyProblem: the quadratic testbed with a singular PSD C block in place
+  of nu I, so PL in y but not strongly concave; minimum-norm inner
+  maximizer via the pseudo-inverse; joint Hessian M = [[A, B], [B', -C]].
 """
 
 from __future__ import annotations
@@ -290,13 +290,9 @@ class RobustLogisticProblem(MinimaxProblem):
 # synthetic quadratic testbeds
 # ---------------------------------------------------------------------------
 
-def _joint_hessian(A: np.ndarray, B: np.ndarray, Hyy: np.ndarray) -> np.ndarray:
-    """M = [[A, B], [B', Hyy]], the constant Hessian of a quadratic J."""
-    return np.block([[A, B], [B.T, Hyy]])
-
-
-class _AdditiveNoise(MinimaxProblem):
-    """Additive Gaussian gradient noise whose draw is the sample.
+class QuadraticMinimaxProblem(MinimaxProblem):
+    """J(x, y) = 0.5 x'Ax + x'By - 0.5 y'Hy with H = nu I, and additive
+    gradient noise; a subclass sets its own H, y* map and P.
 
     A sample is noise_sigma * N(0, I) over z = (x, y), from the run's own
     stream, and sample_gradient adds it to the exact gradient M z. A fixed
@@ -307,26 +303,18 @@ class _AdditiveNoise(MinimaxProblem):
     None).
     """
 
-    noise_sigma: float
-    M: np.ndarray
-
-    def draw_samples(self, rng: np.random.Generator, k: int):
-        if self.noise_sigma == 0.0:
-            return [None] * k
-        return self.noise_sigma * rng.standard_normal((k, self.dim_x + self.dim_y))
-
-    def _add_noise(self, g: Vec, xi: SampleId) -> Vec:
-        if self.noise_sigma != 0.0:
-            g += xi
-        return g
-
-
-class QuadraticMinimaxProblem(_AdditiveNoise):
-    """J(x, y) = 0.5 x'Ax + x'By - 0.5 nu ||y||^2 with additive gradient
-    noise (see _AdditiveNoise)."""
-
     def __init__(self, A: np.ndarray, B: np.ndarray, nu: float,
                  noise_sigma: float = 0.0):
+        if nu <= 0:
+            raise ValueError(f"nu must be positive, got {nu}")
+        self.nu = float(nu)
+        self._setup(A, B, nu * np.eye(np.shape(B)[-1]), noise_sigma)
+        # P(x) = 0.5 x' p_hessian x
+        self.p_hessian = self.A + self.B @ self.B.T / nu
+
+    def _setup(self, A: np.ndarray, B: np.ndarray, H: np.ndarray,
+               noise_sigma: float) -> None:
+        """Check A and B; set them and the joint Hessian [[A, B], [B', -H]]."""
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -335,15 +323,11 @@ class QuadraticMinimaxProblem(_AdditiveNoise):
             raise ValueError("A must be symmetric")
         if B.shape[0] != A.shape[0]:
             raise ValueError(f"B row count {B.shape[0]} != dim of A {A.shape[0]}")
-        if nu <= 0:
-            raise ValueError(f"nu must be positive, got {nu}")
-        self.A, self.B, self.nu = A, B, float(nu)
+        self.A, self.B = A, B
         self.noise_sigma = float(noise_sigma)
         self.dim_x, self.dim_y = B.shape
-        self.M = _joint_hessian(A, B, -nu * np.eye(self.dim_y))
+        self.M = np.block([[A, B], [B.T, -H]])
         self.lipschitz_L_f = float(np.linalg.norm(self.M, 2))
-        # P(x) = 0.5 x' p_hessian x
-        self.p_hessian = A + B @ B.T / nu
 
     @classmethod
     def random(cls, d: int, m: int, nu: float, noise_sigma: float, seed: int,
@@ -355,9 +339,18 @@ class QuadraticMinimaxProblem(_AdditiveNoise):
         B = b_scale * rng.standard_normal((d, m)) / np.sqrt(m)
         return cls(A, B, nu, noise_sigma=noise_sigma)
 
-    # the oracles stay in each class body: perfbench wraps vars(cls)
+    # the oracles of both testbeds: perfbench wraps the methods in vars(cls),
+    # so a subclass's calls go through these wrappers, once
+    def draw_samples(self, rng: np.random.Generator, k: int):
+        if self.noise_sigma == 0.0:
+            return [None] * k
+        return self.noise_sigma * rng.standard_normal((k, self.dim_x + self.dim_y))
+
     def sample_gradient(self, z: Vec, xi: SampleId) -> Vec:
-        return self._add_noise(self.M @ z, xi)
+        g = self.M @ z
+        if self.noise_sigma != 0.0:
+            g += xi
+        return g
 
     def sample_hvp(self, z: Vec, xi: SampleId, dz: Vec) -> Vec:
         return self.M @ dz
@@ -369,8 +362,11 @@ class QuadraticMinimaxProblem(_AdditiveNoise):
         return float(0.5 * x @ self.A @ x + x @ self.B @ y
                      - 0.5 * self.nu * y @ y)
 
+    def _y_star(self, x: Vec) -> Vec:
+        return self.B.T @ x / self.nu
+
     def inner_max(self, x: Vec) -> InnerMaxReport:
-        return InnerMaxReport(self.B.T @ x / self.nu,
+        return InnerMaxReport(self._y_star(x),
                               float(0.5 * x @ self.p_hessian @ x),
                               self.grad_p(x))
 
@@ -378,8 +374,9 @@ class QuadraticMinimaxProblem(_AdditiveNoise):
         return self.p_hessian @ x
 
 
-class PlToyProblem(_AdditiveNoise):
-    """J(x, y) = 0.5 x'Ax + x'By - 0.5 y'Cy with C PSD and singular.
+class PlToyProblem(QuadraticMinimaxProblem):
+    """J(x, y) = 0.5 x'Ax + x'By - 0.5 y'Cy: the quadratic testbed with
+    H = C, PSD and singular.
 
     -J is PL in y with constant delta = smallest nonzero eigenvalue of C.
     The inner argmax is a set; the minimum-norm solution pinv(C) B' x is
@@ -389,11 +386,8 @@ class PlToyProblem(_AdditiveNoise):
 
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray,
                  noise_sigma: float = 0.0):
-        A = np.asarray(A, dtype=np.float64)
-        B = np.asarray(B, dtype=np.float64)
-        C = np.asarray(C, dtype=np.float64)
-        if not np.allclose(A, A.T, atol=1e-12):
-            raise ValueError("A must be symmetric")
+        self.C = C = np.asarray(C, dtype=np.float64)
+        self._setup(A, B, C, noise_sigma)
         if not np.allclose(C, C.T, atol=1e-12):
             raise ValueError("C must be symmetric")
         evals = np.linalg.eigvalsh(C)
@@ -401,36 +395,32 @@ class PlToyProblem(_AdditiveNoise):
             raise ValueError("C must be positive semidefinite")
         self.C_pinv = np.linalg.pinv(C, rcond=1e-12)
         # range(B^T-image) must lie inside range(C)
-        leak = B.T - C @ (self.C_pinv @ B.T)
-        if np.linalg.norm(leak) > 1e-8 * max(1.0, np.linalg.norm(B)):
+        leak = self.B.T - C @ (self.C_pinv @ self.B.T)
+        if np.linalg.norm(leak) > 1e-8 * max(1.0, np.linalg.norm(self.B)):
             raise ValueError("columns of B' leave range(C): inner max unbounded")
         nonzero = evals[evals > 1e-10]
         if nonzero.size == 0:
             raise ValueError("C is identically zero; no PL constant")
         self.delta = float(nonzero.min())
-        self.A, self.B, self.C = A, B, C
-        self.noise_sigma = float(noise_sigma)
-        self.dim_x, self.dim_y = B.shape
-        self.M = _joint_hessian(A, B, -C)
-        self.lipschitz_L_f = float(np.linalg.norm(self.M, 2))
-        self.p_hessian = A + B @ self.C_pinv @ B.T
+        self.p_hessian = self.A + self.B @ self.C_pinv @ self.B.T
 
-    def sample_gradient(self, z: Vec, xi: SampleId) -> Vec:
-        return self._add_noise(self.M @ z, xi)
-
-    def sample_hvp(self, z: Vec, xi: SampleId, dz: Vec) -> Vec:
-        return self.M @ dz
-
-    def full_gradient(self, z: Vec) -> Vec:
-        return self.M @ z
+    @classmethod
+    def random(cls, d: int, m: int, rank: int, c_min: float, c_max: float,
+               noise_sigma: float, seed: int):
+        rng = np.random.default_rng(seed)
+        Qm, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        evals = np.zeros(m)
+        evals[:rank] = np.linspace(c_min, c_max, rank)
+        C = Qm @ np.diag(evals) @ Qm.T
+        C = 0.5 * (C + C.T)
+        Ad = rng.standard_normal((d, d))
+        A = 0.1 * (Ad + Ad.T) / 2.0
+        # coupling built inside range(C)
+        B = (C @ rng.standard_normal((m, d))).T * 0.3
+        return cls(A, B, C, noise_sigma=noise_sigma)
 
     def objective(self, x: Vec, y: Vec) -> float:
         return float(0.5 * x @ self.A @ x + x @ self.B @ y - 0.5 * y @ self.C @ y)
 
-    def inner_max(self, x: Vec) -> InnerMaxReport:
-        return InnerMaxReport(self.C_pinv @ (self.B.T @ x),
-                              float(0.5 * x @ self.p_hessian @ x),
-                              self.grad_p(x))
-
-    def grad_p(self, x: Vec) -> Vec:
-        return self.p_hessian @ x
+    def _y_star(self, x: Vec) -> Vec:
+        return self.C_pinv @ (self.B.T @ x)

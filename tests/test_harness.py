@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,8 @@ from hcmm import cli
 
 from conftest import write_libsvm
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def quad_mapping(out_dir, **extra):
@@ -716,6 +719,42 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("clip,message", [
+        ("schedule.N = -1\nschedule.N1 = 1", "N=-1.0, N1=1.0"),
+        ("schedule.N = 1\nschedule.N1 = 0", "N=1.0, N1=0.0"),
+    ], ids=["N--1", "N1-0"])
+    def test_nonpositive_clip_constant_rejected_before_run(
+            self, tmp_path, capsys, command, clip, message):
+        rc = cli.main([command, "--config", self.write_cfg(
+            tmp_path, f"optimizer.kind = hcmm1\n{clip}\n")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"clipping constants must be positive: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "grid"])
+    @pytest.mark.parametrize("extra,message", [
+        ("optimizer.kind = hcmm1\nschedule.N1 = 1\ngrid.N = 1,-1",
+         "clipping constants must be positive: N=-1.0"),
+        ("grid.mu_y = 0.05,0.1,-0.1", "step sizes must be positive"),
+        ("grid.beta_x = 0.2,1.5", "smoothing factors must lie in (0, 1]"),
+    ], ids=["N-1,-1", "mu_y-third", "beta_x-1.5"])
+    def test_bad_later_grid_combo_rejected_before_run(
+            self, tmp_path, capsys, monkeypatch, command, extra, message):
+        # every combo's schedule is built, so checked, before the first run
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_single called")
+
+        monkeypatch.setattr(hcmm.harness, "run_single", no_run)
+        rc = cli.main([command, "--config", self.write_cfg(tmp_path, extra + "\n")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("key", ["schedule.beta_x", "constants.L_f"])
     def test_empty_scalar_value(self, tmp_path, capsys, command, key):
         rc = cli.main([command, "--config",
@@ -800,3 +839,24 @@ class TestCli:
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 1
         assert capsys.readouterr().err
+
+
+def test_golden_outputs_script(tmp_path):
+    # the golden set that simplifications are diffed against: made twice,
+    # under the same relative OUT from two directories, it is byte-identical
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    trees = []
+    for where in ("a", "b"):
+        (tmp_path / where).mkdir()
+        subprocess.run([sys.executable, str(ROOT / "scripts" / "golden_outputs.py"),
+                        "golden"], cwd=tmp_path / where, env=env, check=True)
+        out = tmp_path / where / "golden"
+        trees.append({str(f.relative_to(out)): f.read_bytes()
+                      for f in sorted(out.rglob("*")) if f.is_file()})
+    assert trees[0] == trees[1]
+    for name in ("results.txt", "quadratic_seed0/plot.svg",
+                 "pl_toy_seed1/trace_hcmm2_seed1.csv",
+                 "grid/leaderboard_storm_gda.csv", "rate_theorem1/rate_hcmm1.csv",
+                 "rate_theorem2/rate_hcmm2.csv", "logistic/summary_sagda.csv"):
+        assert name in trees[0]

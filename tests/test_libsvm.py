@@ -93,6 +93,9 @@ class TestLoadDataset:
         ("-1 0:1", 4, "feature index 0 < 1"),
         ("+1 2:1 12:1 2:1", 13, "non-increasing feature index 2 after 12"),
         ("-1 1:1\t2:abc", 8, "unparseable feature value 'abc'"),
+        # a CSR index is int32, so 2^31 and up would not load as such
+        ("-1 2147483649:1", 4, "feature index 2147483649 >= 2^31"),
+        ("-1 2147483648:1", 4, "feature index 2147483648 >= 2^31"),
     ])
     def test_error_located_through_load(self, tmp_path, bad, column, message):
         # line 1 is a comment, line 2 blank, line 3 valid, line 4 bad
@@ -102,6 +105,21 @@ class TestLoadDataset:
             load_dataset(p)
         assert (ei.value.line, ei.value.column) == (4, column)
         assert str(ei.value) == f"{p}:4:{column}: {message}"
+
+    @pytest.mark.parametrize("data,line,column,byte", [
+        (b"+1 1:1\n-1 2:1 \xff\n", 2, 8, "ff"),
+        # inside a comment, after valid multi-byte text, past the first
+        # 8 KB block that text mode decodes at once
+        ("# caf\u00e9\n".encode() + b"+1 1:1\n" * 2000 + b"# \xc3\xa9\xe9\n",
+         2002, 4, "e9"),
+        (b"-1 1:1\r+1 2:\x80\n", 2, 6, "80"),
+    ], ids=["feature", "late-comment", "after-cr"])
+    def test_non_utf8_byte_located(self, tmp_path, data, line, column, byte):
+        p = tmp_path / "enc.txt"
+        p.write_bytes(data)
+        with pytest.raises(ParseError) as ei:
+            load_dataset(str(p))
+        assert str(ei.value) == f"{p}:{line}:{column}: non-UTF-8 byte 0x{byte}"
 
     @pytest.mark.parametrize("subsample", [None, 1])
     def test_non_finite_located_through_load(self, tmp_path, subsample):

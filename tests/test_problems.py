@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from hcmm.problems import (PlToyProblem, QuadraticMinimaxProblem,
 from hcmm.simplex import project_simplex
 
 from conftest import join, make_logistic, make_quadratic
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestRobustLogisticValues:
@@ -315,6 +319,14 @@ class TestPlToy:
         assert p.lipschitz_L_f == pytest.approx(np.linalg.norm(H, 2),
                                                 rel=1e-12)
 
+    def test_rejects_bad_a_and_b_shapes(self):
+        # the quadratic testbed's checks and messages
+        C = np.diag([1.0, 0.0])
+        with pytest.raises(ValueError, match="^A must be square$"):
+            PlToyProblem(np.zeros((1, 2)), np.array([[1.0, 0.0]]), C)
+        with pytest.raises(ValueError, match="^B row count 1 != dim of A 2$"):
+            PlToyProblem(np.zeros((2, 2)), np.array([[1.0, 0.0]]), C)
+
     def test_rejects_coupling_outside_range(self):
         C = np.diag([1.0, 0.0])
         B = np.array([[1.0, 1.0]])  # second column hits the null space
@@ -413,12 +425,31 @@ class TestJointOracles:
         monkeypatch.setattr(type(p), "_grad_x_at", None, raising=False)
         assert np.float64(p.p_value(x)).tobytes() == np.float64(want).tobytes()
 
-    @pytest.mark.parametrize("cls", [RobustLogisticProblem,
-                                     QuadraticMinimaxProblem, PlToyProblem])
-    def test_oracles_in_own_class_body(self, cls):
-        # per-layer tracing wraps the methods each class itself defines
-        for name in ("sample_gradient", "sample_hvp", "full_gradient"):
-            assert name in vars(cls), f"{cls.__name__}.{name} is inherited"
+    def test_one_span_per_oracle_call(self, monkeypatch):
+        # perfbench wraps the oracle methods in each class's own body; a
+        # subclass's calls go through its parent's wrappers, once
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from spans import Tracer
+        tracer = Tracer({})
+        tracer.install()
+        try:
+            for p in (make_logistic(n=9, d=4), noisy_quadratic(0.4),
+                      noisy_pl_toy(0.4)):
+                rng = np.random.default_rng(3)
+                z = rng.uniform(0.0, 1.0, p.dim_x + p.dim_y)
+                xi = p.draw_samples(rng, 1)[0]
+                for span, call in (
+                        ("sample_gradient", lambda: p.sample_gradient(z, xi)),
+                        ("sample_hvp", lambda: p.sample_hvp(z, xi, z)),
+                        ("full_gradient", lambda: p.full_gradient(z)),
+                        ("closed_form", lambda: p.p_value(z[:p.dim_x]))):
+                    first = len(tracer.name_id)
+                    call()
+                    names = [tracer.names[i] for i in tracer.name_id[first:]]
+                    assert [n for n in names if n.startswith("problems.")] \
+                        == [f"problems.{span}"], type(p).__name__
+        finally:
+            tracer.uninstall()
 
     @pytest.mark.parametrize("make", [lambda: make_logistic(n=9, d=4),
                                       lambda: noisy_quadratic(0.0),
