@@ -425,6 +425,14 @@ class TestJointOracles:
         monkeypatch.setattr(type(p), "_grad_x_at", None, raising=False)
         assert np.float64(p.p_value(x)).tobytes() == np.float64(want).tobytes()
 
+    @pytest.mark.parametrize("cls", [RobustLogisticProblem,
+                                     QuadraticMinimaxProblem])
+    def test_oracles_in_own_class_body(self, cls):
+        # per-layer tracing wraps the methods each class itself defines;
+        # PlToyProblem inherits the quadratic's wrapped oracles instead
+        for name in ("sample_gradient", "sample_hvp", "full_gradient"):
+            assert name in vars(cls), f"{cls.__name__}.{name} is inherited"
+
     def test_one_span_per_oracle_call(self, monkeypatch):
         # perfbench wraps the oracle methods in each class's own body; a
         # subclass's calls go through its parent's wrappers, once
