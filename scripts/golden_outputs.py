@@ -8,7 +8,7 @@ writes under OUT, through the public harness API only:
 - `run_experiment` traces, summaries and config echoes of all four
   optimizers on the quadratic and the pl_toy testbeds at problem.seed 0 and
   1, with one `emit_plot` SVG per testbed and seed;
-- one `grid_search` leaderboard;
+- one `grid_search` leaderboard and its best config;
 - a theorem1 (HCMM-1, quadratic) and a theorem2 (HCMM-2, pl_toy)
   `rate_study`;
 - the `unbounded_p_warning` text of every synthetic config, and the raw
@@ -101,8 +101,8 @@ def main(out: Path) -> None:
     # a rate study on each theorem schedule
     theorem1 = {**PROBLEMS["quadratic"], "problem.nu": "4.0",
                 "problem.spectrum": "2.0,4.0", "problem.b_scale": "0.1",
-                "optimizer.kind": "hcmm1", "optimizer.project_y": "false",
-                "schedule.kind": "theorem1", "schedule.N1": "1.0",
+                "optimizer.kind": "hcmm1", "schedule.kind": "theorem1",
+                "schedule.N1": "1.0",
                 "constants.L_f": "4.004", "constants.L_h": "1e-3",
                 "constants.nu": "4.0", "constants.sigma_h": "0.3",
                 "run.T": "1000", "run.seeds": "0,1",

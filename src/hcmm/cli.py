@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .core import ConfigError
 from .harness import (emit_plot, grid_schedules, grid_search,
-                      parse_config_text, rate_study, read_config,
-                      run_experiment, unbounded_p_warning)
+                      optimizer_label, parse_config_text, rate_study,
+                      read_config, run_experiment, unbounded_p_warning)
 
 
 def main(argv=None) -> int:
@@ -76,9 +77,15 @@ def main(argv=None) -> int:
                   f"std={finals['std']:.6g} over seeds {list(config.seeds)}")
         elif args.command == "grid":
             best, board = grid_search(config)
-            print(f"best config: {best} "
-                  f"(mean final P={board[0]['mean_final_p']:.6g}, "
-                  f"{len(board)} combos)")
+            top = board[0]["mean_final_p"]
+            out = Path(config.output_dir)
+            label = optimizer_label(config.optimizer)
+            if not math.isfinite(top):
+                print(f"error: every combo diverged (mean final P={top}); "
+                      f"see {out / f'leaderboard_{label}.csv'}", file=sys.stderr)
+                return 1
+            print(f"best config: {best} (mean final P={top:.6g}, "
+                  f"{len(board)} combos); wrote {out / f'best_{label}.cfg'}")
         elif args.command == "rate":
             report = rate_study(config, [float(t) for t in args.T.split(",")])
             for T, avg in zip(report.T_values, report.averaged_norms):

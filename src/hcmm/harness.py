@@ -54,7 +54,6 @@ class ExperimentConfig:
     problem_kind: str                      # robust_logistic | quadratic | pl_toy
     problem_params: Dict[str, Any]         # typed, defaults filled in
     optimizer: OptimizerKind
-    project_y: bool
     schedule_kind: str                     # explicit | theorem1 | theorem2
     schedule_params: Dict[str, float]
     constants: ProblemConstants
@@ -206,7 +205,6 @@ def read_config(mapping: Dict[str, str]) -> Tuple[ExperimentConfig, List[str],
         problem_kind=kind,
         problem_params=problem_params,
         optimizer=optimizer,
-        project_y=r.flag("optimizer.project_y", True),
         schedule_kind=r.text("schedule.kind", "explicit",
                              ("explicit", "theorem1", "theorem2")),
         schedule_params=schedule_params,
@@ -352,6 +350,11 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _config_text(mapping: Dict[str, str]) -> str:
+    """A config mapping as `key = value` lines, in key order."""
+    return "".join(f"{k} = {v}\n" for k, v in sorted(mapping.items()))
+
+
 def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
                x0: np.ndarray, y0: np.ndarray, schedule: HyperSchedule,
                collect_rows: bool = True):
@@ -371,7 +374,7 @@ def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
     x_i, y_i = np.asarray(x0), y0_stepped
     t0 = time.monotonic_ns()
     for s in iterate_steps(config.optimizer, stepped, schedule, x0, y0_stepped,
-                           config.T, seed, project_y=config.project_y):
+                           config.T, seed):
         x_i, y_i = s.x, s.y
         if not collect_rows:
             continue
@@ -427,8 +430,7 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, float]:
     lines.append(f"{label},mean,{_fmt_float(finals['mean'])}")
     lines.append(f"{label},std,{_fmt_float(finals['std'])}")
     _write_atomic(out_dir / f"summary_{label}.csv", "\n".join(lines) + "\n")
-    _write_atomic(out_dir / f"config_{label}.echo",
-                  "".join(f"{k} = {v}\n" for k, v in sorted(config.raw.items())))
+    _write_atomic(out_dir / f"config_{label}.echo", _config_text(config.raw))
     return finals
 
 
@@ -472,7 +474,11 @@ def grid_search(config: ExperimentConfig) -> Tuple[Dict[str, float], List[dict]]
 
     Selects the combo with the lowest final mean P(x) over seeds; combos
     whose mean is nan or infinite rank after every finite one. Emits a
-    leaderboard CSV. Returns (best_overrides, leaderboard_rows).
+    leaderboard CSV and, when the best mean is finite, best_<label>.cfg: the
+    config as read, without its grid.* keys and with schedule.<k> set to
+    each best value, which `hcmm run` reruns. When every combo diverged no
+    best config is written (and a stale one is removed). Returns
+    (best_overrides, leaderboard_rows).
     """
     if not config.grid:
         raise ConfigError("grid search needs at least one grid.* key")
@@ -503,6 +509,13 @@ def grid_search(config: ExperimentConfig) -> Tuple[Dict[str, float], List[dict]]
         lines.append(",".join(_fmt_float(row[k]) for k in header))
     _write_atomic(out_dir / f"leaderboard_{label}.csv", "\n".join(lines) + "\n")
     best = {k: leaderboard[0][k] for k in keys}
+    best_path = out_dir / f"best_{label}.cfg"
+    if math.isfinite(leaderboard[0]["mean_final_p"]):
+        rerun = {k: v for k, v in config.raw.items() if not k.startswith("grid.")}
+        rerun.update((f"schedule.{k}", repr(v)) for k, v in best.items())
+        _write_atomic(best_path, _config_text(rerun))
+    else:
+        best_path.unlink(missing_ok=True)
     return best, leaderboard
 
 
@@ -518,7 +531,7 @@ def time_averaged_grad_p(config: ExperimentConfig, problem: MinimaxProblem,
     total = 0.0
     last = 0.0
     for s in iterate_steps(config.optimizer, problem, schedule, x0, y0, T,
-                           seed, project_y=config.project_y):
+                           seed):
         last = norm2(problem.grad_p(s.x))
         total += last
     return total / T, last

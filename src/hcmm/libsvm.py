@@ -2,8 +2,8 @@
 
 Grammar per line: `<label> <idx>:<val> <idx>:<val> ...` with strictly
 increasing indices from 1 to 2^31 - 1; `#` starts a comment; blank lines
-are skipped. The text is UTF-8, comments included. Files ending in .gz are
-decompressed transparently.
+are skipped. The text is UTF-8, comments included. Files ending in .gz or
+.bz2 (as the LIBSVM site ships ijcnn1) are decompressed transparently.
 
 `load_dataset` parses CHUNK_BYTES binary chunks, each cut after its last
 line end, with array operations. This fast path takes only the bytes
@@ -18,6 +18,7 @@ parsed before the declined one are wasted.
 
 from __future__ import annotations
 
+import bz2
 import gzip
 import io
 import math
@@ -125,7 +126,11 @@ def _parse_fields(line: str, lineno: int,
 
 
 def _open(path: str):
-    return gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb")
+    if str(path).endswith(".gz"):
+        return gzip.open(path, "rb")
+    if str(path).endswith(".bz2"):
+        return bz2.open(path, "rb")
+    return open(path, "rb")
 
 
 def _read_rows(path: str, parse):

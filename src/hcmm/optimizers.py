@@ -207,8 +207,7 @@ def init_run(kind: OptimizerKind, problem: MinimaxProblem, js: JointSchedule,
 
 
 def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
-         problem: MinimaxProblem, samples: Iterator[SampleId],
-         project_y: bool = True) -> StepState:
+         problem: MinimaxProblem, samples: Iterator[SampleId]) -> StepState:
     """One iteration of `kind` from `s`, drawing its samples from `samples`;
     the shared recursion is in the module docstring."""
     if not isinstance(kind, KINDS):
@@ -259,17 +258,16 @@ def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
                 mc, cx, cy = _clip_blocks(m, d, nx, ny, js.schedule)
             z_next = js.move * mc
             z_next += z
-    if project_y:
-        y_next = z_next[d:]
-        if problem.project_y(y_next) is not y_next:
-            raise TypeError(f"{type(problem).__name__}.project_y must project "
-                            "in place and return its argument")
+    y_next = z_next[d:]
+    if problem.project_y(y_next) is not y_next:
+        raise TypeError(f"{type(problem).__name__}.project_y must project "
+                        "in place and return its argument")
     return StepState(z_next, z, m, mc, cx, cy, nx, ny, used, s.iter + 1, d)
 
 
 def iterate_steps(kind: OptimizerKind, problem: MinimaxProblem,
                   schedule: HyperSchedule, x0: Vec, y0: Vec, T: int,
-                  rng_seed: int, project_y: bool = True) -> Iterator[StepState]:
+                  rng_seed: int) -> Iterator[StepState]:
     """Yield the T states after steps 1..T; deterministic for a fixed
     (seed, config)."""
     samples = sample_stream(problem, np.random.default_rng(rng_seed))
@@ -277,7 +275,7 @@ def iterate_steps(kind: OptimizerKind, problem: MinimaxProblem,
     s = init_run(kind, problem, js, x0, y0, samples)
     for i in range(T):
         try:
-            s = step(kind, s, js, problem, samples, project_y=project_y)
+            s = step(kind, s, js, problem, samples)
         except Exception as exc:
             raise RuntimeError(f"optimizer step failed at iteration {i + 1}") from exc
         yield s

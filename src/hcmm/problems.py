@@ -387,6 +387,10 @@ class PlToyProblem(QuadraticMinimaxProblem):
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray,
                  noise_sigma: float = 0.0):
         self.C = C = np.asarray(C, dtype=np.float64)
+        m = np.shape(B)[-1]
+        if C.shape != (m, m):
+            raise ValueError(f"C must be {m} x {m} (B has {m} columns), "
+                             f"got shape {C.shape}")
         self._setup(A, B, C, noise_sigma)
         if not np.allclose(C, C.T, atol=1e-12):
             raise ValueError("C must be symmetric")

@@ -1,10 +1,14 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hcmm.harness import parse_config_text
 from hcmm.problems import QuadraticMinimaxProblem, RobustLogisticProblem
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def join(x, y):
@@ -45,6 +49,13 @@ def simplex_grid_3(resolution=1e-3):
     a = np.repeat(ticks, [len(b) for b in bs])
     b = np.concatenate(bs)
     return np.column_stack([a, b, 1.0 - a - b])
+
+
+def shipped_config(name, overrides=()):
+    """The mapping of configs/<name>.cfg, with `overrides` set."""
+    mapping = parse_config_text((CONFIGS / f"{name}.cfg").read_text())
+    mapping.update(overrides)
+    return mapping
 
 
 def write_libsvm(path, lines):

@@ -20,7 +20,8 @@ from hcmm.problems import QuadraticMinimaxProblem
 from hcmm.simplex import project_simplex
 from hcmm.libsvm import ParseError, load_dataset, parse_line
 
-from conftest import find_dataset, join, make_logistic, make_quadratic
+from conftest import (find_dataset, join, make_logistic, make_quadratic,
+                      shipped_config)
 
 
 def report(num, ok, detail):
@@ -307,7 +308,6 @@ def test_criterion_08_rate_trend(tmp_path):
         "problem.noise_sigma": "1.0", "problem.seed": "0",
         "problem.spectrum": "12.0,24.0", "problem.b_scale": "0.1",
         "optimizer.kind": "hcmm1",
-        "optimizer.project_y": "false",
         "schedule.kind": "theorem1",
         "schedule.N1": "50.0",
         "constants.L_f": repr(float(q.lipschitz_L_f)),
@@ -325,30 +325,11 @@ def test_criterion_08_rate_trend(tmp_path):
            f"{elapsed:.0f}s (<5min)")
 
 
-def mushrooms_grids():
-    mus = (0.1, 0.01, 0.001)
-    betas = (0.01, 0.001)
-    return mus, betas
-
-
-def tuned_final_p(path, optimizer_extra, tmp_path, tag):
-    mus, betas = mushrooms_grids()
-    mapping = {
-        "problem.kind": "robust_logistic",
+def tuned_final_p(path, label, tmp_path):
+    # the shipped protocol config, on this file
+    mapping = shipped_config(f"robust_logistic_{label}", {
         "problem.dataset_path": path,
-        "problem.subsample": "500",
-        "problem.seed": "0",
-        "schedule.kind": "explicit",
-        "run.T": "2000",
-        "run.seeds": "0,1,2",
-        "run.eval_every": "2000",
-        "run.output_dir": str(tmp_path / tag),
-        "grid.mu_x": ",".join(map(str, mus)),
-        "grid.mu_y": ",".join(map(str, mus)),
-        "grid.beta_x": ",".join(map(str, betas)),
-        "grid.beta_y": ",".join(map(str, betas)),
-    }
-    mapping.update(optimizer_extra)
+        "run.output_dir": str(tmp_path / label)})
     _, board = grid_search(build_config(mapping))
     return board[0]["mean_final_p"]
 
@@ -359,17 +340,8 @@ def test_criterion_09_qualitative_ordering(tmp_path):
         skip(9, "mushrooms dataset not available under MINIMAX_DATA_DIR; "
                 "no network access in this environment")
     t0 = time.time()
-    finals = {}
-    finals["hcmm2"] = tuned_final_p(path, {"optimizer.kind": "hcmm2"},
-                                    tmp_path, "hcmm2")
-    finals["storm_gda"] = tuned_final_p(path, {"optimizer.kind": "storm_gda"},
-                                        tmp_path, "storm")
-    finals["sagda"] = tuned_final_p(path, {"optimizer.kind": "sagda"},
-                                    tmp_path, "sagda")
-    finals["hcmm1"] = tuned_final_p(
-        path, {"optimizer.kind": "hcmm1",
-               "grid.N": "0.1,0.01", "grid.N1": "0.1,0.01"},
-        tmp_path, "hcmm1")
+    finals = {label: tuned_final_p(path, label, tmp_path)
+              for label in ("hcmm2", "storm_gda", "sagda", "hcmm1")}
     elapsed = time.time() - t0
     ok = (finals["hcmm2"] <= finals["storm_gda"] <= finals["sagda"]
           and finals["hcmm1"] <= finals["sagda"])

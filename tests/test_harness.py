@@ -10,19 +10,18 @@ import pytest
 import hcmm.harness
 import hcmm.problems
 from hcmm.core import ConfigError
-from hcmm.harness import (TRACE_COLUMNS, build_config, build_problem,
-                          build_schedule, emit_plot, grid_search,
-                          optimizer_label, parse_config_text, rate_study,
-                          read_config, read_trace, run_experiment, run_single,
-                          unbounded_p_warning)
+from hcmm.harness import (OPTIMIZER_LABELS, TRACE_COLUMNS, build_config,
+                          build_problem, build_schedule, emit_plot,
+                          grid_search, optimizer_label, parse_config_text,
+                          rate_study, read_config, read_trace, run_experiment,
+                          run_single, unbounded_p_warning)
 from hcmm.optimizers import Hcmm1, Sagda, iterate_steps
 from hcmm.oracle import MinimaxProblem, evaluate_P
 from hcmm import cli
 
-from conftest import write_libsvm
+from conftest import CONFIGS, shipped_config, write_libsvm
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIGS = ROOT / "configs"
 
 
 def quad_mapping(out_dir, **extra):
@@ -457,23 +456,28 @@ class TestInnerMaxOnce:
                                            "sagda"])
     def test_run_single_solves_once_per_row(self, tmp_path, monkeypatch,
                                             optimizer):
-        # with project_y off, every projection is an inner max
+        # a step projects its y in place (out= given); every other
+        # projection is an inner max
         path = logistic_file(tmp_path / "a.svm")
         config = build_config(logistic_mapping(
             path, tmp_path, **{"optimizer.kind": optimizer,
-                               "optimizer.project_y": "false",
                                "schedule.N": "5", "schedule.N1": "5"}))
         problem, x0, y0 = build_problem(config)
-        calls = []
+        steps, inner = [], []
         project = hcmm.problems.project_simplex
-        monkeypatch.setattr(hcmm.problems, "project_simplex",
-                            lambda v: calls.append(1) or project(v))
+
+        def spy(v, out=None, **kwargs):
+            (inner if out is None else steps).append(1)
+            return project(v, out=out, **kwargs)
+
+        monkeypatch.setattr(hcmm.problems, "project_simplex", spy)
         rows, _ = run_single(config, 1, problem, x0, y0,
                              build_schedule(config))
         evaluated = [r for r in rows if r[1]]
         assert len(evaluated) == 3  # iterations 1, 11 and 21 of 25
         assert all(r[2] and r[3] for r in evaluated)
-        assert len(calls) == len(evaluated)
+        assert len(inner) == len(evaluated)
+        assert len(steps) == 25
 
 
 class TestGridSearch:
@@ -642,7 +646,6 @@ class TestCli:
         ("problem.spectrum = a,b", "problem.spectrum"),
         ("problem.seed = -1", "problem.seed"),
         ("problem.kind = pl_toy\nproblem.rank = 4", "problem.rank"),
-        ("optimizer.project_y = maybe", "optimizer.project_y"),
         ("optimizer.kind = hcmm1\nschedule.N = 5\nschedule.N1 = 5\n"
          "optimizer.update_from_clipped = yes",
          "optimizer.update_from_clipped"),
@@ -650,7 +653,7 @@ class TestCli:
         ("schedule.mu_x = nan", "schedule.mu_x"),
         ("constants.L_f = inf", "constants.L_f"),
     ], ids=["d-abc", "d-0", "spectrum-1", "spectrum-a,b", "seed--1",
-            "rank-4", "project_y-maybe", "update_from_clipped-yes",
+            "rank-4", "update_from_clipped-yes",
             "seeds-1,-1", "mu_x-nan", "L_f-inf"])
     def test_bad_value_rejected_before_run(self, tmp_path, capsys, command,
                                            extra, key):
@@ -695,10 +698,56 @@ class TestCli:
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
                              ids=lambda p: p.name)
     def test_shipped_config_validates(self, capsys, path):
+        # no issue, no unknown key, every grid combo built, no warning
         assert cli.main(["validate", "--config", str(path)]) == 0
         captured = capsys.readouterr()
         assert "config ok" in captured.out
         assert captured.err == ""
+        config = build_config(parse_config_text(path.read_text()))
+        if config.schedule_kind == "theorem1":
+            # the schedule's L_f bounds the instance's, as the theorem needs
+            assert config.constants.L_f >= \
+                build_problem(config)[0].lipschitz_L_f
+
+    def test_robust_logistic_recipe(self, tmp_path, capsys, monkeypatch):
+        # the README recipe on each shipped protocol config, shortened:
+        # grid, rerun the best config, then one plot of all four
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from datagen import write_libsvm as write_datagen
+        data = write_datagen(tmp_path / "data.svm", 300, 112, 22, seed=0)
+        out = tmp_path / "out"
+        for label in OPTIMIZER_LABELS:
+            mapping = shipped_config(f"robust_logistic_{label}", {
+                "problem.dataset_path": str(data), "run.T": "30",
+                "run.output_dir": str(out)})
+            cfg = tmp_path / f"{label}.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+            assert cli.main(["grid", "--config", str(cfg)]) == 0
+            assert cli.main(["run", "--config",
+                             str(out / f"best_{label}.cfg")]) == 0
+            board = (out / f"leaderboard_{label}.csv").read_text().splitlines()
+            summary = (out / f"summary_{label}.csv").read_text().splitlines()
+            # the rerun's mean and std are the best row's, to the bit
+            assert [line.split(",")[2] for line in summary[-2:]] == \
+                board[1].split(",")[-2:]
+        svg = tmp_path / "comparison.svg"
+        assert cli.main(["plot", "--in", str(out), "--out", str(svg)]) == 0
+        assert svg.read_text().count("<polyline") == 4
+
+    def test_grid_all_diverged_is_an_error(self, tmp_path, capsys):
+        # the leaderboard is written, but no best config to rerun, and one
+        # left by an earlier grid is removed
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "best_storm_gda.cfg").write_text("stale\n")
+        cfg = self.write_cfg(tmp_path, "grid.mu_x = 50,100\nrun.T = 400\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["grid", "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"see {out / 'leaderboard_storm_gda.csv'}" in err
+        assert (out / "leaderboard_storm_gda.csv").exists()
+        assert not (out / "best_storm_gda.cfg").exists()
 
     def test_validate_grid_supplies_schedule_value(self, tmp_path, capsys):
         m = quad_mapping(tmp_path / "out", **{"grid.mu_x": "0.01,0.02"})

@@ -1,3 +1,4 @@
+import bz2
 import gzip
 import tracemalloc
 import warnings
@@ -205,6 +206,11 @@ def assert_same_as_line_parser(path, **kw):
         if isinstance(want, ParseError):
             assert (got.line, got.column) == (want.line, want.column)
         return
+    assert_same_dataset(got, want)
+
+
+def assert_same_dataset(got, want):
+    """The two Datasets hold the same arrays, bit for bit."""
     assert not isinstance(got, Exception), got
     assert (got.n, got.d, got.X.shape) == (want.n, want.d, want.X.shape)
     for a, b in ((got.labels, want.labels), (got.X.data, want.X.data),
@@ -322,13 +328,25 @@ class TestFastPath:
         with pytest.raises(ParseError, match="unparseable feature value '1\\+2'"):
             load_dataset(str(p))
 
-    def test_gzip(self, tmp_path):
-        gz = tmp_path / "data.svm.gz"
-        with gzip.open(gz, "wt") as fh:
-            fh.write("".join(f"{(-1) ** i} {1 + i % 3}:{i}\n" for i in range(9000)))
-        assert libsvm._read_chunks(str(gz)) is not None
-        assert_same_as_line_parser(str(gz))
-        assert_same_as_line_parser(str(gz), subsample=100, seed=4)
+    @pytest.mark.parametrize("suffix,opener", [(".gz", gzip.open),
+                                               (".bz2", bz2.open)],
+                             ids=["gz", "bz2"])
+    def test_compressed(self, tmp_path, suffix, opener):
+        # a file the fast path reads and one with a comment, which the line
+        # parser reads: each loads as its uncompressed copy does
+        text = "".join(f"{(-1) ** i} {1 + i % 3}:{i}\n" for i in range(9000))
+        for name, data, fast in (("data", text, True),
+                                 ("comment", "# rows\n" + text, False)):
+            plain = tmp_path / f"{name}.svm"
+            plain.write_text(data)
+            packed = tmp_path / f"{name}.svm{suffix}"
+            with opener(packed, "wt") as fh:
+                fh.write(data)
+            assert (libsvm._read_chunks(str(packed)) is not None) == fast
+            assert_same_as_line_parser(str(packed))
+            assert_same_as_line_parser(str(packed), subsample=100, seed=4)
+            assert_same_dataset(load_dataset(str(packed)),
+                                load_dataset(str(plain)))
 
     def test_memory_below_line_parser(self, tmp_path):
         # mushrooms-shaped: 22 one-hot groups over 112 features, 20000 rows

@@ -320,12 +320,15 @@ class TestPlToy:
                                                 rel=1e-12)
 
     def test_rejects_bad_a_and_b_shapes(self):
-        # the quadratic testbed's checks and messages
+        # the quadratic testbed's checks and messages, then C's shape
         C = np.diag([1.0, 0.0])
         with pytest.raises(ValueError, match="^A must be square$"):
             PlToyProblem(np.zeros((1, 2)), np.array([[1.0, 0.0]]), C)
         with pytest.raises(ValueError, match="^B row count 1 != dim of A 2$"):
             PlToyProblem(np.zeros((2, 2)), np.array([[1.0, 0.0]]), C)
+        with pytest.raises(ValueError, match=r"^C must be 3 x 3 \(B has 3 "
+                                             r"columns\), got shape \(2, 2\)$"):
+            PlToyProblem(np.zeros((2, 2)), np.zeros((2, 3)), np.eye(2))
 
     def test_rejects_coupling_outside_range(self):
         C = np.diag([1.0, 0.0])
