@@ -14,8 +14,11 @@ writes under OUT, through the public harness API only:
 - the `unbounded_p_warning` text of every synthetic config, and the raw
   bytes (as SHA-256) of each testbed's M, p_hessian, inner max and
   objective at x0;
-- a robust-logistic `run_experiment` on a file from perfbench/datagen.py,
-  with n large enough that the run steps on a pooled restriction.
+- robust-logistic outputs on a file from perfbench/datagen.py:
+  `run_experiment` of all four optimizers with n large enough that the
+  runs step on a pooled restriction, one `run_experiment` on a 500-row
+  subsample, where the restriction declines (fewer than MIN_POOLED rows go
+  undrawn), and one `grid_search` leaderboard and its best config.
 
 The config echoes record OUT, so to compare revision A with revision B, run
 the script under the same relative OUT from two working directories:
@@ -117,13 +120,26 @@ def main(out: Path) -> None:
 
     # robust logistic on a pooled restriction: n = 3000 rows, at most 600 drawn
     data = write_libsvm(out / "data.libsvm", n=3000, d=40, groups=8, seed=5)
-    for opt in ("hcmm2", "sagda"):
-        config = build_config({
-            "problem.kind": "robust_logistic", "problem.dataset_path": str(data),
-            "optimizer.kind": opt, "schedule.kind": "explicit",
-            **OPTIMIZERS[opt], "run.T": "300", "run.seeds": "0,1",
-            "run.eval_every": "50", "run.output_dir": str(out / "logistic")})
+    logistic = {"problem.kind": "robust_logistic",
+                "problem.dataset_path": str(data), "schedule.kind": "explicit",
+                "run.T": "300", "run.seeds": "0,1", "run.eval_every": "50"}
+    for opt, schedule in OPTIMIZERS.items():
+        config = build_config({**logistic, "optimizer.kind": opt, **schedule,
+                               "run.output_dir": str(out / "logistic")})
         results.append(f"logistic {opt}: {run_experiment(config)}")
+    # a 500-row subsample: fewer than MIN_POOLED rows go undrawn, so the
+    # restriction declines and the run steps on the problem itself
+    config = build_config({**logistic, "problem.subsample": "500",
+                           "optimizer.kind": "hcmm1", **OPTIMIZERS["hcmm1"],
+                           "run.output_dir": str(out / "logistic_declined")})
+    results.append(f"logistic declined hcmm1: {run_experiment(config)}")
+    # a grid search on the pooled restriction
+    board = grid_search(build_config({
+        **logistic, "optimizer.kind": "hcmm2", "schedule.mu_y": "0.05",
+        "schedule.beta_y": "0.1", "grid.mu_x": "0.01,0.02",
+        "grid.beta_x": "0.1,0.3", "run.T": "200",
+        "run.output_dir": str(out / "logistic_grid")}))
+    results.append(f"logistic grid: {board}")
 
     (out / "results.txt").write_text("\n".join(results) + "\n", encoding="utf-8")
 

@@ -112,17 +112,18 @@ class _Reader:
             self.issues.append(f"{key} must be true or false, got {value!r}")
         return value.lower() == "true"
 
-    def number(self, key: str, default=None, kind=float, low=None):
+    def number(self, key: str, default=None, kind=float, low=None,
+               above=None):
         """One float (or int) value, checked as `numbers` checks a list."""
         values = self.numbers(key, None if default is None else (default,),
-                              kind, low, count=1)
+                              kind, low, count=1, above=above)
         return default if values is None else values[0]
 
     def numbers(self, key: str, default=None, kind=float, low=None,
-                count: Optional[int] = None):
+                count: Optional[int] = None, above=None):
         """A comma-separated list of finite floats (or ints): `count` of
-        them, or at least one, none below `low`. With count = 1 the whole
-        value is the one number."""
+        them, or at least one, none below `low` and all above `above`. With
+        count = 1 the whole value is the one number."""
         raw = self.text(key)
         if raw is None:
             values = default
@@ -145,6 +146,8 @@ class _Reader:
             self.issues.append(f"{key} must be finite, got {raw!r}")
         elif low is not None and min(values) < low:
             self.issues.append(f"{key} must be >= {low}")
+        elif above is not None and min(values) <= above:
+            self.issues.append(f"{key} must be > {above}")
         else:
             return values
         return default
@@ -159,9 +162,10 @@ def _read_problem(r: _Reader, kind: Optional[str]) -> Dict[str, Any]:
         return {"dataset_path": path,
                 "subsample": r.number("problem.subsample", None, int, low=1),
                 "seed": r.number("problem.seed", 0, int, low=0),
-                "lambda1": r.number("problem.lambda1"),  # None: 1/n^2
-                "lambda2": r.number("problem.lambda2", 0.001),
-                "rho": r.number("problem.rho", 10.0)}
+                # None: 1/n^2
+                "lambda1": r.number("problem.lambda1", above=0),
+                "lambda2": r.number("problem.lambda2", 0.001, low=0),
+                "rho": r.number("problem.rho", 10.0, above=0)}
     if kind not in ("quadratic", "pl_toy"):
         return {}
     d = r.number("problem.d", 10 if kind == "quadratic" else 6, int, low=1)
@@ -320,6 +324,10 @@ def build_schedule(config: ExperimentConfig, T: Optional[int] = None,
         return schedule_hcmm1(T, config.constants,
                               N1=params.get("N1", 1.0), N=params.get("N"))
     if config.schedule_kind == "theorem2":
+        if isinstance(config.optimizer, Hcmm1):
+            raise ConfigError("schedule.kind = theorem2 sets no clip "
+                              "constants, which optimizer.kind = hcmm1 needs; "
+                              "use theorem1 or explicit")
         return schedule_hcmm2(T, config.constants)
     needs_clip = isinstance(config.optimizer, Hcmm1)
     required = ("mu_x", "mu_y", "N", "N1") if needs_clip else ("mu_x", "mu_y")
@@ -360,8 +368,9 @@ def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
                collect_rows: bool = True):
     """Run one (config, seed) pair; returns (trace rows, final iterates).
 
-    The steps run on `problem.restrict` of the samples the run will draw
-    (the rows a robust-logistic run draws); the evaluations and the final
+    The run's samples are drawn once, from the seed's stream; the steps run
+    on `problem.restrict` of them (the rows a robust-logistic run draws),
+    on the samples as it returns them. The evaluations and the final
     iterates are on `problem`. An evaluated row solves the inner max once,
     and its P(x), grad P(x) and y*(x) fill p_x, grad_p_norm and metric_ci.
     With collect_rows=False no row is built and nothing is evaluated: only
@@ -369,12 +378,12 @@ def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
     """
     drawn = itertools.islice(sample_stream(problem, np.random.default_rng(seed)),
                              samples_per_run(config.optimizer, config.T))
-    stepped, y0_stepped = problem.restrict(drawn, np.asarray(y0))
+    stepped, y0_stepped, samples = problem.restrict(drawn, np.asarray(y0))
     rows: List[List[str]] = []
     x_i, y_i = np.asarray(x0), y0_stepped
     t0 = time.monotonic_ns()
     for s in iterate_steps(config.optimizer, stepped, schedule, x0, y0_stepped,
-                           config.T, seed):
+                           config.T, samples):
         x_i, y_i = s.x, s.y
         if not collect_rows:
             continue
@@ -523,20 +532,6 @@ def grid_search(config: ExperimentConfig) -> Tuple[Dict[str, float], List[dict]]
 # rate study
 # ---------------------------------------------------------------------------
 
-def time_averaged_grad_p(config: ExperimentConfig, problem: MinimaxProblem,
-                         x0: np.ndarray, y0: np.ndarray,
-                         schedule: HyperSchedule, T: int,
-                         seed: int) -> Tuple[float, float]:
-    """(time-averaged, final) closed-form ||grad P(x_i)|| along one run."""
-    total = 0.0
-    last = 0.0
-    for s in iterate_steps(config.optimizer, problem, schedule, x0, y0, T,
-                           seed):
-        last = norm2(problem.grad_p(s.x))
-        total += last
-    return total / T, last
-
-
 @dataclass(frozen=True)
 class RateReport:
     T_values: Tuple[int, ...]
@@ -564,9 +559,16 @@ def rate_study(config: ExperimentConfig, T_values: Sequence[float]) -> RateRepor
     averages = []
     for T in T_values:
         schedule = build_schedule(config, T=T)
-        per_seed = [time_averaged_grad_p(config, problem, x0, y0, schedule,
-                                         T, seed)[0]
-                    for seed in config.seeds]
+        per_seed = []
+        for seed in config.seeds:
+            # the time average of the closed-form ||grad P(x_i)||, summed
+            # left to right: the rate CSV's bits depend on the order
+            samples = sample_stream(problem, np.random.default_rng(seed))
+            total = 0.0
+            for s in iterate_steps(config.optimizer, problem, schedule, x0, y0,
+                                   T, samples):
+                total += norm2(problem.grad_p(s.x))
+            per_seed.append(total / T)
         averages.append(float(np.mean(per_seed)))
     slope = float(np.polyfit(np.log10(np.asarray(T_values, dtype=float)),
                              np.log10(averages), 1)[0])

@@ -22,8 +22,9 @@ gives the same bits as the scalars.
 
 One `StepState` holds what a step leaves behind and all the next step reads.
 `step` is a pure function of (kind, state, joint schedule, problem,
-samples); `iterate_steps` threads the state and draws the samples from the
-run's single RNG stream, a block at a time (`sample_stream`).
+samples); `iterate_steps` threads the state and takes the samples from the
+iterator it is given: the run's one stream (`sample_stream`), or a
+restriction's replay of it.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ class StepState:
     was clipped and for every other kind; clipped_x and clipped_y say which
     blocks were. m_x_norm and m_y_norm are the norms of m's blocks; SAGDA
     keeps its momentum at zero and records the norms of its descent and
-    ascent stochastic gradients there. `samples` holds one id per
-    stochastic oracle draw, and `iter` counts steps from 0 at `init_run`.
+    ascent stochastic gradients there. `iter` counts steps from 0 at
+    `init_run`.
     x and y are views into z; each state carries dim_x (the problem and the
     JointSchedule hold it too) so that these views need nothing else.
     """
@@ -127,7 +128,6 @@ class StepState:
     clipped_y: bool
     m_x_norm: float
     m_y_norm: float
-    samples: Tuple[SampleId, ...]
     iter: int
     dim_x: int
 
@@ -194,16 +194,13 @@ def init_run(kind: OptimizerKind, problem: MinimaxProblem, js: JointSchedule,
     d = js.dim_x
     z0 = np.concatenate((x0, y0), dtype=np.float64)
     if isinstance(kind, Sagda):
-        used: Tuple[SampleId, ...] = ()
         m = np.zeros_like(z0)
     else:
-        xi0 = next(samples)
-        used = (xi0,)
-        m = problem.sample_gradient(z0, xi0)
+        m = problem.sample_gradient(z0, next(samples))
     nx, ny = norm2(m[:d]), norm2(m[d:])
     mc, cx, cy = _clip_blocks(m, d, nx, ny, js.schedule) if hcmm1 \
         else (m, False, False)
-    return StepState(z0, z0, m, mc, cx, cy, nx, ny, used, 0, d)
+    return StepState(z0, z0, m, mc, cx, cy, nx, ny, 0, d)
 
 
 def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
@@ -220,13 +217,10 @@ def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
         # alternating: the ascent gradient is taken at the already-updated x
         z_next = z.copy()
         z_next[:d] -= js.schedule.mu_x * g[:d]
-        xi2 = next(samples)
-        gy = problem.sample_gradient(z_next, xi2)[d:]
+        gy = problem.sample_gradient(z_next, next(samples))[d:]
         z_next[d:] += js.schedule.mu_y * gy
-        used: Tuple[SampleId, ...] = (xi, xi2)
         nx, ny = norm2(g[:d]), norm2(gy)
     else:
-        used = (xi,)
         if isinstance(kind, StormGda):
             # g + (1 - beta)(m - g_prev), not the HCMM form: the last bits
             # of every STORM trace depend on this operation order
@@ -262,15 +256,15 @@ def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
     if problem.project_y(y_next) is not y_next:
         raise TypeError(f"{type(problem).__name__}.project_y must project "
                         "in place and return its argument")
-    return StepState(z_next, z, m, mc, cx, cy, nx, ny, used, s.iter + 1, d)
+    return StepState(z_next, z, m, mc, cx, cy, nx, ny, s.iter + 1, d)
 
 
 def iterate_steps(kind: OptimizerKind, problem: MinimaxProblem,
                   schedule: HyperSchedule, x0: Vec, y0: Vec, T: int,
-                  rng_seed: int) -> Iterator[StepState]:
-    """Yield the T states after steps 1..T; deterministic for a fixed
-    (seed, config)."""
-    samples = sample_stream(problem, np.random.default_rng(rng_seed))
+                  samples: Iterator[SampleId]) -> Iterator[StepState]:
+    """Yield the T states after steps 1..T, taking the run's samples from
+    `samples` (`samples_per_run` of them); deterministic for fixed samples
+    and config."""
     js = JointSchedule.expand(schedule, problem.dim_x, problem.dim_y)
     s = init_run(kind, problem, js, x0, y0, samples)
     for i in range(T):

@@ -13,7 +13,7 @@ the analytic code paths it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,12 +80,13 @@ class MinimaxProblem:
         return y
 
     # -- the problem a run steps on ----------------------------------------
-    def restrict(self, samples: Iterable[SampleId],
-                 y0: Vec) -> Tuple["MinimaxProblem", Vec]:
-        """(problem, y0) for a run that draws `samples` (lazily: the
-        identity restriction here never reads them). A problem may return
-        one that steps on a shorter y; `lift_y` maps its y back."""
-        return self, y0
+    def restrict(self, samples: Iterator[SampleId], y0: Vec
+                 ) -> Tuple["MinimaxProblem", Vec, Iterator[SampleId]]:
+        """(problem, y0, samples) for a run that draws `samples`: the
+        identity here, which returns the iterator unread. A problem may
+        return one that steps on a shorter y, with the samples as that
+        problem's ids; `lift_y` maps its y back."""
+        return self, y0, samples
 
     def lift_y(self, y: Vec) -> Vec:
         """A y of the problem `restrict` returned, on this problem."""

@@ -22,7 +22,7 @@ oracle.py); x and y are views into z.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,12 +91,11 @@ class RobustLogisticProblem(MinimaxProblem):
         self.dim_y = n
         self.n_samples = n
         # set by `restrict`: the row ids held, the rows behind the pooled y
-        # coordinate, n y - ones (1 per row, sqrt(w) at the pooled
-        # coordinate) and row id -> position (-1 if not held)
+        # coordinate and n y - ones (1 per row, sqrt(w) at the pooled
+        # coordinate)
         self.rows: Optional[np.ndarray] = None
         self.pooled = 0
         self._ones: Union[float, np.ndarray] = 1.0
-        self._local: Optional[np.ndarray] = None
         # crude analytic bound on the joint-gradient Lipschitz constant
         rmax = float(np.sqrt(X.power(2).sum(axis=1).max()))
         self.lipschitz_L_f = (n * rmax ** 2 / 4.0 + 2.0 * self.lambda2 * self.rho
@@ -143,9 +142,10 @@ class RobustLogisticProblem(MinimaxProblem):
                 f"{self.rows.size} of {self.n}")
 
     # -- restriction to the rows a run draws --------------------------------
-    def restrict(self, samples: Iterable[SampleId],
-                 y0: Vec) -> Tuple["RobustLogisticProblem", Vec]:
-        """This problem on the rows in `samples`, and y0 on it.
+    def restrict(self, samples: Iterator[SampleId], y0: Vec
+                 ) -> Tuple["RobustLogisticProblem", Vec, Iterator[SampleId]]:
+        """This problem on the rows in `samples`, y0 on it, and the samples
+        as positions among its rows.
 
         Every y-side operation of the four optimizers works entry by entry,
         except the bump at the sampled row. So the w rows a run never draws
@@ -154,34 +154,34 @@ class RobustLogisticProblem(MinimaxProblem):
         and one pooled coordinate sqrt(w) c last. That keeps ||y||, so the
         HCMM-2 normalisation and HCMM-1's clipping see full-length norms;
         the pooled coordinate's gradient constant is sqrt(w) (`_ones`) and
-        `project_y` weighs it w times. X and labels hold the drawn rows;
-        n and n_samples stay the full count. `draw_samples` maps row ids to
-        positions, so a run draws the same rows, and an undrawn row fails
-        in `_row`. Oracles that need every row raise.
+        `project_y` weighs it w times. X and labels hold the drawn rows and
+        n stays the full count. The samples come back as positions among
+        the held rows, so `rows[positions]` are the drawn row ids. Oracles
+        that need every row raise.
 
-        Returns (self, y0) when fewer than MIN_POOLED rows go undrawn (the
-        pooling would cost more than it saves) or y0 differs on the undrawn
-        rows.
+        Returns (self, y0, the drawn row ids) when fewer than MIN_POOLED
+        rows go undrawn (the pooling would cost more than it saves) or y0
+        differs on the undrawn rows.
         """
-        rows = np.unique(np.fromiter(samples, dtype=np.int64))
+        drawn = np.fromiter(samples, dtype=np.int64)
+        rows, local = np.unique(drawn, return_inverse=True)
         held = np.zeros(self.n, dtype=bool)
         held[rows] = True
         rest = y0[~held]
         if rest.size < MIN_POOLED or np.any(rest != rest[0]):
-            return self, y0
+            return self, y0, iter(drawn.tolist())
         r = math.sqrt(rest.size)
         # built by __init__, not copied: a copied instance keeps its
         # attributes in a plain dict, which makes every attribute read in
         # the oracles slower
         sub = RobustLogisticProblem(self.X[rows], self.labels[rows],
                                     self.lambda1, self.lambda2, self.rho)
-        sub.n = sub.n_samples = self.n
+        sub.n = self.n
         sub.lipschitz_L_f = self.lipschitz_L_f
         sub.rows, sub.pooled, sub.dim_y = rows, rest.size, rows.size + 1
         sub._ones = np.append(np.ones(rows.size), r)
-        sub._local = np.full(self.n, -1)
-        sub._local[rows] = np.arange(rows.size)
-        return sub, np.append(y0[rows], r * rest[0])
+        return (sub, np.append(y0[rows], r * rest[0]),
+                iter(local.tolist()))
 
     def lift_y(self, y: Vec) -> Vec:
         if self.rows is None:
@@ -191,10 +191,6 @@ class RobustLogisticProblem(MinimaxProblem):
         return full
 
     # -- oracle interface --------------------------------------------------
-    def draw_samples(self, rng: np.random.Generator, k: int) -> Sequence[SampleId]:
-        rows = super().draw_samples(rng, k)
-        return rows if self._local is None else self._local[rows].tolist()
-
     def sample_loss(self, x: Vec, y: Vec, xi: SampleId) -> float:
         t = self._margin(xi, x)
         return (self.n * y[xi] * float(self._q_of_margin(t)) - self._v_value(y)

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from hcmm.harness import parse_config_text
+from hcmm.optimizers import sample_stream
 from hcmm.problems import QuadraticMinimaxProblem, RobustLogisticProblem
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -14,6 +15,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def join(x, y):
     """The joint vector z = (x, y) of the oracle interface."""
     return np.concatenate((x, y))
+
+
+def stream(problem, seed):
+    """The sample stream of `problem` from a seed (or a Generator, which
+    it draws from in place): what a run steps on."""
+    return sample_stream(problem, np.random.default_rng(seed))
 
 
 def make_sparse_rows(n, d, density=0.3, seed=0, scale=1.0):

@@ -21,7 +21,7 @@ from hcmm.simplex import project_simplex
 from hcmm.libsvm import ParseError, load_dataset, parse_line
 
 from conftest import (find_dataset, join, make_logistic, make_quadratic,
-                      shipped_config)
+                      shipped_config, stream)
 
 
 def report(num, ok, detail):
@@ -132,7 +132,7 @@ def test_criterion_03_momentum_exactness():
         m0y = 3.0 + rng.standard_normal(q.dim_y)
         z, m0 = join(x, y), join(m0x, m0y)
         state = StepState(z, z, m0, m0, False, False, np.linalg.norm(m0x),
-                          np.linalg.norm(m0y), (), 0, d)
+                          np.linalg.norm(m0y), 0, d)
         g0 = q.full_gradient(z)
         r0 = joint_norm(m0x - g0[:d], m0y - g0[d:])
         samples = sample_stream(q, rng)
@@ -283,7 +283,8 @@ def test_criterion_07_saddle_convergence():
         x0 = 0.05 * v / np.linalg.norm(v)
         tot = 0.0
         last = 0.0
-        for out in iterate_steps(Hcmm1(), q, sched, x0, np.zeros(m), T, seed):
+        for out in iterate_steps(Hcmm1(), q, sched, x0, np.zeros(m), T,
+                                 stream(q, seed)):
             last = float(np.linalg.norm(q.grad_p(out.x)))
             tot += last
         avgs.append(tot / T)

@@ -19,7 +19,7 @@ from hcmm.optimizers import Hcmm1, Sagda, iterate_steps
 from hcmm.oracle import MinimaxProblem, evaluate_P
 from hcmm import cli
 
-from conftest import CONFIGS, shipped_config, write_libsvm
+from conftest import CONFIGS, shipped_config, stream, write_libsvm
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -177,7 +177,7 @@ class TestRunExperiment:
         schedule = build_schedule(cfg)
         rows, _ = run_single(cfg, 1, problem, x0, y0, schedule)
         states = list(iterate_steps(cfg.optimizer, problem, schedule, x0, y0,
-                                    cfg.T, 1))
+                                    cfg.T, stream(problem, 1)))
         assert len(rows) == len(states) == 40
         flags = []
         d = problem.dim_x
@@ -593,6 +593,10 @@ class TestPlot:
             emit_plot(str(tmp_path), str(tmp_path / "x.svg"))
 
 
+# a robust-logistic problem on tiny.svm, found through MINIMAX_DATA_DIR
+LOGISTIC = "problem.kind = robust_logistic\nproblem.dataset_path = tiny.svm\n"
+
+
 class TestCli:
     def write_cfg(self, tmp_path, extra=""):
         cfg = tmp_path / "exp.cfg"
@@ -652,16 +656,41 @@ class TestCli:
         ("run.seeds = 1,-1", "run.seeds"),
         ("schedule.mu_x = nan", "schedule.mu_x"),
         ("constants.L_f = inf", "constants.L_f"),
+        (LOGISTIC + "problem.lambda1 = -1", "problem.lambda1"),
+        (LOGISTIC + "problem.lambda1 = 0", "problem.lambda1"),
+        (LOGISTIC + "problem.rho = 0", "problem.rho"),
+        (LOGISTIC + "problem.lambda2 = -0.5", "problem.lambda2"),
     ], ids=["d-abc", "d-0", "spectrum-1", "spectrum-a,b", "seed--1",
             "rank-4", "update_from_clipped-yes",
-            "seeds-1,-1", "mu_x-nan", "L_f-inf"])
-    def test_bad_value_rejected_before_run(self, tmp_path, capsys, command,
-                                           extra, key):
+            "seeds-1,-1", "mu_x-nan", "L_f-inf", "lambda1--1", "lambda1-0",
+            "rho-0", "lambda2--0.5"])
+    def test_bad_value_rejected_before_run(self, tmp_path, capsys,
+                                           monkeypatch, command, extra, key):
+        # the robust-logistic cases name a file that exists
+        monkeypatch.setenv("MINIMAX_DATA_DIR", str(tmp_path))
+        logistic_file(tmp_path / "tiny.svm")
         rc = cli.main([command, "--config",
                        self.write_cfg(tmp_path, extra + "\n")])
         err = capsys.readouterr().err
         assert rc == 1
         assert f"{key} " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "grid", "rate"])
+    def test_hcmm1_on_theorem2_rejected_before_run(self, tmp_path, capsys,
+                                                   command):
+        # the theorem2 schedule sets no clip constants, which HCMM-1 needs
+        cfg = self.write_cfg(tmp_path, "optimizer.kind = hcmm1\n"
+                             "schedule.kind = theorem2\n"
+                             "constants.L_f = 2.0\nconstants.delta = 0.5\n"
+                             "grid.mu_x = 0.01,0.02\n")
+        horizons = ["--T", "10,100,1000"] if command == "rate" else []
+        rc = cli.main([command, "--config", cfg] + horizons)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "schedule.kind = theorem2" in err
+        assert "optimizer.kind = hcmm1" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -907,5 +936,8 @@ def test_golden_outputs_script(tmp_path):
     for name in ("results.txt", "quadratic_seed0/plot.svg",
                  "pl_toy_seed1/trace_hcmm2_seed1.csv",
                  "grid/leaderboard_storm_gda.csv", "rate_theorem1/rate_hcmm1.csv",
-                 "rate_theorem2/rate_hcmm2.csv", "logistic/summary_sagda.csv"):
+                 "rate_theorem2/rate_hcmm2.csv", "logistic/summary_sagda.csv",
+                 "logistic/trace_hcmm1_seed1.csv",
+                 "logistic_declined/summary_hcmm1.csv",
+                 "logistic_grid/best_hcmm2.cfg"):
         assert name in trees[0]

@@ -11,7 +11,7 @@ from hcmm.optimizers import (SAMPLE_BLOCK, Hcmm1, Hcmm2, JointSchedule, Sagda,
                              step)
 from hcmm.problems import QuadraticMinimaxProblem
 
-from conftest import join, make_logistic, make_quadratic
+from conftest import join, make_logistic, make_quadratic, stream
 
 
 def explicit_schedule(mu_x=0.01, mu_y=0.01, beta=0.1, N=None, N1=None):
@@ -26,13 +26,22 @@ def make_state(x, y, m_x, m_y, x_prev=None, y_prev=None):
     return StepState(join(x, y), join(x if x_prev is None else x_prev,
                                       y if y_prev is None else y_prev),
                      m, m, False, False, np.linalg.norm(m_x),
-                     np.linalg.norm(m_y), (), 0, len(x))
+                     np.linalg.norm(m_y), 0, len(x))
 
 
-def run_step(kind, state, sched, problem, rng):
-    """One `step` with the schedule expanded and its samples drawn from rng."""
+def run_step(kind, state, sched, problem, source):
+    """One `step` with the schedule expanded, on a list of samples or on
+    the stream of `source` (a seed or a Generator)."""
     js = JointSchedule.expand(sched, problem.dim_x, problem.dim_y)
-    return step(kind, state, js, problem, sample_stream(problem, rng))
+    samples = iter(source) if isinstance(source, list) \
+        else stream(problem, source)
+    return step(kind, state, js, problem, samples)
+
+
+def first_samples(problem, seed, count=2):
+    """The first samples of a seed's stream, enough for one step of any
+    kind, as a list that a test replays."""
+    return list(islice(stream(problem, seed), count))
 
 
 def weights(beta, n):
@@ -49,13 +58,14 @@ def blocks(s, v):
 
 class CountingProblem:
     """Wrapper that counts oracle calls and the samples taken off the
-    stream."""
+    stream, and records the sample of each gradient call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.draws = 0
         self.grad_calls = 0
         self.hvp_calls = 0
+        self.grad_samples = []
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -67,6 +77,7 @@ class CountingProblem:
 
     def sample_gradient(self, z, xi):
         self.grad_calls += 1
+        self.grad_samples.append(xi)
         return self.inner.sample_gradient(z, xi)
 
     def sample_hvp(self, z, xi, dz):
@@ -185,7 +196,7 @@ class TestHcmm1:
         q = make_quadratic(d=4, m=3, seed=5, noise_sigma=0.2)
         big = explicit_schedule(N=1e300, N1=1e300)
         outs = list(iterate_steps(Hcmm1(), q, big, np.ones(4), np.zeros(3),
-                                  50, 9))
+                                  50, stream(q, 9)))
         np.testing.assert_allclose(blocks(outs[-1], outs[-1].m)[0],
                                    blocks(outs[-1], outs[-1].m_clipped)[0])
 
@@ -193,7 +204,7 @@ class TestHcmm1:
         q = make_quadratic(d=3, m=3, seed=0)
         sched = explicit_schedule(N=1e-6, N1=1e-6)
         outs = list(iterate_steps(Hcmm1(), q, sched, np.ones(3) * 5,
-                                  np.zeros(3), 3, 0))
+                                  np.zeros(3), 3, stream(q, 0)))
         assert outs[0].clipped_x
         assert np.linalg.norm(blocks(outs[0], outs[0].m_clipped)[0]) \
             == pytest.approx(1e-6)
@@ -220,12 +231,36 @@ class TestHcmm1:
         assert out.clipped_x == (big == "x")
         assert out.clipped_y == (big == "y")
 
+    def test_theory_mode_recurses_from_clipped_momentum(self):
+        # step 1 clips the x block of m; step 2 forms its momentum from
+        # step 1's m_clipped in theory mode and from its m in experiment mode
+        q = make_quadratic(d=4, m=3, seed=3)
+        beta = 0.3
+        sched = explicit_schedule(mu_x=0.02, mu_y=0.03, beta=beta, N=1.0,
+                                  N1=0.5)
+        rng = np.random.default_rng(6)
+        x, y, xp, yp = (0.1 * rng.standard_normal(n) for n in (4, 3, 4, 3))
+        first = run_step(Hcmm1(update_from_clipped=True),
+                         make_state(x, y, np.full(4, 3.0), np.full(3, 0.01),
+                                    xp, yp), sched, q, 0)
+        assert first.clipped_x and not first.clipped_y
+        assert np.linalg.norm(first.m_clipped[:4]) == pytest.approx(0.5)
+        assert first.m_clipped.tobytes() != first.m.tobytes()
+        # noiseless: the sample gradient is M z and the HVP M dz
+        g = q.M @ first.z
+        h = q.M @ (first.z - first.z_prev)
+        for kind, prev in ((Hcmm1(update_from_clipped=True), first.m_clipped),
+                           (Hcmm1(), first.m)):
+            out = run_step(kind, first, sched, q, 1)
+            want = (1 - beta) * (prev + h) + beta * g
+            assert out.m.tobytes() == want.tobytes()
+
     def test_requires_clip_fields(self):
         # init_run is the one place that checks N and N1, before any draw
         for N, N1 in ((None, 1.0), (1.0, None)):
             counter = CountingProblem(make_quadratic())
             run = iterate_steps(Hcmm1(), counter, explicit_schedule(N=N, N1=N1),
-                                np.zeros(4), np.zeros(3), 5, 0)
+                                np.zeros(4), np.zeros(3), 5, stream(counter, 0))
             with pytest.raises(ValueError, match="clip_threshold and clip_norm"):
                 next(run)
             assert (counter.draws, counter.grad_calls, counter.hvp_calls) \
@@ -237,7 +272,7 @@ class TestHcmm2:
         q = make_quadratic(d=4, m=3, seed=7, noise_sigma=0.1)
         sched = explicit_schedule(mu_x=0.05, mu_y=0.07)
         outs = list(iterate_steps(Hcmm2(), q, sched, np.ones(4), np.ones(3),
-                                  20, 3))
+                                  20, stream(q, 3)))
         for out in outs:
             dx = np.linalg.norm(out.x - blocks(out, out.z_prev)[0])
             assert dx == pytest.approx(0.05) or dx == 0.0
@@ -275,8 +310,9 @@ class TestStormGda:
         state = make_state(x, y, np.full(3, 99.0), np.full(2, 99.0),
                            0.5 * x, 0.5 * y)
         sched = explicit_schedule(beta=1.0)
-        out = run_step(StormGda(), state, sched, q, rng)
-        xi = out.samples[0]
+        drawn = first_samples(q, rng)
+        out = run_step(StormGda(), state, sched, q, drawn)
+        xi = drawn[0]
         g = q.sample_gradient(join(x, y), xi)
         np.testing.assert_allclose(blocks(out, out.m)[0], blocks(out, g)[0])
         np.testing.assert_allclose(blocks(out, out.m)[1], blocks(out, g)[1])
@@ -288,10 +324,11 @@ class TestStormGda:
         rng = np.random.default_rng(4)
         x, y = rng.standard_normal(4), rng.standard_normal(3)
         xp, yp = rng.standard_normal(4), rng.standard_normal(3)
+        drawn = first_samples(q, rng)
         out = run_step(StormGda(), make_state(x, y, np.zeros(4), np.zeros(3),
                                               xp, yp),
-                       explicit_schedule(beta=0.5), q, rng)
-        xi = out.samples[0]
+                       explicit_schedule(beta=0.5), q, drawn)
+        xi = drawn[0]
         z, zp = join(x, y), join(xp, yp)
         g, g_prev = q.sample_gradient(z, xi), q.sample_gradient(zp, xi)
         f, f_prev = q.full_gradient(z), q.full_gradient(zp)
@@ -308,9 +345,10 @@ class TestStormGda:
         y = np.ones(2)
         m_x = np.array([1.0, 2, 3])
         beta = 0.25
+        drawn = first_samples(q, 2)
         out = run_step(StormGda(), make_state(x, y, m_x, np.array([4.0, 5])),
-                       explicit_schedule(beta=beta), q, np.random.default_rng(2))
-        gx = blocks(out, q.sample_gradient(join(x, y), out.samples[0]))[0]
+                       explicit_schedule(beta=beta), q, drawn)
+        gx = blocks(out, q.sample_gradient(join(x, y), drawn[0]))[0]
         np.testing.assert_allclose(blocks(out, out.m)[0],
                                    gx + (1 - beta) * (m_x - gx))
 
@@ -355,7 +393,7 @@ class TestRunDiscipline:
     def test_T_zero_empty_trace(self):
         q = make_quadratic()
         outs = list(iterate_steps(Sagda(), q, explicit_schedule(), np.zeros(4),
-                                  np.zeros(3), 0, 0))
+                                  np.zeros(3), 0, stream(q, 0)))
         assert outs == []
 
     def test_same_seed_identical_traces(self):
@@ -364,14 +402,16 @@ class TestRunDiscipline:
         for kind in (Hcmm1(), Hcmm2(), StormGda(), Sagda()):
             s = explicit_schedule(N=1.0, N1=1.0) if isinstance(kind, Hcmm1) \
                 else sched
-            a = list(iterate_steps(kind, q, s, np.ones(4), np.ones(3), 30, 11))
-            b = list(iterate_steps(kind, q, s, np.ones(4), np.ones(3), 30, 11))
-            np.testing.assert_array_equal(a[-1].x, b[-1].x)
-            # a synthetic sample is its noise draw: compare element-wise
+            a, b = (list(iterate_steps(kind, q, s, np.ones(4), np.ones(3),
+                                       30, stream(q, 11)))
+                    for _ in range(2))
+            assert len(a) == len(b) == 30
             for oa, ob in zip(a, b):
-                assert len(oa.samples) == len(ob.samples)
-                for sa, sb in zip(oa.samples, ob.samples):
-                    np.testing.assert_array_equal(sa, sb)
+                for field in ("z", "z_prev", "m", "m_clipped"):
+                    assert getattr(oa, field).tobytes() \
+                        == getattr(ob, field).tobytes()
+                assert (oa.m_x_norm, oa.m_y_norm, oa.clipped_x, oa.clipped_y) \
+                    == (ob.m_x_norm, ob.m_y_norm, ob.clipped_x, ob.clipped_y)
 
     def test_state_threading(self):
         q = make_quadratic(noise_sigma=0.1)
@@ -379,7 +419,7 @@ class TestRunDiscipline:
             s = explicit_schedule(N=5.0, N1=5.0)
             prev = None
             for out in iterate_steps(kind, q, s, np.ones(4), np.ones(3),
-                                     20, 3):
+                                     20, stream(q, 3)):
                 if prev is not None:
                     x_prev, y_prev = blocks(out, out.z_prev)
                     np.testing.assert_array_equal(x_prev, prev.x)
@@ -396,7 +436,8 @@ class TestRunDiscipline:
             x0 = np.zeros(5)
             y0 = np.full(12, 1 / 12)
             T = 7
-            list(iterate_steps(kind, counter, sched, x0, y0, T, 0))
+            list(iterate_steps(kind, counter, sched, x0, y0, T,
+                               stream(counter, 0)))
             init_draws = 0 if isinstance(kind, Sagda) else 1
             assert counter.draws == init_draws + expected_draws * T
             # the count a restriction to the drawn rows is built from
@@ -407,7 +448,7 @@ class TestRunDiscipline:
         sched = explicit_schedule(mu_x=0.1, mu_y=0.5, N=5.0, N1=5.0)
         for kind in (Hcmm1(), Hcmm2(), StormGda(), Sagda()):
             for out in iterate_steps(kind, p, sched, np.zeros(4),
-                                     np.full(8, 1 / 8), 25, 1):
+                                     np.full(8, 1 / 8), 25, stream(p, 1)):
                 y = out.y
                 assert np.all(y >= 0) and abs(y.sum() - 1) <= 1e-12
 
@@ -418,7 +459,7 @@ class TestRunDiscipline:
 
         p = CopyingProjection(make_logistic(n=8, d=4))
         run = iterate_steps(Hcmm2(), p, explicit_schedule(), np.zeros(4),
-                            np.full(8, 1 / 8), 3, 0)
+                            np.full(8, 1 / 8), 3, stream(p, 0))
         with pytest.raises(RuntimeError, match="iteration 1") as err:
             next(run)
         assert "in place" in str(err.value.__cause__)
@@ -433,7 +474,7 @@ class TestRunDiscipline:
         p = Exploding(make_quadratic())
         with pytest.raises(RuntimeError, match="iteration"):
             list(iterate_steps(StormGda(), p, explicit_schedule(),
-                               np.ones(4), np.ones(3), 10, 0))
+                               np.ones(4), np.ones(3), 10, stream(p, 0)))
 
 
 class TestSampleStream:
@@ -464,31 +505,33 @@ class TestSampleStream:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_sagda_draws_two_per_step_in_order(self):
-        q = make_quadratic(d=4, m=3, noise_sigma=0.5)
-        states = list(iterate_steps(Sagda(), q, explicit_schedule(), np.ones(4),
-                                    np.ones(3), 5, 8))
-        drawn = [xi for s in states for xi in s.samples]
-        assert [len(s.samples) for s in states] == [2] * 5
-        for got, want in zip(drawn, self.per_call_draws(q, 8, 10)):
-            assert got.tobytes() == want.tobytes()
+        # the descent gradient takes a step's first sample, the ascent
+        # gradient at the updated x its second
+        q = CountingProblem(make_quadratic(d=4, m=3, noise_sigma=0.5))
+        for s in iterate_steps(Sagda(), q, explicit_schedule(), np.ones(4),
+                               np.ones(3), 5, stream(q, 8)):
+            assert q.draws == len(q.grad_samples) == 2 * s.iter
+        want = self.per_call_draws(q.inner, 8, 10)
+        for got, xi in zip(q.grad_samples, want):
+            assert got.tobytes() == xi.tobytes()
 
     def test_momentum_methods_draw_init_then_one_per_step(self):
-        p = make_logistic(n=30, d=5)
-        states = list(iterate_steps(Hcmm2(), p, explicit_schedule(),
-                                    np.zeros(5), np.full(30, 1 / 30), 6, 2))
-        assert [xi for s in states for xi in s.samples] \
-            == self.per_call_draws(p, 2, 7)[1:]
+        p = CountingProblem(make_logistic(n=30, d=5))
+        for s in iterate_steps(Hcmm2(), p, explicit_schedule(), np.zeros(5),
+                               np.full(30, 1 / 30), 6, stream(p, 2)):
+            assert p.draws == len(p.grad_samples) == s.iter + 1
+        assert p.grad_samples == self.per_call_draws(p.inner, 2, 7)
 
     def test_recorded_sample_unchanged_by_later_draws(self):
         # run past a block boundary: later blocks must not overwrite the
-        # array a recorded sample views
+        # array a sample taken earlier views
         q = make_quadratic(d=4, m=3, noise_sigma=0.5)
-        run = iterate_steps(StormGda(), q, explicit_schedule(), np.ones(4),
-                            np.ones(3), 2500, 1)
-        first = next(run)
-        saved = first.samples[0].copy()
+        samples = stream(q, 1)
+        first = next(samples)
+        saved = first.copy()
         last = None
-        for last in run:
+        for last in iterate_steps(StormGda(), q, explicit_schedule(),
+                                  np.ones(4), np.ones(3), 2500, samples):
             pass
         assert last.iter == 2500
-        assert first.samples[0].tobytes() == saved.tobytes()
+        assert first.tobytes() == saved.tobytes()

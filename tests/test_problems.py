@@ -1,14 +1,17 @@
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hcmm.problems
+from hcmm.core import HyperSchedule
+from hcmm.optimizers import Hcmm2, iterate_steps, samples_per_run
 from hcmm.problems import (PlToyProblem, QuadraticMinimaxProblem,
                            RobustLogisticProblem)
 from hcmm.simplex import project_simplex
 
-from conftest import join, make_logistic, make_quadratic
+from conftest import join, make_logistic, make_quadratic, stream
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -492,7 +495,7 @@ class TestRestriction:
 
     def restricted(self, n=40, d=6):
         p = make_logistic(n=n, d=d, seed=2)
-        sub, y0 = p.restrict(iter(self.SAMPLES), np.full(n, 1.0 / n))
+        sub, y0, _ = p.restrict(iter(self.SAMPLES), np.full(n, 1.0 / n))
         return p, sub, y0
 
     def lifted(self, p, sub, z):
@@ -503,7 +506,8 @@ class TestRestriction:
         p, sub, y0 = self.restricted()
         assert isinstance(sub, RobustLogisticProblem) and sub is not p
         np.testing.assert_array_equal(sub.rows, [3, 8, 17, 25])
-        assert (sub.pooled, sub.dim_y, sub.n, sub.n_samples) == (36, 5, 40, 40)
+        # n stays the full count; the samples are positions among 4 rows
+        assert (sub.pooled, sub.dim_y, sub.n, sub.n_samples) == (36, 5, 40, 4)
         np.testing.assert_array_equal(y0[:4], np.full(4, 1.0 / 40))
         assert y0[-1] == 6.0 * (1.0 / 40)
         full_y = sub.lift_y(y0)
@@ -551,18 +555,45 @@ class TestRestriction:
             np.testing.assert_allclose(sub.lift_y(got), want, rtol=0,
                                        atol=1e-15)
 
-    def test_draws_map_rows_to_positions(self):
+    def test_samples_are_positions_of_the_drawn_rows(self):
         p, sub, _ = self.restricted()
-        rows = p.draw_samples(np.random.default_rng(9), 50)
-        local = sub.draw_samples(np.random.default_rng(9), 50)
-        position = {row: j for j, row in enumerate(sub.rows.tolist())}
-        assert local == [position.get(row, -1) for row in rows]
-        assert -1 in local
+        _, _, local = p.restrict(iter(self.SAMPLES), np.full(p.n, 1.0 / p.n))
+        local = list(local)
+        assert local == [0, 2, 0, 3, 1, 2]
+        assert all(type(i) is int for i in local)
+        assert sub.rows[local].tolist() == self.SAMPLES
         z = np.zeros(p.d + sub.dim_y)
-        # an undrawn row, and a position past the held rows, fail in _row
-        for bad in (-1, sub.dim_y - 1):
+        # a position outside the held rows fails in _row
+        for bad in (-1, sub.rows.size):
             with pytest.raises(IndexError, match="out of range"):
                 sub.sample_gradient(z, bad)
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_run_steps_on_the_streams_rows(self, monkeypatch, pooled):
+        # the rows behind the samples a run's oracles take, pooled or
+        # declined (the problem itself, holding every row), are the rows
+        # of the seed's stream: sub.rows[local] == drawn
+        if not pooled:
+            monkeypatch.setattr(hcmm.problems, "MIN_POOLED", 10 ** 6)
+        p = make_logistic(n=40, d=6, seed=2)
+        T, kind = 30, Hcmm2()
+        count = samples_per_run(kind, T)
+        drawn = list(islice(stream(p, 9), count))
+        sub, y0, samples = p.restrict(islice(stream(p, 9), count),
+                                      np.full(p.n, 1.0 / p.n))
+        assert (sub is p) == (not pooled)
+        taken = []
+        gradient = RobustLogisticProblem.sample_gradient
+        monkeypatch.setattr(RobustLogisticProblem, "sample_gradient",
+                            lambda self, z, xi: taken.append(xi)
+                            or gradient(self, z, xi))
+        schedule = HyperSchedule(mu_x=0.01, mu_y=0.01, beta_x=0.1,
+                                 beta_y=0.1)
+        assert len(list(iterate_steps(kind, sub, schedule, np.zeros(p.d), y0,
+                                      T, samples))) == T
+        rows = np.arange(p.n) if sub.rows is None else sub.rows
+        assert len(taken) == count
+        assert rows[taken].tolist() == drawn
 
     def test_oracles_needing_every_row_raise(self):
         # they would otherwise answer from the drawn rows alone
@@ -581,10 +612,22 @@ class TestRestriction:
         p = make_logistic(n=10, d=4)
         y0 = np.full(10, 0.1)
         for drawn in (10, 8):        # 0 and 2 rows undrawn, fewer than 3
-            got, got_y = p.restrict(iter(range(drawn)), y0)
+            got, got_y, samples = p.restrict(iter(range(drawn)), y0)
             assert got is p and got_y is y0
+            # the drawn row ids, which restrict has read
+            assert list(samples) == list(range(drawn))
         assert p.restrict(iter(range(7)), y0)[0].pooled == 3
         uneven = np.linspace(0.0, 0.2, 10)
-        got, got_y = p.restrict(iter([1, 2]), uneven)
-        assert got is p and got_y is uneven
+        got, got_y, samples = p.restrict(iter([1, 2]), uneven)
+        assert got is p and got_y is uneven and list(samples) == [1, 2]
         assert p.lift_y(y0) is y0
+
+    def test_identity_restriction_leaves_samples_unread(self):
+        # the base class returns its iterator as it is, so a synthetic run
+        # never holds its samples
+        q = make_quadratic(noise_sigma=0.5)
+        samples = iter(range(5))
+        y0 = np.zeros(q.dim_y)
+        got, got_y, out = q.restrict(samples, y0)
+        assert got is q and got_y is y0 and out is samples
+        assert next(samples) == 0
