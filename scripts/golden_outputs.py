@@ -3,7 +3,8 @@
 
     PYTHONPATH=src python3 scripts/golden_outputs.py OUT
 
-writes under OUT, through the public harness API only:
+writes under OUT, through the public `hcmm.harness` and `hcmm.libsvm` API
+only:
 
 - `run_experiment` traces, summaries and config echoes of all four
   optimizers on the quadratic and the pl_toy testbeds at problem.seed 0 and
@@ -18,7 +19,11 @@ writes under OUT, through the public harness API only:
   `run_experiment` of all four optimizers with n large enough that the
   runs step on a pooled restriction, one `run_experiment` on a 500-row
   subsample, where the restriction declines (fewer than MIN_POOLED rows go
-  undrawn), and one `grid_search` leaderboard and its best config.
+  undrawn), one `run_experiment` on a copy of the file with a leading and
+  a trailing comment line, and one `grid_search` leaderboard and its best
+  config;
+- `load_errors.txt`: the `load_dataset` error of each of a set of files
+  with one fault each, with paths relative to OUT.
 
 The config echoes record OUT, so to compare revision A with revision B, run
 the script under the same relative OUT from two working directories:
@@ -32,6 +37,7 @@ It takes a few seconds.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import sys
 from pathlib import Path
@@ -40,6 +46,7 @@ import numpy as np
 
 from hcmm.harness import (build_config, build_problem, emit_plot, grid_search,
                           rate_study, run_experiment, unbounded_p_warning)
+from hcmm.libsvm import ParseError, load_dataset
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from datagen import write_libsvm  # noqa: E402
@@ -61,6 +68,22 @@ PROBLEMS = {
     "pl_toy": {"problem.kind": "pl_toy", "problem.d": "5", "problem.m": "6",
                "problem.rank": "3", "problem.noise_sigma": "0.1"},
 }
+
+
+# one fault each: every ParseError kind between a comment, a blank, a valid
+# line and a valid last line; a non-finite value the array path's bytes
+# allow; faults past the first read, with LF and with CR LF line ends
+FAULTS = {f"line_{i}.svm": b"# comment\n\n+1 1:1 2:0.5\n" + bad + b"\n-1 1:1\n"
+          for i, bad in enumerate([
+              b"  spam 1:1", b"+1 2:1 23", b"+1 1:1 x:2", b"-1 0:1",
+              b"+1 2:1 12:1 2:1", b"-1 1:1\t2:abc", b"-1 2147483648:1",
+              b"+1 2:1 \xff", b"+1 1:nan 2:1", b"-1 3:1e999"])}
+FAULTS.update({
+    "late_lf.svm": b"+1 1:1 3:2\n" * 20000 + b"-1 3:1 3:2\n",
+    "late_crlf.svm": b"+1 1:1 3:2\r\n" * 20000 + b"-1 0:1\r\n",
+    "comments_only.svm": b"# no rows\n\n",
+    "fault.svm.gz": gzip.compress(b"# c\n+1 1:1\n-1 3:1 3:2\n", mtime=0),
+})
 
 
 def digest(*arrays) -> str:
@@ -133,6 +156,14 @@ def main(out: Path) -> None:
                            "optimizer.kind": "hcmm1", **OPTIMIZERS["hcmm1"],
                            "run.output_dir": str(out / "logistic_declined")})
     results.append(f"logistic declined hcmm1: {run_experiment(config)}")
+    # the same file with a leading and a trailing comment line
+    commented = out / "data_commented.libsvm"
+    commented.write_bytes(b"# leading comment\n" + data.read_bytes()
+                          + b"# trailing comment\n")
+    config = build_config({**logistic, "problem.dataset_path": str(commented),
+                           "optimizer.kind": "hcmm2", **OPTIMIZERS["hcmm2"],
+                           "run.output_dir": str(out / "logistic_commented")})
+    results.append(f"logistic commented hcmm2: {run_experiment(config)}")
     # a grid search on the pooled restriction
     board = grid_search(build_config({
         **logistic, "optimizer.kind": "hcmm2", "schedule.mu_y": "0.05",
@@ -142,6 +173,19 @@ def main(out: Path) -> None:
     results.append(f"logistic grid: {board}")
 
     (out / "results.txt").write_text("\n".join(results) + "\n", encoding="utf-8")
+
+    errors = []
+    (out / "load_errors").mkdir(exist_ok=True)
+    for name, data in FAULTS.items():
+        path = out / "load_errors" / name
+        path.write_bytes(data)
+        try:
+            errors.append(f"{name}: loaded {load_dataset(str(path)).n} rows")
+        except ParseError as exc:
+            errors.append(str(exc).replace(str(path),
+                                           str(path.relative_to(out))))
+    (out / "load_errors.txt").write_text("\n".join(errors) + "\n",
+                                         encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -171,18 +171,18 @@ def _read_problem(r: _Reader, kind: Optional[str]) -> Dict[str, Any]:
     d = r.number("problem.d", 10 if kind == "quadratic" else 6, int, low=1)
     m = r.number("problem.m", d if kind == "quadratic" else 6, int, low=1)
     p = {"d": d, "m": m, "seed": r.number("problem.seed", 0, int, low=0),
-         "noise_sigma": r.number("problem.noise_sigma", 0.0),
+         "noise_sigma": r.number("problem.noise_sigma", 0.0, low=0),
          "x0_scale": r.number("problem.x0_scale", 1.0)}
     if kind == "quadratic":
-        p.update(nu=r.number("problem.nu", 1.0),
+        p.update(nu=r.number("problem.nu", 1.0, above=0),
                  spectrum=r.numbers("problem.spectrum", (-0.5, 0.5), count=2),
                  b_scale=r.number("problem.b_scale", 0.5))
     else:
         rank = r.number("problem.rank", max(1, m // 2), int, low=1)
         if rank > m:
             r.issues.append(f"problem.rank must be <= problem.m ({m})")
-        p.update(rank=rank, c_min=r.number("problem.c_min", 0.5),
-                 c_max=r.number("problem.c_max", 1.5))
+        p.update(rank=rank, c_min=r.number("problem.c_min", 0.5, above=0),
+                 c_max=r.number("problem.c_max", 1.5, above=0))
     return p
 
 
@@ -596,7 +596,7 @@ def _collect_series(trace_dir: str) -> Dict[str, Tuple[List[int], np.ndarray,
     files = sorted(Path(trace_dir).glob("trace_*_seed*.csv"))
     if not files:
         raise FileNotFoundError(f"no trace_*_seed*.csv files under {trace_dir}")
-    groups: Dict[str, List[Tuple[List[int], List[float]]]] = {}
+    groups: Dict[str, List[Tuple[Path, List[int], List[float]]]] = {}
     for f in files:
         label = f.stem[len("trace_"):f.stem.rindex("_seed")]
         cols = read_trace(str(f))
@@ -604,11 +604,15 @@ def _collect_series(trace_dir: str) -> Dict[str, Tuple[List[int], np.ndarray,
         ps = [p for p in cols["p_x"] if p is not None]
         if not iters:
             raise ValueError(f"{f}: trace has no p_x column values")
-        groups.setdefault(label, []).append((iters, ps))
+        groups.setdefault(label, []).append((f, iters, ps))
     series = {}
     for label, runs in sorted(groups.items()):
-        iters = runs[0][0]
-        mat = np.array([r[1] for r in runs])
+        f0, iters, _ = runs[0]
+        for f, other, _ in runs[1:]:
+            if other != iters:
+                raise ValueError(f"{label}: {f0} and {f} evaluate different "
+                                 f"iterations, so their p_x cannot be averaged")
+        mat = np.array([r[2] for r in runs])
         series[label] = (iters, mat.mean(axis=0), mat.std(axis=0))
     return series
 

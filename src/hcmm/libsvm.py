@@ -1,19 +1,20 @@
 """Loader for the LIBSVM sparse text format.
 
 Grammar per line: `<label> <idx>:<val> <idx>:<val> ...` with strictly
-increasing indices from 1 to 2^31 - 1; `#` starts a comment; blank lines
-are skipped. The text is UTF-8, comments included. Files ending in .gz or
-.bz2 (as the LIBSVM site ships ijcnn1) are decompressed transparently.
+increasing indices from 1 to 2^31 - 1 and finite numbers; `#` starts a
+comment; blank lines are skipped. The text is UTF-8, comments included.
+Files ending in .gz or .bz2 (as the LIBSVM site ships ijcnn1) are
+decompressed transparently.
 
-`load_dataset` parses CHUNK_BYTES binary chunks, each cut after its last
-line end, with array operations. This fast path takes only the bytes
-`0-9 . e E + - :` and ASCII whitespace, ends lines where text mode does
-(LF, CR, CR LF), and makes the line parser's checks as array checks. Any
-other byte (a comment, non-ASCII text, `nan`, `inf`, hex, `_`) or a failed
-check sends the whole file to the line parser. So accepted files, errors
-(line and column) and Datasets are the line parser's; only the time and
-the transient memory differ. A declined file is read twice: the chunks
-parsed before the declined one are wasted.
+`parse_line` is the grammar. `load_dataset` reads a file once, in
+CHUNK_BYTES binary chunks, each cut after its last line end. `_parse_chunk`
+parses a chunk with array operations when it holds only the bytes
+`0-9 . e E + - :` and ASCII whitespace and passes `parse_line`'s checks
+made as array checks. Any other byte (a comment, non-ASCII text, `nan`,
+`inf`, hex, `_`), a failed check or a non-finite number sends that chunk,
+and only that chunk, through `parse_line` line by line. So the rows, and
+the error at the first bad line (with its line and column), are
+`parse_line`'s; only the time and the transient memory differ.
 """
 
 from __future__ import annotations
@@ -71,22 +72,9 @@ def parse_line(line: str, lineno: int = 1,
                path: Optional[str] = None) -> Tuple[float, List[Tuple[int, float]]]:
     """Parse one non-comment line into (label, [(1-based index, value), ...]).
 
-    A nan or infinite label or value is rejected.
+    The error is at the line's first bad token; a nan or infinite label or
+    value is one.
     """
-    label, features = _parse_fields(line, lineno, path)
-    for k, val in enumerate([label] + [val for _, val in features]):
-        if not math.isfinite(val):
-            body = line.split("#", 1)[0]
-            token = body.split()[k].rpartition(":")[2]
-            what = "feature value" if k else "label"
-            raise _error(f"non-finite {what} {token!r}", body, k, lineno, path)
-    return label, features
-
-
-def _parse_fields(line: str, lineno: int,
-                  path: Optional[str]) -> Tuple[float, List[Tuple[int, float]]]:
-    """`parse_line` without the finiteness check, which `load_dataset` makes
-    on whole arrays."""
     body = line.split("#", 1)[0]
     tokens = body.split()
     if not tokens:
@@ -96,6 +84,8 @@ def _parse_fields(line: str, lineno: int,
     except ValueError:
         raise _error(f"unparseable label {tokens[0]!r}", body, 0, lineno,
                      path) from None
+    if not math.isfinite(label):
+        raise _error(f"non-finite label {tokens[0]!r}", body, 0, lineno, path)
     features: List[Tuple[int, float]] = []
     prev_idx = 0
     for k, tok in enumerate(tokens[1:], start=1):
@@ -120,6 +110,9 @@ def _parse_fields(line: str, lineno: int,
         except ValueError:
             raise _error(f"unparseable feature value {val_s!r}", body, k,
                          lineno, path) from None
+        if not math.isfinite(val):
+            raise _error(f"non-finite feature value {val_s!r}", body, k,
+                         lineno, path)
         features.append((idx, val))
         prev_idx = idx
     return label, features
@@ -133,39 +126,38 @@ def _open(path: str):
     return open(path, "rb")
 
 
-def _read_rows(path: str, parse):
-    """(labels, indptr, indices, data) of a file, each line through parse."""
-    labels: List[float] = []
-    indptr = [0]
-    indices: List[int] = []
-    data: List[float] = []
+def _parse_lines(chunk: bytes, first_line: int, path: str):
+    """`_parse_chunk`'s arrays through `parse_line`, the chunk's lines
+    numbered from first_line; lines end where text mode ends them."""
+    labels, lengths, indices, values = [], [], [], []
     # a byte that is not UTF-8 reads as a lone surrogate, which no str
     # encodes; so the line and column are the byte's own
-    with io.TextIOWrapper(_open(path), encoding="utf-8",
-                          errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.isascii():
-                try:
-                    raw.encode()
-                except UnicodeEncodeError as exc:
-                    byte = ord(raw[exc.start]) - 0xDC00
-                    raise ParseError(f"non-UTF-8 byte 0x{byte:02x}", lineno,
-                                     exc.start + 1, str(path)) from None
-            if not raw.split("#", 1)[0].strip():
-                continue
-            label, feats = parse(raw, lineno, str(path))
-            labels.append(label)
-            for idx, val in feats:
-                indices.append(idx - 1)
-                data.append(val)
-            indptr.append(len(indices))
-    return labels, indptr, indices, data
+    text = chunk.decode("utf-8", "surrogateescape")
+    for lineno, line in enumerate(io.StringIO(text, newline=None),
+                                   first_line):
+        if not line.isascii():
+            try:
+                line.encode()
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ParseError(f"non-UTF-8 byte 0x{byte:02x}", lineno,
+                                 exc.start + 1, path) from None
+        if not line.split("#", 1)[0].strip():
+            continue
+        label, feats = parse_line(line, lineno, path)
+        labels.append(label)
+        lengths.append(len(feats))
+        for idx, val in feats:
+            indices.append(idx - 1)
+            values.append(val)
+    return (np.array(labels, dtype=np.float64), np.array(lengths, dtype=np.int64),
+            np.array(indices, dtype=np.int32), np.array(values, dtype=np.float64))
 
 
-CHUNK_BYTES = 1 << 16  # fast-path read size; it bounds the transient memory
+CHUNK_BYTES = 1 << 16  # read size; it bounds the transient memory
 
-# byte -> class on the fast path: whitespace, line end, ':', digit, the other
-# bytes of a float; class 0 sends the file to the line parser
+# byte -> class on the array path: whitespace, line end, ':', digit, the
+# other bytes of a float; class 0 sends the chunk to `parse_line`
 _NL, _COLON, _DIGIT = 2, 3, 4
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
 for _cls, _bytes in enumerate((b" \t\v\f", b"\n\r", b":", b"0123456789",
@@ -175,8 +167,8 @@ for _cls, _bytes in enumerate((b" \t\v\f", b"\n\r", b":", b"0123456789",
 
 def _parse_chunk(chunk: bytes):
     """(labels, row lengths, 0-based indices, values) of whole lines, or
-    None if the line parser must read the file. CR LF reads as two line
-    ends around an empty line."""
+    None if `parse_line` must read them. CR LF reads as two line ends
+    around an empty line."""
     cls = _BYTE_CLASS[np.frombuffer(chunk, dtype=np.uint8)]
     if not cls.all():
         return None
@@ -202,12 +194,11 @@ def _parse_chunk(chunk: bytes):
                     if starts.size else np.empty(0))
     except (ValueError, DeprecationWarning):
         return None
-    if nums.size != starts.size + feat.size:
+    if nums.size != starts.size + feat.size or not np.isfinite(nums).all():
         return None
     is_label = np.repeat(first, 2 - first)
     idx, values = nums[~is_label].reshape(-1, 2).T
-    # indices from 1 to 2^31 - 1, increasing along each row; finiteness is
-    # load_dataset's check on either path
+    # indices from 1 to 2^31 - 1, increasing along each row
     prev = np.where(feat[1:] == feat[:-1] + 1, idx[:-1], 0)
     if not ((idx > np.append(0, prev)) & (idx < 2 ** 31)).all():
         return None
@@ -215,52 +206,40 @@ def _parse_chunk(chunk: bytes):
     return nums[is_label], lengths, (idx - 1).astype(np.int32), values.copy()
 
 
-def _read_chunks(path: str):
-    """`_read_rows`'s (labels, indptr, indices, data) as arrays, through
-    `_parse_chunk`, or None once it declines a chunk."""
-    parts, rest, block = [], b"", b"\n"
+def load_dataset(path: str, subsample: Optional[int] = None,
+                 seed: int = 0) -> Dataset:
+    """Load a LIBSVM file into a Dataset, reading it once.
+
+    Labels <= 0 map to -1 and > 0 to +1 (some distributions ship {0, 1}
+    labels). The first bad line raises `parse_line`'s ParseError. d is the
+    largest feature index in the whole file. With subsample = k (>= 1) and
+    k < n, the rows sorted(default_rng(seed).permutation(n)[:k]) are kept,
+    in file order.
+    """
+    if subsample is not None and subsample < 1:
+        raise ValueError(f"subsample must be >= 1, got {subsample}")
+    parts, rest, block, lineno = [], b"", b"\n", 1
     with _open(path) as fh:
         while block:  # the last pass parses what follows the last line end
             block = fh.read(CHUNK_BYTES)
             buf = rest + block
-            cut = (max(buf.rfind(b"\n"), buf.rfind(b"\r")) + 1 if block
-                   else len(buf))
-            parts.append(_parse_chunk(buf[:cut]))
-            if parts[-1] is None:
-                return None
-            rest = buf[cut:]
-    labels, lengths, indices, data = map(np.concatenate, zip(*parts))
-    return labels, np.concatenate(([0], np.cumsum(lengths))), indices, data
-
-
-def load_dataset(path: str, subsample: Optional[int] = None,
-                 seed: int = 0) -> Dataset:
-    """Load a LIBSVM file into a Dataset, by the fast path if it accepts
-    the file, else by the line parser.
-
-    Labels <= 0 map to -1 and > 0 to +1 (some distributions ship {0, 1}
-    labels). A nan or infinite label or value is a ParseError, located by
-    reading the file once more through `parse_line`. d is the largest
-    feature index in the whole file. With subsample = k (>= 1) and k < n,
-    the rows sorted(default_rng(seed).permutation(n)[:k]) are kept, in file
-    order.
-    """
-    if subsample is not None and subsample < 1:
-        raise ValueError(f"subsample must be >= 1, got {subsample}")
-    labels, indptr, indices, data = (_read_chunks(path)
-                                     or _read_rows(path, _parse_fields))
+            # after the last line end, but never between a CR and its LF
+            end = len(buf) - buf.endswith(b"\r")
+            cut = (max(buf.rfind(b"\n", 0, end), buf.rfind(b"\r", 0, end)) + 1
+                   if block else len(buf))
+            chunk, rest = buf[:cut], buf[cut:]
+            parts.append(_parse_chunk(chunk)
+                         or _parse_lines(chunk, lineno, str(path)))
+            lineno += (chunk.count(b"\n") + chunk.count(b"\r")
+                       - chunk.count(b"\r\n"))
+    labels, lengths, indices, values = map(np.concatenate, zip(*parts))
     n = len(labels)
     if not n:
         raise ParseError("no data rows", 1, path=str(path))
-    raw_labels = np.asarray(labels, dtype=np.float64)
-    values = np.asarray(data, dtype=np.float64)
-    if not (np.isfinite(raw_labels).all() and np.isfinite(values).all()):
-        _read_rows(path, parse_line)  # raises, located, at the first one
-
-    indices = np.asarray(indices, dtype=np.int32)
-    X = sp.csr_matrix((values, indices, np.asarray(indptr, dtype=np.int32)),
+    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
+    X = sp.csr_matrix((values, indices, indptr),
                       shape=(n, int(indices.max(initial=-1)) + 1))
-    lab = np.where(raw_labels > 0, 1.0, -1.0)
+    lab = np.where(labels > 0, 1.0, -1.0)
     if subsample is not None and subsample < n:
         keep = sorted(np.random.default_rng(seed).permutation(n)[:subsample].tolist())
         X, lab = X[keep], lab[keep]

@@ -592,6 +592,23 @@ class TestPlot:
         with pytest.raises(FileNotFoundError):
             emit_plot(str(tmp_path), str(tmp_path / "x.svg"))
 
+    @pytest.mark.parametrize("T,every", [(200, 20), (150, 10)],
+                             ids=["same-count", "more-rows"])
+    def test_traces_of_other_iterations_rejected(self, tmp_path, T, every):
+        # seed 1 evaluates other iterations than seed 0: as many rows, so a
+        # mean by row would mix iterations, or more rows
+        for seed, (t, e) in ((0, (100, 10)), (1, (T, every))):
+            run_experiment(build_config(quad_mapping(tmp_path, **{
+                "run.seeds": str(seed), "run.T": str(t),
+                "run.eval_every": str(e)})))
+        with pytest.raises(ValueError) as ei:
+            emit_plot(str(tmp_path), str(tmp_path / "x.svg"))
+        assert str(ei.value) == (
+            f"storm_gda: {tmp_path / 'trace_storm_gda_seed0.csv'} and "
+            f"{tmp_path / 'trace_storm_gda_seed1.csv'} evaluate different "
+            f"iterations, so their p_x cannot be averaged")
+        assert not (tmp_path / "x.svg").exists()
+
 
 # a robust-logistic problem on tiny.svm, found through MINIMAX_DATA_DIR
 LOGISTIC = "problem.kind = robust_logistic\nproblem.dataset_path = tiny.svm\n"
@@ -660,10 +677,18 @@ class TestCli:
         (LOGISTIC + "problem.lambda1 = 0", "problem.lambda1"),
         (LOGISTIC + "problem.rho = 0", "problem.rho"),
         (LOGISTIC + "problem.lambda2 = -0.5", "problem.lambda2"),
+        ("problem.nu = -1", "problem.nu"),
+        ("problem.noise_sigma = -1", "problem.noise_sigma"),
+        ("problem.kind = pl_toy\nproblem.c_min = -1", "problem.c_min"),
+        # c_min = 0 would give C a lower rank than problem.rank
+        ("problem.kind = pl_toy\nproblem.c_min = 0", "problem.c_min"),
+        ("problem.kind = pl_toy\nproblem.c_min = 0\nproblem.c_max = 0",
+         "problem.c_max"),
     ], ids=["d-abc", "d-0", "spectrum-1", "spectrum-a,b", "seed--1",
             "rank-4", "update_from_clipped-yes",
             "seeds-1,-1", "mu_x-nan", "L_f-inf", "lambda1--1", "lambda1-0",
-            "rho-0", "lambda2--0.5"])
+            "rho-0", "lambda2--0.5", "nu--1", "noise_sigma--1", "c_min--1",
+            "c_min-0", "c_min-c_max-0"])
     def test_bad_value_rejected_before_run(self, tmp_path, capsys,
                                            monkeypatch, command, extra, key):
         # the robust-logistic cases name a file that exists
@@ -939,5 +964,6 @@ def test_golden_outputs_script(tmp_path):
                  "rate_theorem2/rate_hcmm2.csv", "logistic/summary_sagda.csv",
                  "logistic/trace_hcmm1_seed1.csv",
                  "logistic_declined/summary_hcmm1.csv",
-                 "logistic_grid/best_hcmm2.cfg"):
+                 "logistic_commented/trace_hcmm2_seed0.csv",
+                 "logistic_grid/best_hcmm2.cfg", "load_errors.txt"):
         assert name in trees[0]

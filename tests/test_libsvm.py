@@ -1,10 +1,12 @@
 import bz2
 import gzip
+import io
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hcmm import libsvm
@@ -135,6 +137,15 @@ class TestLoadDataset:
             load_dataset(p, subsample=subsample)
         assert str(ei.value) == f"{p}:3:8: non-finite feature value 'inf'"
 
+    def test_first_bad_line_reported(self, tmp_path):
+        # a non-finite value is a fault of its line like any other: the
+        # error is the first bad line's, not the first structural fault's
+        p = tmp_path / "order.txt"
+        p.write_bytes(b"+1 1:nan\n-1 3:1 2:1\n")
+        with pytest.raises(ParseError) as ei:
+            load_dataset(str(p))
+        assert str(ei.value) == f"{p}:1:4: non-finite feature value 'nan'"
+
     def test_gzip_error_located(self, tmp_path):
         gz = tmp_path / "bad.txt.gz"
         with gzip.open(gz, "wt") as fh:
@@ -186,27 +197,73 @@ class TestLoadDataset:
             load_dataset(p)
 
 
-def _outcome(path, line_parser_only, **kw):
-    """load_dataset's Dataset or the exception it raised."""
-    with pytest.MonkeyPatch.context() as mp:
-        if line_parser_only:
-            mp.setattr(libsvm, "_read_chunks", lambda path: None)
-        try:
-            return load_dataset(path, **kw)
-        except (ValueError, OverflowError) as exc:  # UnicodeDecodeError too
-            return exc
+def reference_load(path, subsample=None, seed=0):
+    """The whole-file semantics that `load_dataset` keeps: the file in text
+    mode, without chunks, each line through `parse_line`."""
+    labels, indptr, indices, data = [], [0], [], []
+    with io.TextIOWrapper(libsvm._open(path), encoding="utf-8",
+                          errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode()
+            except UnicodeEncodeError as exc:
+                byte = ord(raw[exc.start]) - 0xDC00
+                raise ParseError(f"non-UTF-8 byte 0x{byte:02x}", lineno,
+                                 exc.start + 1, str(path)) from None
+            if raw.split("#", 1)[0].strip():
+                label, feats = parse_line(raw, lineno, str(path))
+                labels.append(label)
+                indices += [idx - 1 for idx, _ in feats]
+                data += [val for _, val in feats]
+                indptr.append(len(indices))
+    if not labels:
+        raise ParseError("no data rows", 1, path=str(path))
+    X = sp.csr_matrix((np.array(data, dtype=np.float64),
+                       np.array(indices, dtype=np.int32),
+                       np.array(indptr, dtype=np.int32)),
+                      shape=(len(labels), max(indices, default=-1) + 1))
+    lab = np.where(np.array(labels) > 0, 1.0, -1.0)
+    if subsample is not None and subsample < len(labels):
+        keep = sorted(np.random.default_rng(seed).permutation(len(labels))
+                      [:subsample].tolist())
+        X, lab = X[keep], lab[keep]
+    return libsvm.Dataset(n=X.shape[0], d=X.shape[1], X=X, labels=lab)
 
 
-def assert_same_as_line_parser(path, **kw):
-    """load_dataset gives the line parser's arrays, bit for bit, or raises
-    the same exception with the same message, line and column."""
-    got, want = _outcome(path, False, **kw), _outcome(path, True, **kw)
-    if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
-        if isinstance(want, ParseError):
-            assert (got.line, got.column) == (want.line, want.column)
-        return
-    assert_same_dataset(got, want)
+def _outcome(load, path, **kw):
+    """load's Dataset or the exception it raised."""
+    try:
+        return load(path, **kw)
+    except (ValueError, OverflowError) as exc:  # UnicodeDecodeError too
+        return exc
+
+
+def _forbidden(*args):
+    raise AssertionError("the array path declined a chunk")
+
+
+def assert_same_as_reference(path, clean=False, chunk_sizes=(7, 64, 1 << 16),
+                             **kw):
+    """At each CHUNK_BYTES in chunk_sizes, with the array path on and forced
+    off, load_dataset gives the reference's arrays, bit for bit, or raises
+    the same exception with the same message, line and column. With clean,
+    the array path on takes every chunk."""
+    want = _outcome(reference_load, path, **kw)
+    for chunk_bytes in chunk_sizes:
+        for array_path in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(libsvm, "CHUNK_BYTES", chunk_bytes)
+                if not array_path:
+                    mp.setattr(libsvm, "_parse_chunk", lambda chunk: None)
+                elif clean:
+                    mp.setattr(libsvm, "_parse_lines", _forbidden)
+                got = _outcome(load_dataset, path, **kw)
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+                if isinstance(want, ParseError):
+                    assert (got.line, got.column) == (want.line, want.column)
+            else:
+                assert_same_dataset(got, want)
 
 
 def assert_same_dataset(got, want):
@@ -265,21 +322,18 @@ def libsvm_files(draw):
 
 
 class TestFastPath:
-    """The chunked array parser against the line parser it falls back to."""
+    """The chunked loader, array path on and off, against the reference."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(libsvm_files(), st.sampled_from([1 << 16, 64, 7]),
-           st.sampled_from([None, 2]))
-    def test_differential(self, tmp_path, case, chunk_bytes, subsample):
+    @given(libsvm_files(), st.sampled_from([None, 2]))
+    def test_differential(self, tmp_path, case, subsample):
         data, clean = case
         p = tmp_path / "g.svm"
         p.write_bytes(data)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(libsvm, "CHUNK_BYTES", chunk_bytes)
-            if clean:
-                assert libsvm._read_chunks(str(p)) is not None
-            assert_same_as_line_parser(str(p), subsample=subsample)
+        if clean:
+            assert libsvm._parse_chunk(data) is not None
+        assert_same_as_reference(str(p), clean, subsample=subsample)
 
     @pytest.mark.parametrize("name,text", [
         ("straddle", "".join(f"{(-1) ** i} {1 + i % 7}:{i}.25 {9 + i % 5}:-1e-3\n"
@@ -297,21 +351,25 @@ class TestFastPath:
         if name == "straddle":
             assert max(map(len, text.splitlines())) > libsvm.CHUNK_BYTES
             assert len(text) > 2 * libsvm.CHUNK_BYTES
-        assert libsvm._read_chunks(str(p)) is not None
-        for subsample in (None, 1, 3):
-            assert_same_as_line_parser(str(p), subsample=subsample)
+        assert_same_as_reference(str(p), True)
+        # the rows a subsample keeps do not depend on the chunking
+        for subsample in (1, 3):
+            assert_same_as_reference(str(p), True, (1 << 16,),
+                                     subsample=subsample)
 
     @pytest.mark.parametrize("data", [
         b"+1 1:1\n# comment\n-1 2:1\n", b"+1 1:1\n-1 2:1 \xff\n",
         "+1 1:1\n-1 2:1 \u00e9\n".encode(), b"+1 +3:1\n", b"nan 1:1\n",
         b"+1 1:1\r2:1\n", b"+1 1:1\r  5:2\n", b"+1 3:1 2:1\n",
-        b"+1 0:1\n"])
+        b"+1 0:1\n",
+        # at CHUNK_BYTES = 7 the first read ends between a CR and its LF
+        b"+1 1:1\r\n-1 0:1\r\n"])
     def test_declined_files(self, tmp_path, data):
-        # the line parser reads these, or raises on them, alone
+        # parse_line reads these, or raises on them, alone
         p = tmp_path / "d.svm"
         p.write_bytes(data)
-        assert libsvm._read_chunks(str(p)) is None
-        assert_same_as_line_parser(str(p))
+        assert libsvm._parse_chunk(data) is None
+        assert_same_as_reference(str(p))
 
     def test_partial_read_warning_declines(self, tmp_path, monkeypatch):
         # numpy releases that warn on a token read only in part, and return
@@ -324,7 +382,7 @@ class TestFastPath:
         p = tmp_path / "w.svm"
         p.write_bytes(b"+1 1:1+2 3:e\n")
         monkeypatch.setattr(libsvm.np, "fromstring", fromstring)
-        assert libsvm._read_chunks(str(p)) is None
+        assert libsvm._parse_chunk(p.read_bytes()) is None
         with pytest.raises(ParseError, match="unparseable feature value '1\\+2'"):
             load_dataset(str(p))
 
@@ -332,24 +390,58 @@ class TestFastPath:
                                                (".bz2", bz2.open)],
                              ids=["gz", "bz2"])
     def test_compressed(self, tmp_path, suffix, opener):
-        # a file the fast path reads and one with a comment, which the line
-        # parser reads: each loads as its uncompressed copy does
+        # a file the array path takes whole and one with a comment, whose
+        # first chunk parse_line reads: each loads as its plain copy does
         text = "".join(f"{(-1) ** i} {1 + i % 3}:{i}\n" for i in range(9000))
-        for name, data, fast in (("data", text, True),
-                                 ("comment", "# rows\n" + text, False)):
+        for name, data, clean in (("data", text, True),
+                                  ("comment", "# rows\n" + text, False)):
             plain = tmp_path / f"{name}.svm"
             plain.write_text(data)
             packed = tmp_path / f"{name}.svm{suffix}"
             with opener(packed, "wt") as fh:
                 fh.write(data)
-            assert (libsvm._read_chunks(str(packed)) is not None) == fast
-            assert_same_as_line_parser(str(packed))
-            assert_same_as_line_parser(str(packed), subsample=100, seed=4)
+            assert (libsvm._parse_chunk(data.encode()) is not None) == clean
+            assert_same_as_reference(str(packed), clean)
+            assert_same_as_reference(str(packed), clean, (1 << 16,),
+                                     subsample=100, seed=4)
             assert_same_dataset(load_dataset(str(packed)),
                                 load_dataset(str(plain)))
 
+    @pytest.mark.parametrize("name,data,outcome", [
+        ("plain", b"+1 1:1 3:2\n-1 2:1\n" * 10000, 20000),
+        ("commented", b"# head\n" + b"+1 1:1 3:2\n-1 2:1\n" * 10000
+         + b"# tail\n", 20000),
+        ("commented.gz", gzip.compress(b"# head\n" + b"+1 1:1\n" * 20000
+                                       + b"# tail\n"), 20000),
+        ("fault", b"+1 1:1\n" * 20000 + b"-1 3:1 2:1\n",
+         ":20001:8: non-increasing feature index 2 after 3"),
+        # bytes the array path takes, up to the finiteness check
+        ("inf", b"+1 1:1\n" * 20000 + b"-1 3:1e999\n",
+         ":20001:4: non-finite feature value '1e999'"),
+    ], ids=["plain", "commented", "commented.gz", "fault", "inf"])
+    def test_one_read_per_load(self, tmp_path, monkeypatch, name, data,
+                               outcome):
+        # each file spans several chunks, and each load opens it once
+        opened, real_open = [], libsvm._open
+
+        def counting_open(path):
+            opened.append(path)
+            return real_open(path)
+
+        monkeypatch.setattr(libsvm, "_open", counting_open)
+        p = tmp_path / f"one.{name}"
+        p.write_bytes(data)
+        if isinstance(outcome, str):
+            with pytest.raises(ParseError) as ei:
+                load_dataset(str(p))
+            assert str(ei.value) == f"{p}{outcome}"
+        else:
+            assert load_dataset(str(p)).n == outcome
+        assert opened == [str(p)]
+
     def test_memory_below_line_parser(self, tmp_path):
-        # mushrooms-shaped: 22 one-hot groups over 112 features, 20000 rows
+        # mushrooms-shaped: 22 one-hot groups over 112 features, 20000 rows;
+        # on either path the traced peak stays within 2.5x of what it returns
         rng = np.random.default_rng(0)
         edges = np.arange(23) * 112 // 22
         cols = edges[:-1] + (rng.random((20000, 22)) * np.diff(edges)).astype(int)
@@ -357,12 +449,16 @@ class TestFastPath:
             ("+1 " if rng.random() < 0.5 else "-1 ")
             + " ".join(f"{c + 1}:1" for c in row) for row in cols])
 
-        def peak(line_parser_only):
-            tracemalloc.start()
-            try:
-                _outcome(p, line_parser_only)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(False) <= 0.6 * peak(True)
+        for array_path in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not array_path:
+                    mp.setattr(libsvm, "_parse_chunk", lambda chunk: None)
+                tracemalloc.start()
+                try:
+                    ds = load_dataset(p)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            kept = sum(a.nbytes for a in (ds.X.data, ds.X.indices,
+                                          ds.X.indptr, ds.labels))
+            assert peak <= 2.5 * kept, (array_path, peak, kept)
