@@ -11,7 +11,8 @@ only:
   1, with one `emit_plot` SVG per testbed and seed;
 - one `grid_search` leaderboard and its best config;
 - a theorem1 (HCMM-1, quadratic) and a theorem2 (HCMM-2, pl_toy)
-  `rate_study`;
+  `rate_study`, and a theorem1 HCMM-1 one at the shape of perfbench's
+  quad_rate workload (d = m = 10, N1 = 50, T up to 10000);
 - the `unbounded_p_warning` text of every synthetic config, and the raw
   bytes (as SHA-256) of each testbed's M, p_hessian, inner max and
   objective at x0;
@@ -140,6 +141,22 @@ def main(out: Path) -> None:
     for name, mapping in (("theorem1", theorem1), ("theorem2", theorem2)):
         report = rate_study(build_config(mapping), [100, 300, 1000])
         results.append(f"rate {name}: {report}")
+    # quad_rate's instance and theorem1 schedule; L_f is the instance's
+    # own, as there, and any positive placeholder builds the instance
+    quad_rate = {"problem.kind": "quadratic", "problem.d": "10",
+                 "problem.m": "10", "problem.nu": "24.0",
+                 "problem.noise_sigma": "1.0", "problem.seed": "0",
+                 "problem.spectrum": "12.0,24.0", "problem.b_scale": "0.1",
+                 "optimizer.kind": "hcmm1", "schedule.kind": "theorem1",
+                 "schedule.N1": "50.0", "constants.L_f": "1.0",
+                 "constants.L_h": "1e-3", "constants.nu": "24.0",
+                 "constants.sigma_h": repr(float(np.sqrt(20.0))),
+                 "run.T": "10000", "run.seeds": "0",
+                 "run.output_dir": str(out / "rate_quad_rate")}
+    problem = build_problem(build_config(quad_rate))[0]
+    quad_rate["constants.L_f"] = repr(problem.lipschitz_L_f)
+    report = rate_study(build_config(quad_rate), [1000, 3000, 10000])
+    results.append(f"rate quad_rate: {report}")
 
     # robust logistic on a pooled restriction: n = 3000 rows, at most 600 drawn
     data = write_libsvm(out / "data.libsvm", n=3000, d=40, groups=8, seed=5)

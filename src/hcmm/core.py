@@ -29,7 +29,7 @@ class ConfigError(ValueError):
 def norm2(v: Vec) -> float:
     """Euclidean norm of a 1-d vector; bit-equal to np.linalg.norm, which
     also computes sqrt(v . v), without its dispatch cost."""
-    return math.sqrt(v @ v)
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)

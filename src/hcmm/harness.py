@@ -372,7 +372,8 @@ def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
     on `problem.restrict` of them (the rows a robust-logistic run draws),
     on the samples as it returns them. The evaluations and the final
     iterates are on `problem`. An evaluated row solves the inner max once,
-    and its P(x), grad P(x) and y*(x) fill p_x, grad_p_norm and metric_ci.
+    and its P(x), grad P(x), y*(x) and margins fill p_x, grad_p_norm and
+    metric_ci.
     With collect_rows=False no row is built and nothing is evaluated: only
     the final iterates are returned.
     """
@@ -393,7 +394,8 @@ def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
             p_x = inner.p_value
             grad_p = norm2(inner.grad_p)
             z = np.concatenate((x_i, stepped.lift_y(y_i)))
-            m_ci = metric_ci(problem, z, s.m_clipped[:s.dim_x], inner.y_star)
+            m_ci = metric_ci(problem, z, s.m_clipped[:s.dim_x], inner.y_star,
+                             inner.margins)
         wall = str(time.monotonic_ns() - t0) if config.record_wall else ""
         rows.append([str(s.iter), _fmt_float(p_x), _fmt_float(grad_p),
                      _fmt_float(m_ci), _fmt_float(s.m_x_norm),

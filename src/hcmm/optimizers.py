@@ -80,22 +80,23 @@ class JointSchedule:
     -mu_x on x and +mu_y on y, so z + move * m is the descent-ascent update.
     beta and keep are one scalar each when beta_x = beta_y, as in every
     shipped schedule: the same bits, and on a large z one vector fewer to
-    read per numpy call. move differs in sign between the blocks, so it is
+    read per numpy call. The scalar is a 0-d array: numpy takes one faster
+    than a Python float. move differs in sign between the blocks, so it is
     always a vector.
     """
 
     schedule: HyperSchedule
     dim_x: int
-    beta: Union[float, Vec]
-    keep: Union[float, Vec]
+    beta: Vec
+    keep: Vec
     move: Vec
 
     @classmethod
     def expand(cls, schedule: HyperSchedule, dim_x: int,
                dim_y: int) -> "JointSchedule":
-        def per_block(vx: float, vy: float) -> Union[float, Vec]:
+        def per_block(vx: float, vy: float) -> Vec:
             if vx == vy:
-                return vx
+                return np.array(vx)
             return np.repeat([vx, vy], [dim_x, dim_y])
 
         s = schedule
@@ -104,7 +105,7 @@ class JointSchedule:
                    per_block(-s.mu_x, s.mu_y))
 
 
-@dataclass
+@dataclass(slots=True)
 class StepState:
     """One step's record: the iterate it reached and the momentum it used.
 

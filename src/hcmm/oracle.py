@@ -28,13 +28,15 @@ SampleId = Union[int, np.ndarray, None]
 class InnerMaxReport:
     """The inner max at x: y*(x), P(x) = J(x, y*(x)) and grad P(x). It is
     solved in closed form, so iters_used is always 0 and converged always
-    True."""
+    True. margins is whatever `grad_x` at this x may reuse (robust
+    logistic's l * (X x)), or None."""
 
     y_star: Vec
     p_value: float
     grad_p: Vec
     iters_used: int = 0
     converged: bool = True
+    margins: Optional[Vec] = None
 
 
 class MinimaxProblem:
@@ -65,8 +67,9 @@ class MinimaxProblem:
     def full_gradient(self, z: Vec) -> Vec:
         raise NotImplementedError
 
-    def grad_x(self, z: Vec) -> Vec:
-        """The exact x-gradient grad_x J(z)."""
+    def grad_x(self, z: Vec, margins: Optional[Vec] = None) -> Vec:
+        """The exact x-gradient grad_x J(z); margins are an inner max's at
+        z's x (`InnerMaxReport.margins`), for a problem that can reuse them."""
         return self.full_gradient(z)[:self.dim_x]
 
     def objective(self, x: Vec, y: Vec) -> float:
@@ -130,13 +133,13 @@ def evaluate_P(problem: MinimaxProblem, x: Vec) -> InnerMaxReport:
 
 
 def metric_ci(problem: MinimaxProblem, z: Vec, m_x_clipped: Vec,
-              y_star: Vec) -> float:
+              y_star: Vec, margins: Optional[Vec] = None) -> float:
     """Stationarity surrogate at z = (x, y):
-    L_f ||y*(x) - y|| + ||grad_x J - m|| + ||m||, with m = m_x_clipped and
-    y_star = y*(x) as the caller's inner max gave it.
+    L_f ||y*(x) - y|| + ||grad_x J - m|| + ||m||, with m = m_x_clipped, and
+    y_star = y*(x) and margins as the caller's inner max gave them.
 
     Upper-bounds ||grad P(x)|| = ||grad_x J(x, y*(x))|| (Danskin).
     """
-    gx = problem.grad_x(z)
+    gx = problem.grad_x(z, margins)
     return (problem.lipschitz_L_f * norm2(y_star - z[problem.dim_x:])
             + norm2(gx - m_x_clipped) + norm2(m_x_clipped))

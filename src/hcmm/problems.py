@@ -111,7 +111,7 @@ class RobustLogisticProblem(MinimaxProblem):
 
     def _margin(self, i: SampleId, x: Vec) -> float:
         idx, val = self._row(i)
-        return self.labels[i] * float(np.dot(val, x[idx]))
+        return self.labels[i] * float(val.dot(x[idx]))
 
     @staticmethod
     def _q_of_margin(t):
@@ -200,7 +200,7 @@ class RobustLogisticProblem(MinimaxProblem):
         d = self.d
         x, y = z[:d], z[d:]
         idx, val = self._row(xi)
-        t = self.labels[xi] * float(np.dot(val, x[idx]))
+        t = self.labels[xi] * float(val.dot(x[idx]))
         # grad Q_i(x) = -l_i sigma(-t) r_i
         coef = -self.labels[xi] * expit(-t)
         g = np.empty_like(z)
@@ -216,10 +216,10 @@ class RobustLogisticProblem(MinimaxProblem):
         x, y, dx, dy = z[:d], z[d:], dz[:d], dz[d:]
         idx, val = self._row(xi)
         li = self.labels[xi]
-        t = li * float(np.dot(val, x[idx]))
+        t = li * float(val.dot(x[idx]))
         s = expit(-t)
         q2 = s * (1.0 - s)                     # sigma(-t) sigma(t)
-        rdx = float(np.dot(val, dx[idx]))
+        rdx = float(val.dot(dx[idx]))
         gq_coef = -li * s                      # grad Q_i = gq_coef * r_i
         h = np.empty_like(z)
         hx, hy = h[:d], h[d:]
@@ -247,11 +247,12 @@ class RobustLogisticProblem(MinimaxProblem):
         return np.concatenate((self._grad_x_at(t, x, y),
                                self._q_of_margin(t) - self._v_grad(y)))
 
-    def grad_x(self, z: Vec) -> Vec:
+    def grad_x(self, z: Vec, margins: Optional[Vec] = None) -> Vec:
         # full_gradient's x block, without its y block
         self._all_rows("grad_x")
         x, y = z[:self.d], z[self.d:]
-        return self._grad_x_at(self._margins(x), x, y)
+        t = self._margins(x) if margins is None else margins
+        return self._grad_x_at(t, x, y)
 
     def objective(self, x: Vec, y: Vec) -> float:
         self._all_rows("objective")
@@ -273,7 +274,7 @@ class RobustLogisticProblem(MinimaxProblem):
         self._all_rows("inner_max")
         t, q, y = self._y_star(x)
         return InnerMaxReport(y, self._objective_at(q, x, y),
-                              self._grad_x_at(t, x, y))
+                              self._grad_x_at(t, x, y), margins=t)
 
     def p_value(self, x: Vec) -> float:
         # inner_max's P(x), without the X' coef product of grad P
@@ -343,16 +344,16 @@ class QuadraticMinimaxProblem(MinimaxProblem):
         return self.noise_sigma * rng.standard_normal((k, self.dim_x + self.dim_y))
 
     def sample_gradient(self, z: Vec, xi: SampleId) -> Vec:
-        g = self.M @ z
+        g = self.M.dot(z)
         if self.noise_sigma != 0.0:
             g += xi
         return g
 
     def sample_hvp(self, z: Vec, xi: SampleId, dz: Vec) -> Vec:
-        return self.M @ dz
+        return self.M.dot(dz)
 
     def full_gradient(self, z: Vec) -> Vec:
-        return self.M @ z
+        return self.M.dot(z)
 
     def objective(self, x: Vec, y: Vec) -> float:
         return float(0.5 * x @ self.A @ x + x @ self.B @ y
@@ -367,7 +368,7 @@ class QuadraticMinimaxProblem(MinimaxProblem):
                               self.grad_p(x))
 
     def grad_p(self, x: Vec) -> Vec:
-        return self.p_hessian @ x
+        return self.p_hessian.dot(x)
 
 
 class PlToyProblem(QuadraticMinimaxProblem):

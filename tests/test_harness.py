@@ -479,6 +479,28 @@ class TestInnerMaxOnce:
         assert len(inner) == len(evaluated)
         assert len(steps) == 25
 
+    def test_run_single_builds_margins_once_per_row(self, tmp_path,
+                                                    monkeypatch):
+        # metric_ci's x-gradient reuses the margins of the row's inner max,
+        # and the row's bytes are those of the path that builds them again
+        path = logistic_file(tmp_path / "a.svm")
+        config = build_config(logistic_mapping(path, tmp_path))
+        problem, x0, y0 = build_problem(config)
+        schedule = build_schedule(config)
+        cls = hcmm.problems.RobustLogisticProblem
+        built, margins, grad_x = [], cls._margins, cls.grad_x
+        with monkeypatch.context() as m:
+            m.setattr(cls, "_margins",
+                      lambda self, x: built.append(1) or margins(self, x))
+            rows, _ = run_single(config, 1, problem, x0, y0, schedule)
+        evaluated = [r for r in rows if r[1]]
+        assert len(evaluated) == len(built) == 3
+        with monkeypatch.context() as m:
+            m.setattr(cls, "grad_x",
+                      lambda self, z, margins=None: grad_x(self, z))
+            want, _ = run_single(config, 1, problem, x0, y0, schedule)
+        assert rows == want
+
 
 class TestGridSearch:
     def test_cross_product_size_and_best(self, tmp_path):
@@ -961,7 +983,8 @@ def test_golden_outputs_script(tmp_path):
     for name in ("results.txt", "quadratic_seed0/plot.svg",
                  "pl_toy_seed1/trace_hcmm2_seed1.csv",
                  "grid/leaderboard_storm_gda.csv", "rate_theorem1/rate_hcmm1.csv",
-                 "rate_theorem2/rate_hcmm2.csv", "logistic/summary_sagda.csv",
+                 "rate_theorem2/rate_hcmm2.csv", "rate_quad_rate/rate_hcmm1.csv",
+                 "logistic/summary_sagda.csv",
                  "logistic/trace_hcmm1_seed1.csv",
                  "logistic_declined/summary_hcmm1.csv",
                  "logistic_commented/trace_hcmm2_seed0.csv",

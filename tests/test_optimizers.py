@@ -1,15 +1,17 @@
+from dataclasses import fields
 from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import hcmm.problems
 from hcmm.core import HyperSchedule, clip_momentum
 from hcmm.optimizers import (SAMPLE_BLOCK, Hcmm1, Hcmm2, JointSchedule, Sagda,
                              StepState, StormGda, hcmm_momentum_update,
                              iterate_steps, sample_stream, samples_per_run,
                              step)
-from hcmm.problems import QuadraticMinimaxProblem
+from hcmm.problems import PlToyProblem, QuadraticMinimaxProblem
 
 from conftest import join, make_logistic, make_quadratic, stream
 
@@ -535,3 +537,58 @@ class TestSampleStream:
             pass
         assert last.iter == 2500
         assert first.tobytes() == saved.tobytes()
+
+
+class TestInputsUntouched:
+    """`step` changes nothing in the state it is given, and every state a
+    run yielded stays as it was: what any in-place work in a step must
+    keep."""
+
+    STEPS = 50
+    KINDS = [Hcmm1(), Hcmm1(update_from_clipped=True), Hcmm2(), StormGda(),
+             Sagda()]
+    # N below the momentum norms, so that HCMM-1 clips
+    SCHEDULE = explicit_schedule(mu_x=0.02, mu_y=0.05, N=0.5, N1=0.4)
+
+    def run_on(self, testbed, kind, monkeypatch):
+        """(problem, x0, y0, samples) of a STEPS-step run on the testbed;
+        robust logistic steps on the restriction to its drawn rows, pooled
+        or declined (the problem itself)."""
+        if testbed == "quadratic":
+            p = QuadraticMinimaxProblem.random(4, 3, nu=1.0, noise_sigma=0.5,
+                                               seed=3)
+            return p, np.ones(4), np.zeros(3), stream(p, 1)
+        if testbed == "pl_toy":
+            p = PlToyProblem.random(4, 5, 2, 0.5, 1.5, 0.5, seed=3)
+            return p, np.ones(4), np.zeros(5), stream(p, 1)
+        pooled = testbed == "logistic_pooled"
+        monkeypatch.setattr(hcmm.problems, "MIN_POOLED",
+                            1 if pooled else 10 ** 6)
+        p = make_logistic(n=200, d=6, seed=2)
+        drawn = islice(stream(p, 1), samples_per_run(kind, self.STEPS))
+        sub, y0, samples = p.restrict(drawn, np.full(p.n, 1.0 / p.n))
+        assert (sub is not p) == pooled
+        return sub, np.full(6, 0.1), y0, samples
+
+    @staticmethod
+    def snapshot(s):
+        return [v.tobytes() if isinstance(v, np.ndarray) else v
+                for v in (getattr(s, f.name) for f in fields(s))]
+
+    @pytest.mark.parametrize("testbed", ["quadratic", "pl_toy", "logistic",
+                                         "logistic_pooled"])
+    @pytest.mark.parametrize("kind", KINDS, ids=repr)
+    def test_step_writes_into_no_state(self, testbed, kind, monkeypatch):
+        p, x0, y0, samples = self.run_on(testbed, kind, monkeypatch)
+        states = []
+        for s in iterate_steps(kind, p, self.SCHEDULE, x0, y0, self.STEPS,
+                               samples):
+            # the step that yielded s read the state before it
+            if states:
+                assert self.snapshot(states[-1][0]) == states[-1][1]
+            states.append((s, self.snapshot(s)))
+        assert len(states) == self.STEPS
+        for s, snapshot in states:
+            assert self.snapshot(s) == snapshot
+        assert any(s.clipped_x or s.clipped_y for s, _ in states) \
+            == isinstance(kind, Hcmm1)

@@ -482,6 +482,30 @@ class TestJointOracles:
             np.testing.assert_array_equal(y, y0)
 
 
+class TestProductBits:
+    """The synthetic oracles' products are bit-equal to the `@` forms
+    (M z + xi, M dz, p_hessian x), as norm2 is to np.linalg.norm: a numpy
+    or BLAS change that splits the two fails here, not only in a golden
+    diff."""
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (10, 10), (64, 48)])
+    @pytest.mark.parametrize("pl", [False, True], ids=["quadratic", "pl_toy"])
+    def test_oracles_bit_equal_to_matmul(self, d, m, pl):
+        p = PlToyProblem.random(d, m, max(1, m // 2), 0.5, 1.5, 1.0, seed=d) \
+            if pl else QuadraticMinimaxProblem.random(d, m, 2.0, 1.0, seed=d)
+        rng = np.random.default_rng(d + m)
+        for scale in (1e-150, 1e-5, 1.0, 1e5, 1e150):
+            for _ in range(10):
+                z, dz, xi = scale * rng.standard_normal((3, d + m))
+                x = z[:d]
+                assert p.sample_gradient(z, xi).tobytes() \
+                    == (p.M @ z + xi).tobytes()
+                assert p.sample_hvp(z, xi, dz).tobytes() \
+                    == (p.M @ dz).tobytes()
+                assert p.full_gradient(z).tobytes() == (p.M @ z).tobytes()
+                assert p.grad_p(x).tobytes() == (p.p_hessian @ x).tobytes()
+
+
 class TestRestriction:
     """A robust-logistic problem restricted to the rows a run draws, with
     one pooled y coordinate sqrt(w) c for the w undrawn rows of value c."""
