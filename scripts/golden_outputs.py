@@ -24,7 +24,12 @@ only:
   a trailing comment line, and one `grid_search` leaderboard and its best
   config;
 - `load_errors.txt`: the `load_dataset` error of each of a set of files
-  with one fault each, with paths relative to OUT.
+  with one fault each, with paths relative to OUT;
+- `parse_hashes.txt`: the SHA-256 of the arrays (labels, data, indices,
+  indptr) that `load_dataset` returns for the datagen file, its commented
+  copy and a file of real values (decimals, exponents, signs), so that a
+  change to the parser shows in the diff even where no run reads a byte it
+  changed.
 
 The config echoes record OUT, so to compare revision A with revision B, run
 the script under the same relative OUT from two working directories:
@@ -92,6 +97,32 @@ def digest(*arrays) -> str:
     for a in arrays:
         h.update(np.asarray(a, dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+def write_real_valued(path: Path) -> Path:
+    """A fixed file whose values span decimals, exponents and integers."""
+    rng = np.random.default_rng(11)
+    lines = []
+    for i in range(2000):
+        cols = np.flatnonzero(rng.random(30) < 0.3) + 1
+        vals = rng.standard_normal(cols.size) * 10.0 ** rng.integers(-7, 8,
+                                                                     cols.size)
+        text = [repr(float(v)) if k % 4 else str(int(v))
+                for k, v in enumerate(vals)]
+        lines.append(" ".join([("+1", "-1", "0", "2.5")[i % 4]]
+                              + [f"{c}:{t}" for c, t in zip(cols, text)]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def dataset_digest(path: Path) -> str:
+    """SHA-256 over the dtype and bytes of each array of a loaded file."""
+    ds = load_dataset(str(path))
+    h = hashlib.sha256()
+    for a in (ds.labels, ds.X.data, ds.X.indices, ds.X.indptr):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return f"{path.name}: n {ds.n} d {ds.d} sha256 {h.hexdigest()}"
 
 
 def main(out: Path) -> None:
@@ -203,6 +234,11 @@ def main(out: Path) -> None:
                                            str(path.relative_to(out))))
     (out / "load_errors.txt").write_text("\n".join(errors) + "\n",
                                          encoding="utf-8")
+
+    real = write_real_valued(out / "data_real.libsvm")
+    (out / "parse_hashes.txt").write_text("\n".join(
+        dataset_digest(p) for p in (out / "data.libsvm", commented, real))
+        + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -10,11 +10,18 @@ decompressed transparently.
 CHUNK_BYTES binary chunks, each cut after its last line end. `_parse_chunk`
 parses a chunk with array operations when it holds only the bytes
 `0-9 . e E + - :` and ASCII whitespace and passes `parse_line`'s checks
-made as array checks. Any other byte (a comment, non-ASCII text, `nan`,
+made as array checks. When every number in the chunk is an integer
+`[+-]?digits` of 1 to 15 digits, which a float64 holds exactly, the numbers
+are summed from their digits by place value (`_integers`); any other chunk
+the array path takes goes through `np.fromstring`, the only path that reads
+decimals and exponents. Any other byte (a comment, non-ASCII text, `nan`,
 `inf`, hex, `_`), a failed check or a non-finite number sends that chunk,
 and only that chunk, through `parse_line` line by line. So the rows, and
 the error at the first bad line (with its line and column), are
 `parse_line`'s; only the time and the transient memory differ.
+
+scipy is imported by `load_dataset` when it builds the matrix, not with
+this module, so a run that loads no file never imports it.
 """
 
 from __future__ import annotations
@@ -25,10 +32,12 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class ParseError(ValueError):
@@ -156,54 +165,103 @@ def _parse_lines(chunk: bytes, first_line: int, path: str):
 
 CHUNK_BYTES = 1 << 16  # read size; it bounds the transient memory
 
-# byte -> class on the array path: whitespace, line end, ':', digit, the
-# other bytes of a float; class 0 sends the chunk to `parse_line`
-_NL, _COLON, _DIGIT = 2, 3, 4
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+# byte -> class on the array path, as a `bytes.translate` table:
+# whitespace, line end, ':', digit, the other bytes of a float; class 0
+# sends the chunk to `parse_line`
+_NL, _COLON, _SIGN = 2, 3, 5
+_BYTE_CLASS = bytearray(256)
 for _cls, _bytes in enumerate((b" \t\v\f", b"\n\r", b":", b"0123456789",
                                b".eE+-"), start=1):
-    _BYTE_CLASS[list(_bytes)] = _cls
+    for _b in _bytes:
+        _BYTE_CLASS[_b] = _cls
+_BYTE_CLASS = bytes(_BYTE_CLASS)
+
+
+def _integers(u8: np.ndarray, a: np.ndarray,
+              b: np.ndarray) -> Optional[np.ndarray]:
+    """The numbers in the byte spans [a, b) of a chunk's bytes u8, each
+    `[+-]?digits`, as float64; None if one has more than 15 digits.
+
+    An integer of at most 15 digits is below 2^53, so a float64 holds it
+    exactly, as it does every partial sum of its digits by place value:
+    the result is what strtod returns, -0 included."""
+    head = u8[a]
+    width = b - a - ((head == ord("+")) | (head == ord("-")))
+    if width.size and width.max() > 15:
+        return None
+    nums = u8[b - 1] - 48.0  # the units digits
+    place, live = 1, np.flatnonzero(width > 1)
+    while live.size:
+        nums[live] += (u8[b[live] - 1 - place] - 48) * 10.0 ** place
+        place += 1
+        live = live[width[live] > place]
+    return np.negative(nums, out=nums, where=head == ord("-"))
 
 
 def _parse_chunk(chunk: bytes):
     """(labels, row lengths, 0-based indices, values) of whole lines, or
     None if `parse_line` must read them. CR LF reads as two line ends
     around an empty line."""
-    cls = _BYTE_CLASS[np.frombuffer(chunk, dtype=np.uint8)]
+    cls = np.frombuffer(chunk.translate(_BYTE_CLASS), dtype=np.uint8)
     if not cls.all():
         return None
+    # tokens: each start is followed by its end
     edge = np.diff(np.concatenate(([True], cls <= _NL, [True])).view(np.int8))
-    starts, ends = np.flatnonzero(edge == -1), np.flatnonzero(edge == 1)
-    line = np.searchsorted(np.flatnonzero(cls == _NL), starts)
-    first = np.diff(line, prepend=-1) != 0  # label tokens
-    # one ':' in each feature token and none in a label, with a non-empty
-    # digits-only index before it and a non-empty value after it
+    starts, ends = np.flatnonzero(edge).reshape(-1, 2).T
+    # label tokens: the chunk's first and each first after a line end
+    first = np.zeros(starts.size + 1, dtype=bool)
+    first[np.searchsorted(starts, np.flatnonzero(cls == _NL))] = True
+    first[0] = True
+    first = first[:-1]
+    # one ':' in each feature token and none elsewhere, with a non-empty
+    # index before it and a non-empty value after it
     feat, cpos = np.flatnonzero(~first), np.flatnonzero(cls == _COLON)
-    fstart, nondigits = starts[feat], np.cumsum(cls != _DIGIT)
-    if not (np.array_equal(np.searchsorted(starts, cpos, "right") - 1, feat)
-            and ((cpos > fstart) & (cpos + 1 < ends[feat])
-                 & (nondigits[cpos - 1] == nondigits[fstart - 1])).all()):
+    fstart, fend = starts[feat], ends[feat]
+    if cpos.size != feat.size or not ((cpos > fstart) & (cpos + 1 < fend)).all():
         return None
-    # a token that is no number, or only starts with one, raises ValueError;
-    # older numpy only warned and returned the numbers before it, which the
-    # count check below can miss. (numpy reads a blank string as [-1.0].)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            nums = (np.fromstring(chunk.replace(b":", b" "), sep=" ")
-                    if starts.size else np.empty(0))
-    except (ValueError, DeprecationWarning):
+    # no '.', 'e', 'E', '+' or '-' in an index: it is digits only
+    sign = np.flatnonzero(cls == _SIGN)
+    tok = np.searchsorted(starts, sign, "right") - 1
+    colon = np.full(starts.size, -1)
+    colon[feat] = cpos
+    if not (sign > colon[tok]).all():
         return None
-    if nums.size != starts.size + feat.size or not np.isfinite(nums).all():
-        return None
-    is_label = np.repeat(first, 2 - first)
-    idx, values = nums[~is_label].reshape(-1, 2).T
+    # integers when those bytes are only a '+' or '-' opening a label or
+    # a value and followed by a digit
+    u8 = np.frombuffer(chunk, dtype=np.uint8)
+    char = u8[sign]
+    spans = ((starts[first], ends[first]), (fstart, cpos), (cpos + 1, fend))
+    nums = [None]
+    if (((char == ord("+")) | (char == ord("-")))
+            & (sign == np.maximum(starts[tok], colon[tok] + 1))
+            & (sign + 1 < ends[tok])).all():
+        nums = [_integers(u8, a, b) for a, b in spans]
+    if all(n is not None for n in nums):
+        labels, idx, values = nums
+    else:
+        # a token that is no number, or only starts with one, raises
+        # ValueError; older numpy only warned and returned the numbers
+        # before it, which the count check below can miss. (numpy reads a
+        # blank string as [-1.0].)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                nums = (np.fromstring(chunk.replace(b":", b" "), sep=" ")
+                        if starts.size else np.empty(0))
+        except (ValueError, DeprecationWarning):
+            return None
+        if nums.size != starts.size + feat.size or not np.isfinite(nums).all():
+            return None
+        is_label = np.repeat(first, 2 - first)
+        labels = nums[is_label]
+        idx, values = nums[~is_label].reshape(-1, 2).T
     # indices from 1 to 2^31 - 1, increasing along each row
     prev = np.where(feat[1:] == feat[:-1] + 1, idx[:-1], 0)
     if not ((idx > np.append(0, prev)) & (idx < 2 ** 31)).all():
         return None
     lengths = np.diff(np.append(np.flatnonzero(first), first.size)) - 1
-    return nums[is_label], lengths, (idx - 1).astype(np.int32), values.copy()
+    return (labels, lengths, (idx - 1).astype(np.int32),
+            np.ascontiguousarray(values))
 
 
 def load_dataset(path: str, subsample: Optional[int] = None,
@@ -237,6 +295,8 @@ def load_dataset(path: str, subsample: Optional[int] = None,
     if not n:
         raise ParseError("no data rows", 1, path=str(path))
     indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
+    import scipy.sparse as sp
+
     X = sp.csr_matrix((values, indices, indptr),
                       shape=(n, int(indices.max(initial=-1)) + 1))
     lab = np.where(labels > 0, 1.0, -1.0)

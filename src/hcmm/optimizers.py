@@ -82,7 +82,8 @@ class JointSchedule:
     shipped schedule: the same bits, and on a large z one vector fewer to
     read per numpy call. The scalar is a 0-d array: numpy takes one faster
     than a Python float. move differs in sign between the blocks, so it is
-    always a vector.
+    always a vector. mu_x and mu_y are SAGDA's step sizes, one per block,
+    as 0-d arrays too.
     """
 
     schedule: HyperSchedule
@@ -90,6 +91,8 @@ class JointSchedule:
     beta: Vec
     keep: Vec
     move: Vec
+    mu_x: Vec
+    mu_y: Vec
 
     @classmethod
     def expand(cls, schedule: HyperSchedule, dim_x: int,
@@ -102,7 +105,8 @@ class JointSchedule:
         s = schedule
         return cls(s, dim_x, per_block(s.beta_x, s.beta_y),
                    per_block(1.0 - s.beta_x, 1.0 - s.beta_y),
-                   per_block(-s.mu_x, s.mu_y))
+                   per_block(-s.mu_x, s.mu_y), np.array(s.mu_x),
+                   np.array(s.mu_y))
 
 
 @dataclass(slots=True)
@@ -217,9 +221,9 @@ def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
     if isinstance(kind, Sagda):
         # alternating: the ascent gradient is taken at the already-updated x
         z_next = z.copy()
-        z_next[:d] -= js.schedule.mu_x * g[:d]
+        z_next[:d] -= js.mu_x * g[:d]
         gy = problem.sample_gradient(z_next, next(samples))[d:]
-        z_next[d:] += js.schedule.mu_y * gy
+        z_next[d:] += js.mu_y * gy
         nx, ny = norm2(g[:d]), norm2(gy)
     else:
         if isinstance(kind, StormGda):

@@ -22,15 +22,16 @@ oracle.py); x and y are views into z.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .core import Vec
 from .oracle import InnerMaxReport, MinimaxProblem, SampleId
 from .simplex import project_simplex
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +44,16 @@ from .simplex import project_simplex
 # numpy 2.4) at n = 2000 over 500 HCMM-2 steps: pooling 16 rows cost 10 us
 # a step more than the full step, 512 about broke even, 1024 saved 3 us.
 MIN_POOLED = 1024
+
+
+def _expit(u: float) -> float:
+    """scipy.special.expit of a scalar, bit for bit: 1 / (1 + exp(-u)),
+    which is 0.0 where exp(-u) overflows. scipy is imported only for robust
+    logistic, and a per-step oracle cannot pay an import per call."""
+    try:
+        return 1.0 / (1.0 + math.exp(-u))
+    except OverflowError:
+        return 0.0
 
 
 class RobustLogisticProblem(MinimaxProblem):
@@ -65,6 +76,8 @@ class RobustLogisticProblem(MinimaxProblem):
     def __init__(self, rows: sp.spmatrix, labels: np.ndarray,
                  lambda1: Optional[float] = None, lambda2: float = 0.001,
                  rho: float = 10.0):
+        import scipy.sparse as sp
+
         X = sp.csr_matrix(rows, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.float64)
         n, d = X.shape
@@ -202,7 +215,7 @@ class RobustLogisticProblem(MinimaxProblem):
         idx, val = self._row(xi)
         t = self.labels[xi] * float(val.dot(x[idx]))
         # grad Q_i(x) = -l_i sigma(-t) r_i
-        coef = -self.labels[xi] * expit(-t)
+        coef = -self.labels[xi] * _expit(-t)
         g = np.empty_like(z)
         gx, gy = g[:d], g[d:]
         gx[:] = self._g_grad(x)
@@ -217,7 +230,7 @@ class RobustLogisticProblem(MinimaxProblem):
         idx, val = self._row(xi)
         li = self.labels[xi]
         t = li * float(val.dot(x[idx]))
-        s = expit(-t)
+        s = _expit(-t)
         q2 = s * (1.0 - s)                     # sigma(-t) sigma(t)
         rdx = float(val.dot(dx[idx]))
         gq_coef = -li * s                      # grad Q_i = gq_coef * r_i
@@ -237,6 +250,9 @@ class RobustLogisticProblem(MinimaxProblem):
         return float(np.dot(y, q)) - self._v_value(y) + self._g_value(x)
 
     def _grad_x_at(self, t: np.ndarray, x: Vec, y: Vec) -> Vec:
+        # scipy's vector expit, whose bits np.exp does not give
+        from scipy.special import expit
+
         coef = -self.labels * expit(-t) * y
         return np.asarray(self.X.T @ coef).ravel() + self._g_grad(x)
 

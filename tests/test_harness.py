@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -988,5 +989,70 @@ def test_golden_outputs_script(tmp_path):
                  "logistic/trace_hcmm1_seed1.csv",
                  "logistic_declined/summary_hcmm1.csv",
                  "logistic_commented/trace_hcmm2_seed0.csv",
-                 "logistic_grid/best_hcmm2.cfg", "load_errors.txt"):
+                 "logistic_grid/best_hcmm2.cfg", "load_errors.txt",
+                 "parse_hashes.txt"):
         assert name in trees[0]
+
+
+# imports hcmm, runs the synthetic testbeds in every mode, then builds a
+# robust-logistic problem; prints the scipy modules loaded before and after
+SCIPY_PROBE = """
+import json, sys
+import hcmm, hcmm.harness, hcmm.cli
+from hcmm.harness import (build_config, build_problem, emit_plot,
+                          grid_search, rate_study, run_experiment)
+out, mappings, logistic = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3]
+for name, mapping in mappings.items():
+    config = build_config(mapping)
+    build_problem(config)
+    if name == "rate":
+        rate_study(config, [20, 40, 80])
+    elif name == "grid":
+        grid_search(config)
+    else:
+        run_experiment(config)
+emit_plot(out, out + "/plot.svg")
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+build_problem(build_config({"problem.kind": "robust_logistic",
+                            "problem.dataset_path": logistic,
+                            "optimizer.kind": "hcmm2",
+                            "schedule.kind": "explicit",
+                            "schedule.mu_x": "0.02", "schedule.mu_y": "0.05",
+                            "schedule.beta_x": "0.2", "schedule.beta_y": "0.2",
+                            "run.T": "5", "run.seeds": "0"}))
+after = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps([before, after]))
+"""
+
+
+def test_synthetic_runs_never_import_scipy(tmp_path):
+    # conftest imports scipy, so the probe runs in a fresh interpreter
+    out = str(tmp_path)
+    mappings = {
+        "quadratic": quad_mapping(out, **{"run.T": "30"}),
+        "pl_toy": quad_mapping(out, **{"problem.kind": "pl_toy",
+                                       "problem.m": "4", "problem.rank": "2",
+                                       "optimizer.kind": "sagda",
+                                       "run.T": "30"}),
+        "rate": quad_mapping(out, **{"optimizer.kind": "hcmm1",
+                                     "schedule.kind": "theorem1",
+                                     "schedule.N1": "2",
+                                     "constants.L_f": "1.5",
+                                     "constants.L_h": "0.01",
+                                     "constants.nu": "1",
+                                     "constants.sigma_h": "0.05",
+                                     "run.seeds": "1"}),
+        "grid": quad_mapping(out, **{"grid.mu_x": "0.01,0.02",
+                                     "run.T": "20"}),
+    }
+    logistic = write_libsvm(tmp_path / "tiny.svm",
+                            ["+1 1:1 3:2", "-1 2:0.5", "+1 3:1"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, out, json.dumps(mappings),
+         str(logistic)], env=env, check=True, stdout=subprocess.PIPE,
+        text=True)
+    before, after = json.loads(proc.stdout)
+    assert before == []
+    assert "scipy.sparse" in after

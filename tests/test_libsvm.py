@@ -266,6 +266,14 @@ def assert_same_as_reference(path, clean=False, chunk_sizes=(7, 64, 1 << 16),
                 assert_same_dataset(got, want)
 
 
+def assert_same_chunk_arrays(data):
+    """`_parse_chunk` gives `_parse_lines`' arrays for data, bit for bit:
+    labels before they map to +-1 included, so a label's sign bit too."""
+    got, want = libsvm._parse_chunk(data), libsvm._parse_lines(data, 1, "-")
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def assert_same_dataset(got, want):
     """The two Datasets hold the same arrays, bit for bit."""
     assert not isinstance(got, Exception), got
@@ -276,9 +284,10 @@ def assert_same_dataset(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-LABELS = ["+1", "-1", "1", "0", "2.5", "-0.0", "1e0"]
+LABELS = ["+1", "-1", "1", "0", "2.5", "-0.0", "1e0", "-0", "+007",
+          "123456789012345"]
 VALUES = ["1", "0.5", "-1.25", "1e-3", "2.5E+2", ".5", "5.", "+2", "-0", "007",
-          "123456.789"]
+          "123456.789", "+0", "-00", "999999999999999", "1234567890123456"]
 # each sends the file to the line parser: most are errors there, "+3:1" and
 # a comment are not
 MALFORMED = ["1:2:3", ":5", "3:", "1.0:1", "1e0:1", "+3:1", "0:1", "3:nan",
@@ -363,13 +372,85 @@ class TestFastPath:
         b"+1 1:1\r2:1\n", b"+1 1:1\r  5:2\n", b"+1 3:1 2:1\n",
         b"+1 0:1\n",
         # at CHUNK_BYTES = 7 the first read ends between a CR and its LF
-        b"+1 1:1\r\n-1 0:1\r\n"])
+        b"+1 1:1\r\n-1 0:1\r\n",
+        # indices of 15 and 16 digits: integers, but at least 2^31
+        b"+1 123456789012345:1\n", b"+1 1234567890123456:1\n",
+        # a sign with no digits after it
+        b"-1 1:-\n", b"+ 1:1\n", b"-1 1:1 2:+\n"])
     def test_declined_files(self, tmp_path, data):
         # parse_line reads these, or raises on them, alone
         p = tmp_path / "d.svm"
         p.write_bytes(data)
         assert libsvm._parse_chunk(data) is None
         assert_same_as_reference(str(p))
+
+    @pytest.mark.parametrize("text", [
+        # 15 digits take the integer path; more go through np.fromstring,
+        # and summing 17 digits by place value would misround these two
+        "123456789012345 1:999999999999999 2:-100000000000000\n"
+        "-999999999999999 3:+000000000000001\n",
+        "1234567890123456 1:9007199254740993 2:-9999999999999999\n"
+        "-89600958717540151 1:69214448899333387 2:12345678901234567890\n",
+        # signed zeros: a label and a value keep the sign bit
+        "-0 1:-0 2:+0\n+0 1:0 2:-0\n0 3:-00\n",
+        "+007 0001:0042 010:-0009\n-000 002:+000\n",
+        # an unsigned label at byte 0 of the file, and so of a chunk
+        "5 1:3 2:-4\n7 2:11\n",
+    ], ids=["15_digits", "over_15_digits", "signed_zero", "zero_padded",
+            "label_at_byte_0"])
+    def test_integer_cases(self, tmp_path, text):
+        p = tmp_path / "int.svm"
+        p.write_bytes(text.encode())
+        assert_same_chunk_arrays(text.encode())
+        assert_same_as_reference(str(p), True)
+
+    def test_decimal_chunks_beside_integer_chunks(self, tmp_path,
+                                                  monkeypatch):
+        # decimals, integers, decimals: a chunk of decimals goes through
+        # np.fromstring, once, and a chunk of integers does not
+        decimal = "".join(f"{(-1) ** i} {1 + i % 5}:{i}.5 {7 + i % 3}:-2e-1\n"
+                          for i in range(100))
+        integer = "".join(f"{i % 3 - 1} {1 + i % 5}:{i} {7 + i % 3}:-{i % 4}\n"
+                          for i in range(300))
+        p = tmp_path / "mixed.svm"
+        p.write_bytes((decimal + integer + decimal).encode())
+        assert_same_as_reference(str(p), True)
+        assert_same_as_reference(str(p), True, (1 << 10,))
+
+        seen, calls = [], []
+        real_chunk, real_fromstring = libsvm._parse_chunk, np.fromstring
+
+        def counting_fromstring(string, sep):
+            calls.append(string)
+            return real_fromstring(string, sep=sep)
+
+        def recording_chunk(chunk):
+            calls.clear()
+            parsed = real_chunk(chunk)
+            seen.append((b"." in chunk, len(calls)))
+            return parsed
+
+        monkeypatch.setattr(libsvm.np, "fromstring", counting_fromstring)
+        monkeypatch.setattr(libsvm, "_parse_chunk", recording_chunk)
+        for chunk_bytes in (7, 64, 1 << 10):
+            seen.clear()
+            monkeypatch.setattr(libsvm, "CHUNK_BYTES", chunk_bytes)
+            load_dataset(str(p))
+            assert {decimals for decimals, _ in seen} == {True, False}
+            assert all(n_calls == decimals for decimals, n_calls in seen)
+
+    def test_integer_file_loads_without_fromstring(self, tmp_path,
+                                                   monkeypatch):
+        def fromstring(*args, **kwargs):
+            raise AssertionError("np.fromstring read an integer-only chunk")
+
+        p = tmp_path / "ints.svm"
+        p.write_bytes(("5 1:3 2:-4\n" + "".join(
+            f"{(-1) ** i} {1 + i % 9}:{i} {12 + i % 4}:-{i % 3}\n"
+            for i in range(300))
+            + "+0 1:-0 3:007 4:999999999999999\n-1\n").encode())
+        monkeypatch.setattr(libsvm.np, "fromstring", fromstring)
+        assert_same_as_reference(str(p), True)
 
     def test_partial_read_warning_declines(self, tmp_path, monkeypatch):
         # numpy releases that warn on a token read only in part, and return
