@@ -2,8 +2,7 @@
 
 Config files are line-based `section.key = value` text. Every run is fully
 deterministic given (config, seed): trace CSVs and SVG plots are
-byte-identical across repeats. Wall-clock timing is opt-in
-(run.record_wall) because it necessarily breaks byte-determinism.
+byte-identical across repeats, so no timing enters them.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import hashlib
 import itertools
 import math
 import os
-import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -28,7 +26,7 @@ from .oracle import MinimaxProblem, evaluate_P, metric_ci
 from .problems import PlToyProblem, QuadraticMinimaxProblem, RobustLogisticProblem
 
 TRACE_COLUMNS = ["iter", "p_x", "grad_p_norm", "metric_ci", "m_x_norm",
-                 "m_y_norm", "clipped_x", "clipped_y", "wall_ns"]
+                 "m_y_norm", "clipped_x", "clipped_y"]
 
 OPTIMIZER_LABELS = {"hcmm1": Hcmm1, "hcmm2": Hcmm2,
                     "storm_gda": StormGda, "sagda": Sagda}
@@ -61,7 +59,6 @@ class ExperimentConfig:
     seeds: Tuple[int, ...]
     eval_every: int
     output_dir: str
-    record_wall: bool = False
     grid: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
     raw: Dict[str, str] = field(default_factory=dict)
 
@@ -122,8 +119,8 @@ class _Reader:
     def numbers(self, key: str, default=None, kind=float, low=None,
                 count: Optional[int] = None, above=None):
         """A comma-separated list of finite floats (or ints): `count` of
-        them, or at least one, none below `low` and all above `above`. With
-        count = 1 the whole value is the one number."""
+        them, or at least one with no two equal; none below `low` and all
+        above `above`. With count = 1 the whole value is the one number."""
         raw = self.text(key)
         if raw is None:
             values = default
@@ -148,6 +145,8 @@ class _Reader:
             self.issues.append(f"{key} must be >= {low}")
         elif above is not None and min(values) <= above:
             self.issues.append(f"{key} must be > {above}")
+        elif not count and len(set(values)) < len(values):
+            self.issues.append(f"{key} repeats a value: {raw!r}")
         else:
             return values
         return default
@@ -219,7 +218,6 @@ def read_config(mapping: Dict[str, str]) -> Tuple[ExperimentConfig, List[str],
         seeds=r.numbers("run.seeds", (), int, low=0),
         eval_every=r.number("run.eval_every", 10, int, low=1),
         output_dir=r.text("run.output_dir", "out"),
-        record_wall=r.flag("run.record_wall", False),
         grid={k: v for k in SCHEDULE_KEYS
               if (v := r.numbers(f"grid.{k}")) is not None},
         raw=dict(mapping))
@@ -363,45 +361,49 @@ def _config_text(mapping: Dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in sorted(mapping.items()))
 
 
+def _seed_steps(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
+                x0: np.ndarray, y0: np.ndarray, schedule: HyperSchedule,
+                T: int):
+    """(stepped problem, its states after steps 1..T) of one seed's run: the
+    samples are drawn once, from the seed's stream, and the steps run on
+    `problem.restrict` of them, on the samples as it returns them."""
+    drawn = itertools.islice(sample_stream(problem, np.random.default_rng(seed)),
+                             samples_per_run(config.optimizer, T))
+    stepped, y0_stepped, samples = problem.restrict(drawn, np.asarray(y0))
+    return stepped, iterate_steps(config.optimizer, stepped, schedule, x0,
+                                  y0_stepped, T, samples)
+
+
 def run_single(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
                x0: np.ndarray, y0: np.ndarray, schedule: HyperSchedule,
                collect_rows: bool = True):
     """Run one (config, seed) pair; returns (trace rows, final iterates).
 
-    The run's samples are drawn once, from the seed's stream; the steps run
-    on `problem.restrict` of them (the rows a robust-logistic run draws),
-    on the samples as it returns them. The evaluations and the final
-    iterates are on `problem`. An evaluated row solves the inner max once,
-    and its P(x), grad P(x), y*(x) and margins fill p_x, grad_p_norm and
-    metric_ci.
+    It steps as `_seed_steps` does; the evaluations and the final iterates
+    are on `problem`. An evaluated row solves the inner max once, and its
+    P(x), grad P(x), y*(x) and margins fill p_x, grad_p_norm and metric_ci.
     With collect_rows=False no row is built and nothing is evaluated: only
     the final iterates are returned.
     """
-    drawn = itertools.islice(sample_stream(problem, np.random.default_rng(seed)),
-                             samples_per_run(config.optimizer, config.T))
-    stepped, y0_stepped, samples = problem.restrict(drawn, np.asarray(y0))
+    stepped, states = _seed_steps(config, seed, problem, x0, y0, schedule,
+                                  config.T)
     rows: List[List[str]] = []
-    x_i, y_i = np.asarray(x0), y0_stepped
-    t0 = time.monotonic_ns()
-    for s in iterate_steps(config.optimizer, stepped, schedule, x0, y0_stepped,
-                           config.T, samples):
-        x_i, y_i = s.x, s.y
+    for s in states:
         if not collect_rows:
             continue
         p_x = grad_p = m_ci = None
         if (s.iter - 1) % config.eval_every == 0:
-            inner = evaluate_P(problem, x_i)
+            inner = evaluate_P(problem, s.x)
             p_x = inner.p_value
             grad_p = norm2(inner.grad_p)
-            z = np.concatenate((x_i, stepped.lift_y(y_i)))
+            z = np.concatenate((s.x, stepped.lift_y(s.y)))
             m_ci = metric_ci(problem, z, s.m_clipped[:s.dim_x], inner.y_star,
                              inner.margins)
-        wall = str(time.monotonic_ns() - t0) if config.record_wall else ""
         rows.append([str(s.iter), _fmt_float(p_x), _fmt_float(grad_p),
                      _fmt_float(m_ci), _fmt_float(s.m_x_norm),
                      _fmt_float(s.m_y_norm), "1" if s.clipped_x else "0",
-                     "1" if s.clipped_y else "0", wall])
-    return rows, {"final_x": x_i, "final_y": stepped.lift_y(y_i)}
+                     "1" if s.clipped_y else "0"])
+    return rows, {"final_x": s.x, "final_y": stepped.lift_y(s.y)}
 
 
 def final_p(config: ExperimentConfig, problem: MinimaxProblem,
@@ -453,14 +455,11 @@ def read_trace(path: str) -> Dict[str, list]:
         raise ValueError(f"{path}: unexpected columns {header}")
     cols: Dict[str, list] = {c: [] for c in header}
     for line in lines[1:]:
-        parts = line.split(",")
-        for c, v in zip(header, parts):
+        for c, v in zip(header, line.split(",")):
             if c == "iter":
                 cols[c].append(int(v))
             elif c in ("clipped_x", "clipped_y"):
                 cols[c].append(v == "1")
-            elif c == "wall_ns":
-                cols[c].append(int(v) if v else None)
             else:
                 cols[c].append(float(v) if v else None)
     return cols
@@ -544,15 +543,17 @@ class RateReport:
 def rate_study(config: ExperimentConfig, T_values: Sequence[float]) -> RateReport:
     """Theorem-schedule runs over a geometric T ladder; log-log slope fit.
 
-    Every T must be an integer >= 1 (1e3 will do), and at least 3 must
-    differ, or the slope means nothing. The schedule must be a theorem one:
-    an explicit schedule gives every horizon the same step sizes, so its
-    slope is not the theorem rate. All three are checked before any step.
+    Every T must be an integer >= 1 (1e3 will do), listed once, and there
+    must be at least 3, or the slope means nothing. The schedule must be a
+    theorem one: an explicit schedule gives every horizon the same step
+    sizes, so its slope is not the theorem rate. All are checked before any
+    step. Each (T, seed) steps as `run_single` does at run.T = T.
     """
     if not all(math.isfinite(T) and T == int(T) >= 1 for T in T_values) \
-            or len(set(T_values)) < 3:
+            or len(set(T_values)) < max(3, len(T_values)):
         raise ConfigError(f"rate study needs at least 3 distinct integer "
-                          f"horizons >= 1, got {list(T_values)}")
+                          f"horizons >= 1, each listed once, got "
+                          f"{list(T_values)}")
     if config.schedule_kind not in ("theorem1", "theorem2"):
         raise ConfigError(f"rate study needs schedule.kind = theorem1 or "
                           f"theorem2, got {config.schedule_kind!r}")
@@ -565,10 +566,9 @@ def rate_study(config: ExperimentConfig, T_values: Sequence[float]) -> RateRepor
         for seed in config.seeds:
             # the time average of the closed-form ||grad P(x_i)||, summed
             # left to right: the rate CSV's bits depend on the order
-            samples = sample_stream(problem, np.random.default_rng(seed))
             total = 0.0
-            for s in iterate_steps(config.optimizer, problem, schedule, x0, y0,
-                                   T, samples):
+            for s in _seed_steps(config, seed, problem, x0, y0, schedule,
+                                 T)[1]:
                 total += norm2(problem.grad_p(s.x))
             per_seed.append(total / T)
         averages.append(float(np.mean(per_seed)))
@@ -577,9 +577,8 @@ def rate_study(config: ExperimentConfig, T_values: Sequence[float]) -> RateRepor
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["T,mean_time_avg_grad_p"]
-    for T, avg in zip(T_values, averages):
-        lines.append(f"{T},{_fmt_float(avg)}")
-    lines.append(f"slope,{_fmt_float(slope)}")
+    for T, value in [*zip(T_values, averages), ("slope", slope)]:
+        lines.append(f"{T},{_fmt_float(value)}")
     _write_atomic(out_dir / f"rate_{optimizer_label(config.optimizer)}.csv",
                   "\n".join(lines) + "\n")
     return RateReport(tuple(T_values), tuple(averages), slope)

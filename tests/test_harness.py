@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +13,12 @@ import pytest
 import hcmm.harness
 import hcmm.problems
 from hcmm.core import ConfigError
-from hcmm.harness import (OPTIMIZER_LABELS, TRACE_COLUMNS, build_config,
-                          build_problem, build_schedule, emit_plot,
-                          grid_search, optimizer_label, parse_config_text,
-                          rate_study, read_config, read_trace, run_experiment,
-                          run_single, unbounded_p_warning)
+from hcmm.harness import (OPTIMIZER_LABELS, SCHEDULE_KEYS, TRACE_COLUMNS,
+                          build_config, build_problem, build_schedule,
+                          emit_plot, grid_search, optimizer_label,
+                          parse_config_text, rate_study, read_config,
+                          read_trace, run_experiment, run_single,
+                          unbounded_p_warning)
 from hcmm.optimizers import Hcmm1, Sagda, iterate_steps
 from hcmm.oracle import MinimaxProblem, evaluate_P
 from hcmm import cli
@@ -69,7 +72,6 @@ class TestConfigParsing:
         assert cfg.seeds == (1, 2)
         assert cfg.eval_every == 7
         assert optimizer_label(cfg.optimizer) == "storm_gda"
-        assert not cfg.record_wall
 
     def test_optimizer_variants(self, tmp_path):
         cfg = build_config(quad_mapping(
@@ -97,14 +99,14 @@ class TestConfigParsing:
     def test_every_issue_names_its_key(self, tmp_path):
         issues = read_config(quad_mapping(tmp_path, **{
             "problem.m": "x", "problem.nu": "", "problem.spectrum": "1,2,3",
-            "run.seeds": "1,-2", "run.record_wall": "1",
+            "run.seeds": "1,-2", "grid.mu_y": "0.1,0.1",
             "schedule.N": "a"}))[1]
         assert issues == ["problem.m is not an integer: 'x'",
                           "problem.nu is not numeric: ''",
                           "problem.spectrum must list 2 values, got '1,2,3'",
                           "schedule.N is not numeric: 'a'",
                           "run.seeds must be >= 0",
-                          "run.record_wall must be true or false, got '1'"]
+                          "grid.mu_y repeats a value: '0.1,0.1'"]
 
     def test_logistic_requires_dataset_path(self):
         issues = read_config({"problem.kind": "robust_logistic",
@@ -130,8 +132,11 @@ class TestRunExperiment:
         assert cols["iter"] == list(range(1, 41))
         evaluated = [p for p in cols["p_x"] if p is not None]
         assert len(evaluated) == math.ceil(40 / 7)
-        assert all(w is None for w in cols["wall_ns"])
         assert sorted(cols.keys()) == sorted(TRACE_COLUMNS)
+        # no timing column: a trace is a pure function of (config, seed)
+        assert (tmp_path / "trace_storm_gda_seed1.csv").read_text() \
+            .splitlines()[0] == ("iter,p_x,grad_p_norm,metric_ci,m_x_norm,"
+                                 "m_y_norm,clipped_x,clipped_y")
 
     def test_summary_written(self, tmp_path):
         cfg = build_config(quad_mapping(tmp_path))
@@ -149,14 +154,6 @@ class TestRunExperiment:
         for name in ("trace_storm_gda_seed1.csv", "trace_storm_gda_seed2.csv",
                      "summary_storm_gda.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
-
-    def test_wall_ns_populated_when_opted_in(self, tmp_path):
-        cfg = build_config(quad_mapping(tmp_path,
-                                        **{"run.record_wall": "true",
-                                           "run.seeds": "1"}))
-        run_experiment(cfg)
-        cols = read_trace(str(tmp_path / "trace_storm_gda_seed1.csv"))
-        assert all(isinstance(w, int) for w in cols["wall_ns"])
 
     def test_hcmm1_trace_has_clip_flags(self, tmp_path):
         cfg = build_config(quad_mapping(
@@ -396,7 +393,7 @@ class TestRestrictedRun:
         (sub,) = stepped
         assert sub.dim_y <= 241 and sub.pooled == 2000 - sub.rows.size
         assert len(rows) == len(want_rows) == 120
-        numeric = [c not in ("iter", "clipped_x", "clipped_y", "wall_ns")
+        numeric = [c not in ("iter", "clipped_x", "clipped_y")
                    for c in TRACE_COLUMNS]
         for got_row, want_row in zip(rows, want_rows):
             for is_number, got, expect in zip(numeric, got_row, want_row):
@@ -570,7 +567,9 @@ class TestRateStudy:
 
     @pytest.mark.parametrize("T_values", [[0, 10, 100], [10, 100, 0],
                                           [10, -5, 100], [10, 10, 10],
-                                          [10, 10, 100], [10, 100.5, 1000]])
+                                          [10, 10, 100], [10, 100.5, 1000],
+                                          [10, 10, 100, 1000],
+                                          [1e3, 10, 100, 1000]])
     def test_bad_horizons_rejected_before_any_step(self, tmp_path,
                                                    monkeypatch, T_values):
         def no_steps(*args, **kwargs):
@@ -595,6 +594,41 @@ class TestRateStudy:
         with pytest.raises(ConfigError, match="schedule.kind"):
             rate_study(cfg, [10, 100, 1000])
         assert not (tmp_path / "rate_storm_gda.csv").exists()
+
+    @pytest.mark.parametrize("optimizer", ["hcmm2", "sagda"])
+    def test_steps_as_run_single_does(self, tmp_path, monkeypatch, optimizer):
+        # 1200 rows and at most 2 * 80 + 1 draws: MIN_POOLED or more go
+        # undrawn, so each (T, seed) steps on a pooled restriction, and its
+        # x iterates are those of a trace run at run.T = T, to the bit
+        path = logistic_file(tmp_path / "a.svm", n=1200, seed=3)
+        mapping = logistic_mapping(path, tmp_path, **{
+            "optimizer.kind": optimizer, "schedule.kind": "theorem2",
+            "constants.L_f": "2.0", "constants.delta": "0.5",
+            "run.seeds": "1,2"})
+        runs = []
+        iterate = hcmm.harness.iterate_steps
+
+        def record(*args):
+            runs.append([])
+            for s in iterate(*args):
+                runs[-1].append(s.x.tobytes())
+                yield s
+
+        monkeypatch.setattr(hcmm.harness, "iterate_steps", record)
+        stepped = spy_restrictions(monkeypatch)
+        T_values = [20, 40, 80]
+        rate_study(build_config(mapping), T_values)
+        assert len(stepped) == len(runs) == 6
+        assert all(sub.pooled >= hcmm.problems.MIN_POOLED for sub in stepped)
+        rated, runs[:] = list(runs), []
+        for T in T_values:
+            config = build_config({**mapping, "run.T": str(T)})
+            problem, x0, y0 = build_problem(config)
+            for seed in config.seeds:
+                run_single(config, seed, problem, x0, y0,
+                           build_schedule(config), collect_rows=False)
+        assert [len(r) for r in rated] == [20, 20, 40, 40, 80, 80]
+        assert rated == runs
 
 
 class TestPlot:
@@ -725,6 +759,37 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run", "grid"])
+    @pytest.mark.parametrize("extra,message", [
+        ("run.seeds = 1,1", "run.seeds repeats a value: '1,1'"),
+        ("run.seeds = 2,1,2", "run.seeds repeats a value: '2,1,2'"),
+        ("grid.mu_x = 0.01,0.01", "grid.mu_x repeats a value: '0.01,0.01'"),
+        ("grid.mu_x = 0.01,0.02,1e-2",
+         "grid.mu_x repeats a value: '0.01,0.02,1e-2'"),
+    ], ids=["seeds-1,1", "seeds-2,1,2", "mu_x-0.01,0.01", "mu_x-1e-2"])
+    def test_repeated_value_rejected_before_run(self, tmp_path, capsys,
+                                                monkeypatch, command, extra,
+                                                message):
+        # a repeated seed would run twice and be listed twice in the
+        # summary; a repeated grid value would add a duplicate row
+        def no_steps(*args, **kwargs):
+            raise AssertionError("stepped before the values were checked")
+
+        monkeypatch.setattr(hcmm.harness, "iterate_steps", no_steps)
+        rc = cli.main([command, "--config",
+                       self.write_cfg(tmp_path, extra + "\n")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_spectrum_may_repeat(self, tmp_path):
+        config, issues, _ = read_config(quad_mapping(
+            tmp_path, **{"problem.spectrum": "1,1"}))
+        assert issues == []
+        assert config.problem_params["spectrum"] == (1.0, 1.0)
+
     @pytest.mark.parametrize("command", ["validate", "run", "grid", "rate"])
     def test_hcmm1_on_theorem2_rejected_before_run(self, tmp_path, capsys,
                                                    command):
@@ -743,15 +808,18 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_validate_warns_unknown_keys(self, tmp_path, capsys):
-        # run.x0 is no longer a key; grid.<k> is known when schedule.<k> is
+        # run.x0 and run.record_wall are no longer keys; grid.<k> is known
+        # when schedule.<k> is
         cfg = self.write_cfg(tmp_path, "problem.lamda2 = 0.5\nrun.x0 = 1,2\n"
+                             "run.record_wall = true\n"
                              "grid.beta_y = 0.1,0.2\ngrid.bogus = 1\n")
         assert cli.main(["validate", "--config", cfg]) == 0
         captured = capsys.readouterr()
         assert "config ok" in captured.out
         assert captured.err.splitlines() == [
             f"warning: unknown key {key} (ignored)"
-            for key in ("grid.bogus", "problem.lamda2", "run.x0")] + [
+            for key in ("grid.bogus", "problem.lamda2", "run.record_wall",
+                        "run.x0")] + [
             "warning: P(x) is unbounded below: its Hessian A + BB'/nu has "
             "eigenvalue -0.467 < 0 (problem.spectrum = -0.5,0.5)"]
         assert cli.main(["run", "--config", cfg]) == 0
@@ -928,7 +996,8 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "rate_hcmm1.csv").exists()
 
-    @pytest.mark.parametrize("T", ["0,10,100", "1e1,1.5e1,2.25"])
+    @pytest.mark.parametrize("T", ["0,10,100", "1e1,1.5e1,2.25",
+                                   "10,10,100,1000"])
     def test_rate_bad_horizons_is_an_error(self, tmp_path, capsys, T):
         rc = cli.main(["rate", "--config", self.write_cfg(tmp_path),
                        "--T", T])
@@ -989,9 +1058,50 @@ def test_golden_outputs_script(tmp_path):
                  "logistic/trace_hcmm1_seed1.csv",
                  "logistic_declined/summary_hcmm1.csv",
                  "logistic_commented/trace_hcmm2_seed0.csv",
-                 "logistic_grid/best_hcmm2.cfg", "load_errors.txt",
+                 "logistic_grid/best_hcmm2.cfg",
+                 "logistic_rate/rate_hcmm2.csv", "load_errors.txt",
                  "parse_hashes.txt"):
         assert name in trees[0]
+
+
+def readme_table_keys():
+    """The keys in README's config table: each backticked `section.key`
+    in a row's first cell, `.key` meaning the cell's first section, and
+    `grid.<k>` one key per schedule.* name."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | type | default | read for |") + 2
+    keys = set()
+    for line in itertools.takewhile(lambda l: l.startswith("|"),
+                                    lines[start:]):
+        section = None
+        for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            if token.startswith(".") and section:
+                token = section + token
+            elif not re.fullmatch(r"[a-z]+\.[A-Za-z0-9_<>]+", token):
+                continue
+            section = token.split(".")[0]
+            keys.update(token.replace("<k>", k) for k in SCHEDULE_KEYS)
+    return keys
+
+
+def test_readme_key_table_matches_reader(monkeypatch):
+    # every key the reader reads, for any problem kind and optimizer, is in
+    # the table, and every key in the table is one the reader reads
+    read = set()
+    text = hcmm.harness._Reader.text
+
+    def spy(self, key, *args, **kwargs):
+        read.add(key)
+        return text(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(hcmm.harness._Reader, "text", spy)
+    for kind in ("robust_logistic", "quadratic", "pl_toy"):
+        for optimizer in OPTIMIZER_LABELS:
+            read_config({"problem.kind": kind, "optimizer.kind": optimizer})
+    table = readme_table_keys()
+    assert "problem.kind" in table and "grid.N1" in table
+    assert sorted(table - read) == []
+    assert sorted(read - table) == []
 
 
 # imports hcmm, runs the synthetic testbeds in every mode, then builds a
