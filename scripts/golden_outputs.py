@@ -25,19 +25,20 @@ only:
   config, and a theorem2 HCMM-2 `rate_study` that steps on the pooled
   restriction (its CSV only: results.txt does not list it);
 - `load_errors.txt`: the `load_dataset` error of each of a set of files
-  with one fault each, with paths relative to OUT;
+  with one fault each;
 - `parse_hashes.txt`: the SHA-256 of the arrays (labels, data, indices,
   indptr) that `load_dataset` returns for the datagen file, its commented
   copy and a file of real values (decimals, exponents, signs), so that a
   change to the parser shows in the diff even where no run reads a byte it
   changed.
 
-The config echoes record OUT, so to compare revision A with revision B, run
-the script under the same relative OUT from two working directories:
+It works inside OUT, so every path it passes and records (config echoes,
+best configs, load errors) is relative to OUT. To compare revision A with
+revision B:
 
-    (cd DIR_A && PYTHONPATH=A/src python3 A/scripts/golden_outputs.py golden)
-    (cd DIR_B && PYTHONPATH=B/src python3 A/scripts/golden_outputs.py golden)
-    diff -r DIR_A/golden DIR_B/golden
+    PYTHONPATH=A/src python3 A/scripts/golden_outputs.py OUT_A
+    PYTHONPATH=B/src python3 A/scripts/golden_outputs.py OUT_B
+    diff -r OUT_A OUT_B
 
 It takes a few seconds.
 """
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -236,8 +238,7 @@ def main(out: Path) -> None:
         try:
             errors.append(f"{name}: loaded {load_dataset(str(path)).n} rows")
         except ParseError as exc:
-            errors.append(str(exc).replace(str(path),
-                                           str(path.relative_to(out))))
+            errors.append(str(exc))
     (out / "load_errors.txt").write_text("\n".join(errors) + "\n",
                                          encoding="utf-8")
 
@@ -250,6 +251,6 @@ def main(out: Path) -> None:
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         raise SystemExit(f"usage: {sys.argv[0]} OUT")
-    out_dir = Path(sys.argv[1])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    main(out_dir)
+    Path(sys.argv[1]).mkdir(parents=True, exist_ok=True)
+    os.chdir(sys.argv[1])
+    main(Path("."))

@@ -64,16 +64,22 @@ class ExperimentConfig:
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
-    """Parse `key = value` lines (dotted keys, # comments) into a flat map."""
+    """Parse `key = value` lines (dotted keys, # comments) into a flat map;
+    each key may be set once."""
     mapping: Dict[str, str] = {}
+    set_on: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key} is already set on line "
+                              f"{set_on[key]}")
+        set_on[key] = lineno
+        mapping[key] = value
     return mapping
 
 
@@ -250,20 +256,35 @@ def resolve_dataset_path(path: str) -> str:
 # so runs of several configs on one file parse it once; one entry, so it
 # holds at most one parsed file in memory
 _last_dataset: Dict[tuple, Dataset] = {}
+# the last robust-logistic problem built, keyed by its dataset's key and
+# (lambda1, lambda2, rho): a problem is never changed once built, and it
+# shares its rows with the dataset. A parse empties it.
+_last_problem: Dict[tuple, RobustLogisticProblem] = {}
 
 
-def _dataset(path: str, subsample: Optional[int], seed: int) -> Dataset:
-    """load_dataset(path, subsample, seed), reused while the file's bytes,
-    subsample and seed stay the same."""
+def _logistic_problem(p: Dict[str, Any]) -> RobustLogisticProblem:
+    """The robust-logistic problem of the problem.* values `p`, reused
+    while the file's bytes, subsample, seed and lambda1, lambda2, rho stay
+    the same; its dataset is reused while the first three do."""
+    path = resolve_dataset_path(p["dataset_path"])
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    key = (digest.digest(), subsample, seed)
-    if key not in _last_dataset:
+    data_key = (digest.digest(), p["subsample"], p["seed"])
+    if data_key not in _last_dataset:
         _last_dataset.clear()
-        _last_dataset[key] = load_dataset(path, subsample=subsample, seed=seed)
-    return _last_dataset[key]
+        _last_problem.clear()
+        _last_dataset[data_key] = load_dataset(path, subsample=p["subsample"],
+                                               seed=p["seed"])
+    key = (data_key, p["lambda1"], p["lambda2"], p["rho"])
+    if key not in _last_problem:
+        _last_problem.clear()
+        ds = _last_dataset[data_key]
+        _last_problem[key] = RobustLogisticProblem(
+            ds.X, ds.labels, lambda1=p["lambda1"], lambda2=p["lambda2"],
+            rho=p["rho"])
+    return _last_problem[key]
 
 
 def build_problem(config: ExperimentConfig) -> Tuple[MinimaxProblem, np.ndarray,
@@ -271,11 +292,7 @@ def build_problem(config: ExperimentConfig) -> Tuple[MinimaxProblem, np.ndarray,
     """Construct the problem and its default initial point (x0, y0)."""
     p = config.problem_params
     if config.problem_kind == "robust_logistic":
-        ds = _dataset(resolve_dataset_path(p["dataset_path"]), p["subsample"],
-                      p["seed"])
-        problem: MinimaxProblem = RobustLogisticProblem(
-            ds.X, ds.labels, lambda1=p["lambda1"], lambda2=p["lambda2"],
-            rho=p["rho"])
+        problem: MinimaxProblem = _logistic_problem(p)
         return (problem, np.zeros(problem.dim_x),
                 np.full(problem.dim_y, 1.0 / problem.dim_y))
     d, m, seed = p["d"], p["m"], p["seed"]

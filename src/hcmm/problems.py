@@ -45,6 +45,14 @@ if TYPE_CHECKING:
 # a step more than the full step, 512 about broke even, 1024 saved 3 us.
 MIN_POOLED = 1024
 
+# largest share of nonzero y entries at which `_grad_x_at` forms X'coef over
+# those rows alone; past it the product over every row is cheaper. Measured
+# on a 2-vCPU VM (Python 3.11, numpy 2.4, scipy 1.17, BLAS 1 thread) on
+# datagen files with 22 nonzeros a row: the two cost the same at about 12%
+# of the rows at n = 8124 and 50000 (0.3 and 1.8 ms) and 30% at n = 3000;
+# at 5 rows of 50000 the support product took 0.07 ms against 1.6 ms.
+MAX_SUPPORT_SHARE = 0.1
+
 
 def _expit(u: float) -> float:
     """scipy.special.expit of a scalar, bit for bit: 1 / (1 + exp(-u)),
@@ -109,10 +117,19 @@ class RobustLogisticProblem(MinimaxProblem):
         self.rows: Optional[np.ndarray] = None
         self.pooled = 0
         self._ones: Union[float, np.ndarray] = 1.0
-        # crude analytic bound on the joint-gradient Lipschitz constant
-        rmax = float(np.sqrt(X.power(2).sum(axis=1).max()))
-        self.lipschitz_L_f = (n * rmax ** 2 / 4.0 + 2.0 * self.lambda2 * self.rho
-                              + self.lambda1 * n ** 2 + n * rmax)
+        self._lipschitz_L_f: Optional[float] = None
+
+    @property
+    def lipschitz_L_f(self) -> float:
+        """A crude analytic bound on the joint-gradient Lipschitz constant,
+        computed on first read; a restriction holds its parent's."""
+        if self._lipschitz_L_f is None:
+            n = self.n
+            rmax = float(np.sqrt(self.X.power(2).sum(axis=1).max()))
+            self._lipschitz_L_f = (n * rmax ** 2 / 4.0
+                                   + 2.0 * self.lambda2 * self.rho
+                                   + self.lambda1 * n ** 2 + n * rmax)
+        return self._lipschitz_L_f
 
     # -- single-row helpers ------------------------------------------------
     def _row(self, i: SampleId) -> Tuple[np.ndarray, np.ndarray]:
@@ -190,7 +207,7 @@ class RobustLogisticProblem(MinimaxProblem):
         sub = RobustLogisticProblem(self.X[rows], self.labels[rows],
                                     self.lambda1, self.lambda2, self.rho)
         sub.n = self.n
-        sub.lipschitz_L_f = self.lipschitz_L_f
+        sub._lipschitz_L_f = self.lipschitz_L_f
         sub.rows, sub.pooled, sub.dim_y = rows, rest.size, rows.size + 1
         sub._ones = np.append(np.ones(rows.size), r)
         return (sub, np.append(y0[rows], r * rest[0]),
@@ -250,11 +267,31 @@ class RobustLogisticProblem(MinimaxProblem):
         return float(np.dot(y, q)) - self._v_value(y) + self._g_value(x)
 
     def _grad_x_at(self, t: np.ndarray, x: Vec, y: Vec) -> Vec:
+        # X'(-l o sigma(-t) o y) + g'(x). While at most MAX_SUPPORT_SHARE of
+        # y is nonzero, the product runs over those rows alone. It has the
+        # dense product's bits: scipy's csc_matvec and np.bincount both add
+        # each data * coef into a +0.0 start in row order, and the rows
+        # left out add exact zeros, unless a margin is nan (then nan * 0
+        # is not zero, so the dense product runs).
         # scipy's vector expit, whose bits np.exp does not give
         from scipy.special import expit
 
-        coef = -self.labels * expit(-t) * y
-        return np.asarray(self.X.T @ coef).ravel() + self._g_grad(x)
+        held = y != 0
+        if (np.count_nonzero(held) > MAX_SUPPORT_SHARE * y.size
+                or np.isnan(t.min())):
+            coef = -self.labels * expit(-t) * y
+            return np.asarray(self.X.T @ coef).ravel() + self._g_grad(x)
+        rows = np.flatnonzero(held)
+        X = self.X
+        start = X.indptr[rows]
+        counts = X.indptr[rows + 1] - start
+        # the rows' positions in X.data, row after row
+        pos = np.arange(counts.sum()) + np.repeat(
+            start - np.cumsum(counts) + counts, counts)
+        coef = -self.labels[rows] * expit(-t[rows]) * y[rows]
+        return np.bincount(X.indices[pos], minlength=self.d,
+                           weights=X.data[pos] * np.repeat(coef, counts)) \
+            + self._g_grad(x)
 
     def full_gradient(self, z: Vec) -> Vec:
         self._all_rows("full_gradient")

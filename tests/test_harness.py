@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import math
@@ -58,6 +59,13 @@ class TestConfigParsing:
     def test_rejects_bare_token(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("a = 1\nbogus\n")
+
+    def test_rejects_repeated_key(self):
+        # it was last-wins: run.T = 20 ran, and nothing said so
+        with pytest.raises(ConfigError, match=r"^line 4: run\.T is already "
+                                              r"set on line 1$"):
+            parse_config_text("run.T = 10\n# run.T = 15\nrun.seeds = 0\n"
+                              " run.T =20  # again\n")
 
     def test_validate_collects_all_issues(self):
         issues = read_config({"problem.kind": "nope",
@@ -338,6 +346,122 @@ class TestDatasetReuse:
         # one entry: the first key is parsed once more
         build_problem(build_config(mapping))
         assert len(loads) == 3
+
+
+class TestProblemReuse:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Parses, problem builds and L_f bounds, from empty caches."""
+        import scipy.sparse as sp
+        counts = {"parse": 0, "build": 0, "bound": 0}
+
+        def counted(key, fn):
+            def call(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        cls = hcmm.problems.RobustLogisticProblem
+        monkeypatch.setattr(hcmm.harness, "load_dataset",
+                            counted("parse", hcmm.harness.load_dataset))
+        monkeypatch.setattr(cls, "__init__", counted("build", cls.__init__))
+        # the bound's pass over the rows, X.power(2)
+        monkeypatch.setattr(sp.csr_matrix, "power",
+                            counted("bound", sp.csr_matrix.power))
+        monkeypatch.setattr(hcmm.harness, "_last_dataset", {})
+        monkeypatch.setattr(hcmm.harness, "_last_problem", {})
+        return counts
+
+    def test_one_build_per_problem(self, tmp_path, counts):
+        path = logistic_file(tmp_path / "a.svm")
+        mapping = logistic_mapping(path, tmp_path, **{
+            "problem.subsample": "30", "problem.seed": "3",
+            "problem.lambda1": "0.01", "problem.lambda2": "0.002",
+            "problem.rho": "5", "schedule.N": "5", "schedule.N1": "5"})
+        problems = []
+        for kind in ("hcmm2", "hcmm2", "hcmm1", "storm_gda", "sagda"):
+            problem = build_problem(build_config(
+                {**mapping, "optimizer.kind": kind}))[0]
+            assert problem.lipschitz_L_f > 0
+            problems.append(problem)
+        assert all(p is problems[0] for p in problems)
+        assert counts == {"parse": 1, "build": 1, "bound": 1}
+
+    @pytest.mark.parametrize("key,value", [("problem.lambda1", "0.5"),
+                                           ("problem.lambda2", "0.01"),
+                                           ("problem.rho", "3")])
+    def test_new_lambda_or_rho_builds_without_parse(self, tmp_path, counts,
+                                                    key, value):
+        path = logistic_file(tmp_path / "a.svm")
+        mapping = logistic_mapping(path, tmp_path)
+        first = build_problem(build_config(mapping))[0]
+        second = build_problem(build_config({**mapping, key: value}))[0]
+        assert getattr(second, key.split(".")[1]) == float(value)
+        assert second is not first
+        assert np.shares_memory(second.X.data, first.X.data)
+        assert counts == {"parse": 1, "build": 2, "bound": 0}
+        # one entry: the first values build once more, still on one parse
+        assert build_problem(build_config(mapping))[0] is not first
+        assert counts == {"parse": 1, "build": 3, "bound": 0}
+
+    def test_restrict_copies_the_bound(self, tmp_path, counts, monkeypatch):
+        monkeypatch.setattr(hcmm.problems, "MIN_POOLED", 1)
+        path = logistic_file(tmp_path / "a.svm", n=40)
+        problem = build_problem(build_config(logistic_mapping(path,
+                                                              tmp_path)))[0]
+        bound = problem.lipschitz_L_f
+        sub, _, _ = problem.restrict(iter([3, 5, 5, 9]),
+                                     np.full(40, 1.0 / 40))
+        assert sub.pooled == 37
+        assert sub.lipschitz_L_f == bound
+        assert counts == {"parse": 1, "build": 2, "bound": 1}
+
+
+def test_golden_logistic_runs_take_both_products(tmp_path, monkeypatch):
+    # scripts/golden_outputs.py's pooled logistic runs reach both forms of
+    # the x-gradient product: y* on the support product (and, early in a
+    # run, on the dense one), and HCMM-2's lifted y, dense at the first
+    # evaluated row, on the dense one
+    spec = importlib.util.spec_from_file_location(
+        "golden_outputs", ROOT / "scripts" / "golden_outputs.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    data = golden.write_libsvm(tmp_path / "data.libsvm", n=3000, d=40,
+                               groups=8, seed=5)
+    cls = hcmm.problems.RobustLogisticProblem
+    taken, label = set(), []
+
+    def record(what, y):
+        share = np.count_nonzero(y) / y.size
+        taken.add((label[-1], what,
+                   "support" if share <= hcmm.problems.MAX_SUPPORT_SHARE
+                   else "dense"))
+
+    inner_max, grad_x = cls.inner_max, cls.grad_x
+
+    def spy_inner_max(self, x):
+        report = inner_max(self, x)
+        record("y*", report.y_star)
+        return report
+
+    def spy_grad_x(self, z, margins=None):
+        record("y", z[self.d:])
+        return grad_x(self, z, margins)
+
+    monkeypatch.setattr(cls, "inner_max", spy_inner_max)
+    monkeypatch.setattr(cls, "grad_x", spy_grad_x)
+    for opt, schedule in golden.OPTIMIZERS.items():
+        label.append(opt)
+        run_experiment(build_config({
+            "problem.kind": "robust_logistic",
+            "problem.dataset_path": str(data), "schedule.kind": "explicit",
+            "run.T": "300", "run.seeds": "0,1", "run.eval_every": "50",
+            "optimizer.kind": opt, **schedule,
+            "run.output_dir": str(tmp_path / "logistic")}))
+        assert (opt, "y*", "support") in taken
+    assert ("hcmm2", "y", "dense") in taken
+    assert {form for _, what, form in taken if what == "y*"} \
+        == {"support", "dense"}
 
 
 def full_y_run(monkeypatch):
@@ -673,10 +797,10 @@ LOGISTIC = "problem.kind = robust_logistic\nproblem.dataset_path = tiny.svm\n"
 
 class TestCli:
     def write_cfg(self, tmp_path, extra=""):
+        # extra's lines set their keys in place of the base mapping's
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("\n".join(
-            f"{k} = {v}" for k, v in
-            quad_mapping(tmp_path / "out").items()) + "\n" + extra)
+        mapping = {**quad_mapping(tmp_path / "out"), **parse_config_text(extra)}
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
         return str(cfg)
 
     def test_run_subcommand(self, tmp_path, capsys):
@@ -781,6 +905,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 1
         assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_repeated_key_rejected_before_run(self, tmp_path, capsys,
+                                              command):
+        cfg = Path(self.write_cfg(tmp_path))
+        lines = cfg.read_text().splitlines()
+        first = lines.index("run.T = 40") + 1
+        cfg.write_text(cfg.read_text() + "run.T = 20\n")
+        rc = cli.main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert (f"error: line {len(lines) + 1}: run.T is already set on "
+                f"line {first}") in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -1038,15 +1177,15 @@ class TestCli:
 
 def test_golden_outputs_script(tmp_path):
     # the golden set that simplifications are diffed against: made twice,
-    # under the same relative OUT from two directories, it is byte-identical
+    # under two OUT names, one relative and one absolute, it is
+    # byte-identical
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     trees = []
-    for where in ("a", "b"):
-        (tmp_path / where).mkdir()
+    for out in (Path("golden"), tmp_path / "b" / "other_name"):
         subprocess.run([sys.executable, str(ROOT / "scripts" / "golden_outputs.py"),
-                        "golden"], cwd=tmp_path / where, env=env, check=True)
-        out = tmp_path / where / "golden"
+                        str(out)], cwd=tmp_path, env=env, check=True)
+        out = tmp_path / out
         trees.append({str(f.relative_to(out)): f.read_bytes()
                       for f in sorted(out.rglob("*")) if f.is_file()})
     assert trees[0] == trees[1]

@@ -655,3 +655,93 @@ class TestRestriction:
         got, got_y, out = q.restrict(samples, y0)
         assert got is q and got_y is y0 and out is samples
         assert next(samples) == 0
+
+
+class TestSupportProduct:
+    """`_grad_x_at` over the rows where y != 0 has the bits of the dense
+    X'(-l o sigma(-t) o y) + g'(x), signed zeros included, on either side of
+    MAX_SUPPORT_SHARE."""
+
+    @staticmethod
+    def dense(p, t, x, y):
+        from scipy.special import expit
+        return np.asarray(p.X.T @ (-p.labels * expit(-t) * y)).ravel() \
+            + p._g_grad(x)
+
+    def assert_dense_bits(self, p, x, y):
+        t = p._margins(x)
+        got, want = p._grad_x_at(t, x, y), self.dense(p, t, x, y)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return make_logistic(n=3000, d=40, seed=5)
+
+    @pytest.mark.parametrize("share", [None, 1.0], ids=["default", "always"])
+    def test_random_supports(self, problem, monkeypatch, share):
+        # "always" takes the support path at every size, the full one too
+        if share is not None:
+            monkeypatch.setattr(hcmm.problems, "MAX_SUPPORT_SHARE", share)
+        p = problem
+        cut = int(hcmm.problems.MAX_SUPPORT_SHARE * p.n)
+        rng = np.random.default_rng(1)
+        for k in (1, 2, 7, 100, cut - 1, cut, cut + 1, 2 * cut, p.n):
+            for scale in (0.0, 0.01, 1.0, 30.0):
+                x = scale * rng.standard_normal(p.d)
+                x[::7] = -0.0
+                y = np.zeros(p.n)
+                y[rng.choice(p.n, min(k, p.n), replace=False)] = \
+                    rng.dirichlet(np.ones(min(k, p.n)))
+                self.assert_dense_bits(p, x, y)
+                self.assert_dense_bits(p, x, -y)
+
+    def test_one_nonzero_and_all_zero(self, problem):
+        p = problem
+        x = 0.3 * np.random.default_rng(2).standard_normal(p.d)
+        for row in (0, 1234, p.n - 1):
+            y = np.zeros(p.n)
+            y[row] = 1.0
+            self.assert_dense_bits(p, x, y)
+        y = np.zeros(p.n)
+        self.assert_dense_bits(p, x, y)
+        assert p._grad_x_at(p._margins(x), x, y).tobytes() \
+            == (np.zeros(p.d) + p._g_grad(x)).tobytes()
+
+    def test_nan_margin_takes_the_dense_product(self, problem):
+        # nan * 0 is nan: a row with y = 0 still shows in the dense product
+        p = problem
+        x = np.full(p.d, 0.1)
+        x[3] = np.nan
+        y = np.zeros(p.n)
+        y[:5] = 0.2
+        self.assert_dense_bits(p, x, y)
+
+    def test_empty_row(self, tmp_path):
+        from conftest import write_libsvm
+        from hcmm.libsvm import load_dataset
+        path = write_libsvm(tmp_path / "e.svm",
+                            ["+1 1:0.5 3:-2", "-1", "+1 2:1.5", "-1 1:-1 2:0.25",
+                             "+1"])
+        ds = load_dataset(path)
+        p = RobustLogisticProblem(ds.X, ds.labels)
+        assert np.diff(p.X.indptr).tolist() == [2, 0, 1, 2, 0]
+        x = np.array([0.4, -0.7, 1.1])
+        for support in ([1], [4], [1, 4], [0, 1], [1, 2, 3], [0, 1, 2, 3, 4]):
+            y = np.zeros(5)
+            y[support] = 1.0 / len(support)
+            self.assert_dense_bits(p, x, y)
+
+    @pytest.mark.parametrize("pooled_value", [0.0, 0.4])
+    def test_lifted_restriction(self, problem, pooled_value):
+        # a pooled restriction's y on the full problem: its drawn rows, and
+        # every undrawn row at the pooled value (dense unless that is 0)
+        p = problem
+        rng = np.random.default_rng(3)
+        drawn = rng.integers(0, p.n, 60)
+        sub, y0, _ = p.restrict(iter(drawn.tolist()), np.full(p.n, 1.0 / p.n))
+        assert sub.pooled >= hcmm.problems.MIN_POOLED
+        y = rng.dirichlet(np.ones(sub.dim_y)) * (1.0 - pooled_value)
+        y[-1] = pooled_value
+        x = 0.2 * rng.standard_normal(p.d)
+        self.assert_dense_bits(p, x, sub.lift_y(y))
