@@ -24,6 +24,11 @@ only:
   a trailing comment line, one `grid_search` leaderboard and its best
   config, and a theorem2 HCMM-2 `rate_study` that steps on the pooled
   restriction (its CSV only: results.txt does not list it);
+- `inner_max_hashes.txt`: the SHA-256 of `inner_max` (y*, P, grad P) on
+  that file at three x's: 0, where every margin ties and every row is
+  screened at once; one whose y* has more nonzero entries than
+  `SCREEN_ROWS`, so that the screen widens; and HCMM-2's final x after a
+  run, whose y* the first screen holds;
 - `load_errors.txt`: the `load_dataset` error of each of a set of files
   with one fault each;
 - `parse_hashes.txt`: the SHA-256 of the arrays (labels, data, indices,
@@ -53,8 +58,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hcmm.harness import (build_config, build_problem, emit_plot, grid_search,
-                          rate_study, run_experiment, unbounded_p_warning)
+from hcmm.harness import (build_config, build_problem, build_schedule,
+                          emit_plot, grid_search, rate_study, run_experiment,
+                          run_single, unbounded_p_warning)
 from hcmm.libsvm import ParseError, load_dataset
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -126,6 +132,26 @@ def dataset_digest(path: Path) -> str:
         h.update(a.dtype.str.encode())
         h.update(a.tobytes())
     return f"{path.name}: n {ds.n} d {ds.d} sha256 {h.hexdigest()}"
+
+
+def inner_max_hashes(data: Path) -> str:
+    """One line per x of the robust-logistic inner max on `data`: its y*
+    support size and the SHA-256 of y*, P and grad P."""
+    config = build_config({
+        "problem.kind": "robust_logistic", "problem.dataset_path": str(data),
+        "optimizer.kind": "hcmm2", "schedule.kind": "explicit",
+        **OPTIMIZERS["hcmm2"], "run.T": "300", "run.seeds": "0"})
+    problem, x0, y0 = build_problem(config)
+    _, final = run_single(config, 0, problem, x0, y0, build_schedule(config),
+                          collect_rows=False)
+    lines = []
+    for name, x in (("zero", np.zeros(problem.d)),
+                    ("wide", 0.01 * np.linspace(-1.0, 1.0, problem.d)),
+                    ("trained", final["final_x"])):
+        r = problem.inner_max(x)
+        lines.append(f"{name}: support {np.count_nonzero(r.y_star)} sha256 "
+                     f"{digest(r.y_star, r.p_value, r.grad_p)}")
+    return "\n".join(lines) + "\n"
 
 
 def main(out: Path) -> None:
@@ -229,6 +255,8 @@ def main(out: Path) -> None:
         "run.output_dir": str(out / "logistic_rate")}), [100, 300, 1000])
 
     (out / "results.txt").write_text("\n".join(results) + "\n", encoding="utf-8")
+    (out / "inner_max_hashes.txt").write_text(inner_max_hashes(data),
+                                              encoding="utf-8")
 
     errors = []
     (out / "load_errors").mkdir(exist_ok=True)

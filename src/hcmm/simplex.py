@@ -51,10 +51,11 @@ def project_simplex(v: np.ndarray, out: Optional[np.ndarray] = None,
         cand, k_pool, shift = v[:-1], pooled, r * last - 1.0
     else:
         cand, k_pool, shift = v, 0, -1.0
-    tau = (cand.sum() + shift) / (cand.size + k_pool)
+    # np.add.reduce is the reduction ndarray.sum runs, without its wrapper
+    tau = (np.add.reduce(cand) + shift) / (cand.size + k_pool)
     for _ in range(MAX_PASSES):
-        keep = cand > tau
-        k = np.count_nonzero(keep)
+        kept = cand[cand > tau]
+        k = kept.size
         if k_pool and not last > r * tau:
             k_pool, shift = 0, -1.0
         elif k == cand.size:
@@ -64,8 +65,8 @@ def project_simplex(v: np.ndarray, out: Optional[np.ndarray] = None,
             # (an entry of about 2^53 or more), or v holds a nan or inf
             raise ValueError("project_simplex: the threshold is lost to "
                              f"rounding (max |v| = {np.max(np.abs(v)):g})")
-        cand = cand[keep]
-        tau = (cand.sum() + shift) / (k + k_pool)
+        cand = kept
+        tau = (np.add.reduce(cand) + shift) / (k + k_pool)
     else:
         tau = sort_threshold(np.append(cand, np.full(k_pool, last / r))
                              if k_pool else cand)

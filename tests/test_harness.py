@@ -464,6 +464,43 @@ def test_golden_logistic_runs_take_both_products(tmp_path, monkeypatch):
         == {"support", "dense"}
 
 
+def test_golden_inner_max_hashes_take_every_screen(tmp_path, monkeypatch):
+    # scripts/golden_outputs.py's inner-max hashes reach each way the
+    # screened inner max ends: every row at once (x = 0, where every margin
+    # ties), a widened screen and the first screen
+    spec = importlib.util.spec_from_file_location(
+        "golden_outputs", ROOT / "scripts" / "golden_outputs.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    data = golden.write_libsvm(tmp_path / "data.libsvm", n=3000, d=40,
+                               groups=8, seed=5)
+    cls = hcmm.problems.RobustLogisticProblem
+    # the row counts projected over in each inner max; the steps of the
+    # script's run project too, outside any
+    screens, inside = [], []
+    project, y_star = hcmm.problems.project_simplex, cls._y_star
+
+    def spy_project(v, *args, **kwargs):
+        if inside:
+            screens[-1].append(v.size)
+        return project(v, *args, **kwargs)
+
+    def spy_y_star(self, x):
+        screens.append([])
+        inside.append(True)
+        try:
+            return y_star(self, x)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(hcmm.problems, "project_simplex", spy_project)
+    monkeypatch.setattr(cls, "_y_star", spy_y_star)
+    golden.inner_max_hashes(data)
+    taken = ["widened" if len(sizes) > 1 else
+             "every row" if sizes == [3000] else "first" for sizes in screens]
+    assert taken == ["every row", "widened", "first"]
+
+
 def full_y_run(monkeypatch):
     """Make robust-logistic runs step on the full y block, and metric_ci
     take its x-gradient from full_gradient: the code path of a run before
@@ -1198,7 +1235,8 @@ def test_golden_outputs_script(tmp_path):
                  "logistic_declined/summary_hcmm1.csv",
                  "logistic_commented/trace_hcmm2_seed0.csv",
                  "logistic_grid/best_hcmm2.cfg",
-                 "logistic_rate/rate_hcmm2.csv", "load_errors.txt",
+                 "logistic_rate/rate_hcmm2.csv", "inner_max_hashes.txt",
+                 "load_errors.txt",
                  "parse_hashes.txt"):
         assert name in trees[0]
 

@@ -1,3 +1,4 @@
+import math
 from itertools import islice
 from pathlib import Path
 
@@ -745,3 +746,133 @@ class TestSupportProduct:
         y[-1] = pooled_value
         x = 0.2 * rng.standard_normal(p.d)
         self.assert_dense_bits(p, x, sub.lift_y(y))
+
+
+class TestScreenedInnerMax:
+    """`inner_max` and `p_value`, which form y* on the rows with the
+    SCREEN_ROWS smallest margins (more when y* reaches the last of them),
+    have the bits of the projection over every row: y* with its signed
+    zeros, P, grad P and the margins. Screens of 1, 4 and 16 rows are
+    widened at these sizes; the default one takes every row of the 300-row
+    problems at once and screens the 1500-row ones."""
+
+    @staticmethod
+    def dense(p, x):
+        t = p._margins(x)
+        q = np.logaddexp(0.0, -t)
+        y = project_simplex(1.0 / p.n + q / (p.lambda1 * p.n ** 2))
+        return y, p._objective_at(q, x, y), p._grad_x_at(t, x, y), t
+
+    @pytest.fixture(scope="class")
+    def problems(self, tmp_path_factory):
+        # binary rows, so that many margins tie, with one empty row; and
+        # real rows; each at the default lambda1, 10/n^2 and 1e-3
+        from conftest import write_libsvm
+        from hcmm.libsvm import load_dataset
+        rng = np.random.default_rng(7)
+        lines = ["-1"] + [" ".join([("+1", "-1")[i % 2]] + [
+            f"{c}:1" for c in np.flatnonzero(rng.random(12) < 0.3) + 1])
+            for i in range(299)]
+        ds = load_dataset(write_libsvm(
+            tmp_path_factory.mktemp("screen") / "binary.svm", lines))
+        return ([RobustLogisticProblem(ds.X, ds.labels, lam)
+                 for lam in (None, 10.0 / ds.n ** 2, 1e-3)]
+                + [make_logistic(n=1500, d=20, seed=4, lambda1=lam)
+                   for lam in (None, 10.0 / 1500 ** 2, 1e-3)])
+
+    @pytest.fixture
+    def screens(self, monkeypatch):
+        """The row counts each inner max projects over, one list per call
+        of `_y_star`. More screens than a 4x widening from SCREEN_ROWS to n
+        takes fail here, rather than loop."""
+        screens, most = [], []
+        project, y_star = hcmm.problems.project_simplex, \
+            RobustLogisticProblem._y_star
+
+        def spy_project(v, *args, **kwargs):
+            screens[-1].append(v.size)
+            assert len(screens[-1]) <= most[-1]
+            return project(v, *args, **kwargs)
+
+        def spy_y_star(p, x):
+            screens.append([])
+            most.append(2 + math.log(p.n / hcmm.problems.SCREEN_ROWS, 4))
+            return y_star(p, x)
+
+        monkeypatch.setattr(hcmm.problems, "project_simplex", spy_project)
+        monkeypatch.setattr(RobustLogisticProblem, "_y_star", spy_y_star)
+        return screens
+
+    def assert_dense_bits(self, p, x):
+        want_y, want_p, want_g, want_t = self.dense(p, x)
+        r = p.inner_max(x)
+        assert r.y_star.tobytes() == want_y.tobytes()
+        np.testing.assert_array_equal(np.signbit(r.y_star),
+                                      np.signbit(want_y))
+        assert np.float64(r.p_value).tobytes() == np.float64(want_p).tobytes()
+        assert r.grad_p.tobytes() == want_g.tobytes()
+        assert r.margins.tobytes() == want_t.tobytes()
+        assert np.float64(p.p_value(x)).tobytes() \
+            == np.float64(want_p).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 4, 16, None])
+    def test_bits_of_the_full_projection(self, problems, screens,
+                                         monkeypatch, rows):
+        if rows is not None:
+            monkeypatch.setattr(hcmm.problems, "SCREEN_ROWS", rows)
+        rng = np.random.default_rng(rows or 0)
+        for p in problems:
+            for scale in (0.0, 1e-3, 0.03, 0.3, 3.0, 100.0):
+                for _ in range(3):
+                    self.assert_dense_bits(p, scale * rng.standard_normal(p.d))
+                    # small integers: ties among the binary rows' margins
+                    self.assert_dense_bits(p, scale * rng.integers(-2, 3, p.d))
+        n = {p.n for p in problems}
+        taken = {"first" if len(s) == 1 and s[0] not in n
+                 else "widened" if len(s) > 1 else "every row"
+                 for s in screens}
+        # one row, the smallest margin, always holds y*'s largest entry
+        assert taken == {"first", "widened", "every row"} - (
+            {"first"} if rows == 1 else set())
+
+    def test_nan_raises_as_over_every_row(self, problems, screens,
+                                          monkeypatch):
+        monkeypatch.setattr(hcmm.problems, "SCREEN_ROWS", 4)
+        for p in problems:
+            x = np.full(p.d, 0.1)
+            x[1] = np.nan
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError) as want:
+                    self.dense(p, x)
+                for solve in (p.inner_max, p.p_value):
+                    with pytest.raises(ValueError) as got:
+                        solve(x)
+                    assert str(got.value) == str(want.value)
+
+
+class TestScalarHelpers:
+    """The per-sample oracle's scalar `_softplus` and `_expit` have the bits
+    of np.logaddexp(0, u) and scipy.special.expit(u)."""
+
+    @staticmethod
+    def scalars():
+        rng = np.random.default_rng(0)
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310,
+                 2.2250738585072014e-308, 709.78, -709.78, 745.0, -745.0,
+                 745.2, -745.2, 1e-17, -1e-17, 36.0, -37.0]
+        return np.concatenate((rng.uniform(-800.0, 800.0, 20000),
+                               rng.standard_normal(20000), edges))
+
+    @pytest.mark.parametrize("name", ["_softplus", "_expit"])
+    def test_bits(self, name):
+        from scipy.special import expit
+        vector = {"_softplus": lambda u: np.logaddexp(0.0, u),
+                  "_expit": expit}[name]
+        scalar = getattr(hcmm.problems, name)
+        u = self.scalars()
+        got = np.array([scalar(float(v)) for v in u])
+        assert got.tobytes() == vector(u).tobytes()
+        assert math.isnan(scalar(math.nan))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(vector(np.nan))
