@@ -33,9 +33,13 @@ only:
   with one fault each;
 - `parse_hashes.txt`: the SHA-256 of the arrays (labels, data, indices,
   indptr) that `load_dataset` returns for the datagen file, its commented
-  copy and a file of real values (decimals, exponents, signs), so that a
-  change to the parser shows in the diff even where no run reads a byte it
-  changed.
+  copy, a file of real values (decimals, exponents, signs) and a file
+  whose comments hold ':', whose line ends mix LF, CR LF and CR and which
+  has no final line end, plain and gzipped, so that a change to the parser
+  shows in the diff even where no run reads a byte it changed;
+- `lipschitz_L_f.txt`: `repr` of the robust-logistic `lipschitz_L_f` on
+  each of those files, so that the bound's bits show in the diff and not
+  only through `metric_ci`.
 
 It works inside OUT, so every path it passes and records (config echoes,
 best configs, load errors) is relative to OUT. To compare revision A with
@@ -62,6 +66,7 @@ from hcmm.harness import (build_config, build_problem, build_schedule,
                           emit_plot, grid_search, rate_study, run_experiment,
                           run_single, unbounded_p_warning)
 from hcmm.libsvm import ParseError, load_dataset
+from hcmm.problems import RobustLogisticProblem
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from datagen import write_libsvm  # noqa: E402
@@ -121,6 +126,30 @@ def write_real_valued(path: Path) -> Path:
         lines.append(" ".join([("+1", "-1", "0", "2.5")[i % 4]]
                               + [f"{c}:{t}" for c, t in zip(cols, text)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def write_mixed(path: Path) -> Path:
+    """A fixed file whose comments hold ':' and whose line ends cycle
+    through LF, CR LF and CR, with blank lines and no final line end. Its
+    comments are in the first 64 KB only, so the chunks after it can take
+    the array path."""
+    rng = np.random.default_rng(12)
+    ends = ("\n", "\r\n", "\r")
+    lines = ["# mixed: n:3000 d:30"]
+    for i in range(3000):
+        cols = np.flatnonzero(rng.random(30) < 0.3) + 1
+        vals = (rng.integers(-5, 6, cols.size).tolist() if i % 3
+                else np.round(rng.standard_normal(cols.size), 3).tolist())
+        line = " ".join([("+1", "-1")[i % 2]]
+                        + [f"{c}:{v}" for c, v in zip(cols, vals)])
+        if i < 400 and i % 7 == 0:
+            line += " # seen: 12:30, tag:x"
+        lines.append(line)
+        if i % 50 == 0:
+            lines.append(" " * (i % 3))
+    path.write_bytes("".join(line + ends[i % 3] for i, line in enumerate(lines))
+                     .rstrip("\r\n").encode())
     return path
 
 
@@ -270,10 +299,20 @@ def main(out: Path) -> None:
     (out / "load_errors.txt").write_text("\n".join(errors) + "\n",
                                          encoding="utf-8")
 
-    real = write_real_valued(out / "data_real.libsvm")
+    mixed = write_mixed(out / "data_mixed.libsvm")
+    mixed_gz = out / "data_mixed.libsvm.gz"
+    mixed_gz.write_bytes(gzip.compress(mixed.read_bytes(), mtime=0))
+    parsed = (out / "data.libsvm", commented,
+              write_real_valued(out / "data_real.libsvm"), mixed, mixed_gz)
     (out / "parse_hashes.txt").write_text("\n".join(
-        dataset_digest(p) for p in (out / "data.libsvm", commented, real))
-        + "\n", encoding="utf-8")
+        dataset_digest(p) for p in parsed) + "\n", encoding="utf-8")
+    bounds = []
+    for path in parsed:
+        ds = load_dataset(str(path))
+        problem = RobustLogisticProblem(ds.X, ds.labels)
+        bounds.append(f"{path.name}: {problem.lipschitz_L_f!r}")
+    (out / "lipschitz_L_f.txt").write_text("\n".join(bounds) + "\n",
+                                           encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -6,15 +6,16 @@ comment; blank lines are skipped. The text is UTF-8, comments included.
 Files ending in .gz or .bz2 (as the LIBSVM site ships ijcnn1) are
 decompressed transparently.
 
-`parse_line` is the grammar. `load_dataset` reads a file once, in
-CHUNK_BYTES binary chunks, each cut after its last line end. `_parse_chunk`
-parses a chunk with array operations when it holds only the bytes
-`0-9 . e E + - :` and ASCII whitespace and passes `parse_line`'s checks
-made as array checks. When every number in the chunk is an integer
-`[+-]?digits` of 1 to 15 digits, which a float64 holds exactly, the numbers
-are summed from their digits by place value (`_integers`); any other chunk
-the array path takes goes through `np.fromstring`, the only path that reads
-decimals and exponents. Any other byte (a comment, non-ASCII text, `nan`,
+`parse_line` is the grammar. `load_dataset` reads a file's bytes once,
+whole, and parses them in chunks of about CHUNK_BYTES, each cut after a
+line end, into arrays allocated once from bounds on the rows and nonzeros
+that the bytes give. `_parse_chunk` parses a chunk with array operations
+when it holds only the bytes `0-9 . e E + - :` and ASCII whitespace and
+passes `parse_line`'s checks made as array checks. When every number in
+the chunk is an integer `[+-]?digits` of 1 to 15 digits, which a float64
+holds exactly, the numbers are summed from their digits by place value
+(`_integers`); any other chunk the array path takes goes through
+`np.fromstring`, the only path that reads decimals and exponents. Any other byte (a comment, non-ASCII text, `nan`,
 `inf`, hex, `_`), a failed check or a non-finite number sends that chunk,
 and only that chunk, through `parse_line` line by line. So the rows, and
 the error at the first bad line (with its line and column), are
@@ -30,6 +31,7 @@ import bz2
 import gzip
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
@@ -163,7 +165,11 @@ def _parse_lines(chunk: bytes, first_line: int, path: str):
             np.array(indices, dtype=np.int32), np.array(values, dtype=np.float64))
 
 
-CHUNK_BYTES = 1 << 16  # read size; it bounds the transient memory
+# least bytes of a chunk, which ends at the first line end from there on.
+# A chunk's transients are what the parse holds beyond the file's text and
+# the arrays it fills: traced, about 24 bytes a byte of a one-hot chunk on
+# the array path and 13 line by line (numpy 2.4)
+CHUNK_BYTES = 1 << 16
 
 # byte -> class on the array path, as a `bytes.translate` table:
 # whitespace, line end, ':', digit, the other bytes of a float; class 0
@@ -264,6 +270,57 @@ def _parse_chunk(chunk: bytes):
             np.ascontiguousarray(values))
 
 
+# a line end as text mode reads one: CR LF, CR or LF
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
+def _line_ends(text: bytes, start: int = 0, end: Optional[int] = None) -> int:
+    """The line ends in text[start:end], CR LF counting once. CRs are
+    counted only when `find`, which is faster than `count`, sees one."""
+    ends = text.count(b"\n", start, end)
+    if text.find(b"\r", start, end) >= 0:
+        ends += text.count(b"\r", start, end) - text.count(b"\r\n", start, end)
+    return ends
+
+
+def _parse_text(text: bytes, path: str):
+    """(labels, indptr, indices, values) of a whole file's bytes.
+
+    The arrays are allocated once, from bounds taken from the bytes: a row
+    per line and a nonzero per ':'. Each chunk's arrays are copied into
+    their slices. The bounds over-count only for blank and comment lines
+    and for ':' in comments; only then is the used prefix copied, so each
+    array returned owns exactly its bytes."""
+    rows = _line_ends(text) + (not text.endswith((b"\n", b"\r")))
+    nnz = text.count(b":")
+    labels, indptr = np.empty(rows), np.zeros(rows + 1, dtype=np.int32)
+    indices, values = np.empty(nnz, dtype=np.int32), np.empty(nnz)
+    r = z = start = 0
+    lineno, counted = 1, 0  # the line number at text[counted]
+    while start < len(text):
+        # after the first line end from CHUNK_BYTES on; CR LF is one
+        end = _LINE_END.search(text, start + CHUNK_BYTES - 1)
+        end = end.end() if end else len(text)
+        chunk = text[start:end]
+        parsed = _parse_chunk(chunk)
+        if parsed is None:
+            lineno += _line_ends(text, counted, start)
+            counted = start
+            parsed = _parse_lines(chunk, lineno, path)
+        lab, lengths, idx, val = parsed
+        labels[r:r + lab.size] = lab
+        indptr[r + 1:r + 1 + lab.size] = lengths
+        indices[z:z + idx.size] = idx
+        values[z:z + idx.size] = val
+        r, z = r + lab.size, z + idx.size
+        start = end
+    if r < rows:
+        labels, indptr = labels[:r].copy(), indptr[:r + 1].copy()
+    if z < nnz:
+        indices, values = indices[:z].copy(), values[:z].copy()
+    return labels, np.cumsum(indptr, out=indptr), indices, values
+
+
 def load_dataset(path: str, subsample: Optional[int] = None,
                  seed: int = 0) -> Dataset:
     """Load a LIBSVM file into a Dataset, reading it once.
@@ -273,28 +330,29 @@ def load_dataset(path: str, subsample: Optional[int] = None,
     largest feature index in the whole file. With subsample = k (>= 1) and
     k < n, the rows sorted(default_rng(seed).permutation(n)[:k]) are kept,
     in file order.
+
+    The (decompressed) bytes are read whole and parsed into arrays sized
+    once (`_parse_text`), then released before the matrix is built. So the
+    parse's peak is the text plus the arrays (12 bytes a nonzero and 12 a
+    row) plus one chunk's transients, against two copies of the arrays
+    plus a chunk's transients for a parse that keeps each chunk's arrays
+    and then concatenates them. That is lower whenever the text is no
+    longer than its arrays: a binary one-hot file (mushrooms, a9a, w8a)
+    takes about 5 bytes of text a nonzero (`23:1 `). Values written as long
+    decimals (`23:0.123456789012 `, 18 bytes) make the text longer than the
+    arrays, and then it is higher. A .gz or .bz2 file's read joins its
+    decompressed pieces, which holds the text twice before the arrays
+    exist.
     """
     if subsample is not None and subsample < 1:
         raise ValueError(f"subsample must be >= 1, got {subsample}")
-    parts, rest, block, lineno = [], b"", b"\n", 1
     with _open(path) as fh:
-        while block:  # the last pass parses what follows the last line end
-            block = fh.read(CHUNK_BYTES)
-            buf = rest + block
-            # after the last line end, but never between a CR and its LF
-            end = len(buf) - buf.endswith(b"\r")
-            cut = (max(buf.rfind(b"\n", 0, end), buf.rfind(b"\r", 0, end)) + 1
-                   if block else len(buf))
-            chunk, rest = buf[:cut], buf[cut:]
-            parts.append(_parse_chunk(chunk)
-                         or _parse_lines(chunk, lineno, str(path)))
-            lineno += (chunk.count(b"\n") + chunk.count(b"\r")
-                       - chunk.count(b"\r\n"))
-    labels, lengths, indices, values = map(np.concatenate, zip(*parts))
+        text = fh.read()
+    labels, indptr, indices, values = _parse_text(text, str(path))
+    del text
     n = len(labels)
     if not n:
         raise ParseError("no data rows", 1, path=str(path))
-    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
     import scipy.sparse as sp
 
     X = sp.csr_matrix((values, indices, indptr),

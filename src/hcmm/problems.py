@@ -61,6 +61,10 @@ MAX_SUPPORT_SHARE = 0.1
 # 52-70 ms in total, against 101-114 ms with every row screened.
 SCREEN_ROWS = 1024
 
+# rows whose sums of squares `_largest_row_norm` takes at a time: the squared
+# data of one block is all it allocates (about 0.7 MB at 22 nonzeros a row)
+BOUND_ROWS = 4096
+
 
 def _expit(u: float) -> float:
     """scipy.special.expit of a scalar, bit for bit: 1 / (1 + exp(-u)),
@@ -70,6 +74,27 @@ def _expit(u: float) -> float:
         return 1.0 / (1.0 + math.exp(-u))
     except OverflowError:
         return 0.0
+
+
+def _largest_row_norm(X: sp.csr_matrix) -> float:
+    """The largest Euclidean norm of a row of X, with the bits of
+    float(np.sqrt(X.power(2).sum(axis=1).max())).
+
+    scipy's row sum is one np.add.reduceat over the squared data, at the
+    start of each non-empty row (an empty row sums to 0); this takes the
+    same reductions BOUND_ROWS rows at a time, so it squares one block's
+    data, not a copy of X. Like X.power, it first sums duplicate entries
+    of X in place."""
+    X.sum_duplicates()
+    largest = np.float64(0.0)
+    for r in range(0, X.shape[0], BOUND_ROWS):
+        ptr = X.indptr[r:r + BOUND_ROWS + 1]
+        rows = np.flatnonzero(np.diff(ptr))
+        if rows.size:
+            sums = np.add.reduceat(X.data[ptr[0]:ptr[-1]] ** 2,
+                                   ptr[rows] - ptr[0])
+            largest = np.maximum(largest, sums.max())
+    return float(np.sqrt(largest))
 
 
 def _softplus(u: float) -> float:
@@ -143,10 +168,12 @@ class RobustLogisticProblem(MinimaxProblem):
     @property
     def lipschitz_L_f(self) -> float:
         """A crude analytic bound on the joint-gradient Lipschitz constant,
-        computed on first read; a restriction holds its parent's."""
+        n rmax^2 / 4 + 2 lambda2 rho + lambda1 n^2 + n rmax with rmax the
+        largest row norm (`_largest_row_norm`, a block of rows at a time).
+        It is computed on first read; a restriction holds its parent's."""
         if self._lipschitz_L_f is None:
             n = self.n
-            rmax = float(np.sqrt(self.X.power(2).sum(axis=1).max()))
+            rmax = _largest_row_norm(self.X)
             self._lipschitz_L_f = (n * rmax ** 2 / 4.0
                                    + 2.0 * self.lambda2 * self.rho
                                    + self.lambda1 * n ** 2 + n * rmax)
@@ -350,9 +377,14 @@ class RobustLogisticProblem(MinimaxProblem):
         # end on the same rows, in the same order, with the same sum: the
         # same bits. Off those rows y* is +0.0, so np.dot(y, q) adds the
         # same products and `_grad_x_at` sees the same y.
+        # At n <= SCREEN_ROWS the first screen holds every row, so y* is
+        # formed over all of them without one.
         t = self._margins(x)
         n = self.n
-        k = min(SCREEN_ROWS, n)
+        if n <= SCREEN_ROWS:
+            q = self._q_of_margin(t)
+            return t, q, project_simplex(1.0 / n + q / (self.lambda1 * n ** 2))
+        k = SCREEN_ROWS
         while True:
             t_k = np.partition(t, k - 1)[k - 1]
             rows = np.flatnonzero(~(t > t_k))

@@ -352,7 +352,6 @@ class TestProblemReuse:
     @pytest.fixture
     def counts(self, monkeypatch):
         """Parses, problem builds and L_f bounds, from empty caches."""
-        import scipy.sparse as sp
         counts = {"parse": 0, "build": 0, "bound": 0}
 
         def counted(key, fn):
@@ -365,9 +364,9 @@ class TestProblemReuse:
         monkeypatch.setattr(hcmm.harness, "load_dataset",
                             counted("parse", hcmm.harness.load_dataset))
         monkeypatch.setattr(cls, "__init__", counted("build", cls.__init__))
-        # the bound's pass over the rows, X.power(2)
-        monkeypatch.setattr(sp.csr_matrix, "power",
-                            counted("bound", sp.csr_matrix.power))
+        # the bound's pass over the rows, a block of rows at a time
+        monkeypatch.setattr(hcmm.problems, "_largest_row_norm",
+                            counted("bound", hcmm.problems._largest_row_norm))
         monkeypatch.setattr(hcmm.harness, "_last_dataset", {})
         monkeypatch.setattr(hcmm.harness, "_last_problem", {})
         return counts
@@ -1236,8 +1235,8 @@ def test_golden_outputs_script(tmp_path):
                  "logistic_commented/trace_hcmm2_seed0.csv",
                  "logistic_grid/best_hcmm2.cfg",
                  "logistic_rate/rate_hcmm2.csv", "inner_max_hashes.txt",
-                 "load_errors.txt",
-                 "parse_hashes.txt"):
+                 "load_errors.txt", "parse_hashes.txt",
+                 "lipschitz_L_f.txt", "data_mixed.libsvm.gz"):
         assert name in trees[0]
 
 

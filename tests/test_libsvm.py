@@ -522,7 +522,11 @@ class TestFastPath:
 
     def test_memory_below_line_parser(self, tmp_path):
         # mushrooms-shaped: 22 one-hot groups over 112 features, 20000 rows;
-        # on either path the traced peak stays within 2.5x of what it returns
+        # on either path the traced peak stays within 1.8x of what it
+        # returns: the text (0.42x here) and the arrays, sized once, plus one
+        # chunk's transients. Measured with numpy 2.4: 1.74x on the array
+        # path and 1.61x line by line, against 2.09x on both while each
+        # chunk's arrays were kept and then concatenated.
         rng = np.random.default_rng(0)
         edges = np.arange(23) * 112 // 22
         cols = edges[:-1] + (rng.random((20000, 22)) * np.diff(edges)).astype(int)
@@ -542,4 +546,40 @@ class TestFastPath:
                     tracemalloc.stop()
             kept = sum(a.nbytes for a in (ds.X.data, ds.X.indices,
                                           ds.X.indptr, ds.labels))
-            assert peak <= 2.5 * kept, (array_path, peak, kept)
+            assert peak <= 1.8 * kept, (array_path, peak, kept)
+
+    @pytest.mark.parametrize("array_path", [True, False])
+    def test_arrays_own_exactly_their_bytes(self, tmp_path, array_path,
+                                            monkeypatch):
+        # comments hold ten times as many ':' as the rows' features, and a
+        # third of the lines are blank or comments: the arrays, sized from
+        # those bounds, are cut to what the rows use, and nothing else stays
+        rng = np.random.default_rng(5)
+        lines = []
+        for i in range(3000):
+            cols = np.sort(rng.choice(50, 3, replace=False)) + 1
+            lines.append(f"{(-1) ** i} " + " ".join(f"{c}:{rng.random()!r}"
+                                                     for c in cols)
+                         + " # " + "k:v " * 15)
+            if i % 2:
+                lines += ["", "# note: a:b:c:d:e:f:g:h:i:j"]
+        p = write_libsvm(tmp_path / "colons.svm", lines)
+        if not array_path:
+            monkeypatch.setattr(libsvm, "_parse_chunk", lambda chunk: None)
+        tracemalloc.start()
+        try:
+            ds = load_dataset(p)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ds.n == 3000 and ds.X.nnz == 9000
+        arrays = (ds.X.data, ds.X.indices, ds.X.indptr, ds.labels)
+        assert [a.size for a in arrays] == [9000, 9000, 3001, 3000]
+        for a in arrays:  # scipy keeps a full-length view of data and indices
+            owner = a
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.nbytes == a.nbytes
+        kept = sum(a.nbytes for a in arrays)
+        # the bounds held 17 times the nonzeros and 5/3 the rows
+        assert current <= kept + 64 * 1024, (current, kept)

@@ -186,6 +186,82 @@ class TestRobustLogisticClosedForms:
                  + p.lambda1 * n ** 2 + n * rmax)
             assert p.lipschitz_L_f == pytest.approx(L, rel=1e-13)
 
+    @staticmethod
+    def bound_files(tmp_path):
+        """LIBSVM files, by name: binary and real-valued rows, empty rows
+        (first, inside and last), one row, and a row count that is no
+        multiple of BOUND_ROWS."""
+        from conftest import write_libsvm
+        rng = np.random.default_rng(3)
+
+        def rows(n, real):
+            for i in range(n):
+                cols = np.flatnonzero(rng.random(40) < 0.25) + 1
+                vals = (rng.standard_normal(cols.size)
+                        * 10.0 ** rng.integers(-3, 4, cols.size) if real
+                        else np.ones(cols.size))
+                yield " ".join([("+1", "-1")[i % 2]] + [
+                    f"{c}:{v!r}" for c, v in zip(cols, vals.tolist())])
+
+        lines = {"binary": list(rows(900, False)),
+                 "real": list(rows(900, True)),
+                 "empty_rows": ["-1"] + list(rows(25, True)) + ["+1"]
+                 + list(rows(25, False)) + ["-1", "+1"],
+                 "one_row": ["+1 2:0.5 7:-3 40:1e-2"],
+                 "past_block": list(rows(hcmm.problems.BOUND_ROWS + 3, True))}
+        return {name: write_libsvm(tmp_path / f"{name}.svm", text)
+                for name, text in lines.items()}
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_lipschitz_bits_of_the_power_formula(self, tmp_path, monkeypatch,
+                                                 block):
+        # the bound has the bits it had when rmax was taken from X.power(2)
+        from hcmm.libsvm import load_dataset
+        if block is not None:
+            monkeypatch.setattr(hcmm.problems, "BOUND_ROWS", block)
+        for name, path in self.bound_files(tmp_path).items():
+            ds = load_dataset(path)
+            if name == "past_block" and block != 1:
+                assert ds.n % hcmm.problems.BOUND_ROWS
+            p = RobustLogisticProblem(ds.X, ds.labels, lambda2=0.003, rho=7.0)
+            n = p.n
+            rmax = float(np.sqrt(ds.X.power(2).sum(axis=1).max()))
+            want = (n * rmax ** 2 / 4.0 + 2.0 * p.lambda2 * p.rho
+                    + p.lambda1 * n ** 2 + n * rmax)
+            assert np.float64(p.lipschitz_L_f).tobytes() \
+                == np.float64(want).tobytes(), name
+
+    def test_lipschitz_sums_duplicates_as_power_does(self):
+        import scipy.sparse as sp
+        # row 0 holds column 1 twice: its norm is that of their sum
+        X = sp.csr_matrix((np.array([1.0, 2.0, 0.5, 3.0]),
+                           np.array([1, 1, 0, 2]), np.array([0, 3, 4])),
+                          shape=(2, 3))
+        rmax = float(np.sqrt(X.copy().power(2).sum(axis=1).max()))
+        assert rmax == math.sqrt(9.25)
+        assert hcmm.problems._largest_row_norm(X) == rmax
+
+    def test_lipschitz_first_read_allocates_a_block(self):
+        # a 20000-row one-hot X: the first read allocates under a quarter of
+        # X's bytes, where X.power(2) copied all of them
+        import scipy.sparse as sp
+        import tracemalloc
+        rng = np.random.default_rng(1)
+        n, groups = 20000, 22
+        cols = np.arange(groups) * 5 + rng.integers(0, 5, (n, groups))
+        X = sp.csr_matrix((np.ones(n * groups), cols.ravel().astype(np.int32),
+                           np.arange(0, n * groups + 1, groups,
+                                     dtype=np.int32)), shape=(n, 5 * groups))
+        p = RobustLogisticProblem(X, rng.choice([-1.0, 1.0], n))
+        x_bytes = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+        tracemalloc.start()
+        try:
+            assert p.lipschitz_L_f > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x_bytes / 4, (peak, x_bytes)
+
 
 class TestQuadratic:
     def test_closed_forms_identity_coupling(self):
@@ -834,6 +910,22 @@ class TestScreenedInnerMax:
         # one row, the smallest margin, always holds y*'s largest entry
         assert taken == {"first", "widened", "every row"} - (
             {"first"} if rows == 1 else set())
+
+    def test_no_partition_at_most_screen_rows(self, problems, monkeypatch):
+        # at n <= SCREEN_ROWS y* is formed over every row without a screen
+        sizes, partition = [], np.partition
+
+        def spy(a, *args, **kwargs):
+            sizes.append(a.size)
+            return partition(a, *args, **kwargs)
+
+        monkeypatch.setattr(hcmm.problems.np, "partition", spy)
+        for p in problems:
+            sizes.clear()
+            x = np.full(p.d, 0.01)
+            p.inner_max(x)
+            p.p_value(x)
+            assert bool(sizes) == (p.n > hcmm.problems.SCREEN_ROWS), p.n
 
     def test_nan_raises_as_over_every_row(self, problems, screens,
                                           monkeypatch):
