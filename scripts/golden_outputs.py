@@ -11,8 +11,10 @@ only:
   1, with one `emit_plot` SVG per testbed and seed;
 - one `grid_search` leaderboard and its best config;
 - a theorem1 (HCMM-1, quadratic) and a theorem2 (HCMM-2, pl_toy)
-  `rate_study`, and a theorem1 HCMM-1 one at the shape of perfbench's
-  quad_rate workload (d = m = 10, N1 = 50, T up to 10000);
+  `rate_study`, the pl_toy one again at horizons that end one x past a
+  block of x's, a block short of one x, one x past it and one x past two
+  blocks, and a theorem1 HCMM-1 one at the shape of perfbench's quad_rate
+  workload (d = m = 10, N1 = 50, T up to 10000);
 - the `unbounded_p_warning` text of every synthetic config, and the raw
   bytes (as SHA-256) of each testbed's M, p_hessian, inner max and
   objective at x0;
@@ -230,6 +232,12 @@ def main(out: Path) -> None:
     for name, mapping in (("theorem1", theorem1), ("theorem2", theorem2)):
         report = rate_study(build_config(mapping), [100, 300, 1000])
         results.append(f"rate {name}: {report}")
+    # the theorem2 study at horizons of one x and around one and two blocks
+    # of x's (harness.RATE_BLOCK_BYTES // (16 dim_x) = 819 at dim_x = 5)
+    report = rate_study(build_config({
+        **theorem2, "run.output_dir": str(out / "rate_pl_toy_blocks")}),
+        [1, 818, 820, 1639])
+    results.append(f"rate pl_toy blocks: {report}")
     # quad_rate's instance and theorem1 schedule; L_f is the instance's
     # own, as there, and any positive placeholder builds the instance
     quad_rate = {"problem.kind": "quadratic", "problem.d": "10",

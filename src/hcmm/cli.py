@@ -90,6 +90,9 @@ def main(argv=None) -> int:
             report = rate_study(config, [float(t) for t in args.T.split(",")])
             for T, avg in zip(report.T_values, report.averaged_norms):
                 print(f"T={T}: time-avg ||grad P|| = {avg:.6g}")
+            if report.unfit:
+                raise ValueError(f"no log-log slope: the time average is not "
+                                 f"finite and > 0 at T = {report.unfit}")
             print(f"log-log slope: {report.slope:.4f}")
         return 0
     except (ConfigError, FileNotFoundError, ValueError) as exc:

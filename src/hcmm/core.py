@@ -32,6 +32,12 @@ def norm2(v: Vec) -> float:
     return math.sqrt(v.dot(v))
 
 
+def norm2_rows(V: np.ndarray) -> np.ndarray:
+    """norm2 of each row of a (k, n) stack, bit for bit: the stacked self-dot
+    gives v.dot(v)'s bits, and IEEE sqrt is correctly rounded, as math.sqrt."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None]).ravel())
+
+
 @dataclass(frozen=True)
 class ProblemConstants:
     """User-supplied smoothness/noise constants feeding the schedules.

@@ -30,6 +30,7 @@ restriction's replay of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Iterator, Tuple, Union
 
 import numpy as np
@@ -145,19 +146,6 @@ class StepState:
         return self.z[self.dim_x:]
 
 
-def hcmm_momentum_update(prev_m: Vec, js: JointSchedule, grad_sample: Vec,
-                         hvp_sample: Vec) -> Vec:
-    """(1 - beta) [prev_m + H d] + beta g, the bias-corrected recursion,
-    with js's beta and keep = 1 - beta (scalars or per-coordinate vectors).
-
-    Computed in place on one new vector, in the operation order of the
-    expression, so the bits match it exactly."""
-    m = prev_m + hvp_sample
-    m *= js.keep
-    m += js.beta * grad_sample
-    return m
-
-
 def samples_per_run(kind: OptimizerKind, T: int) -> int:
     """How many samples a run of T steps draws: two per SAGDA step; one per
     step plus the initial momentum's for the others."""
@@ -173,12 +161,12 @@ def sample_stream(problem: MinimaxProblem,
         yield from problem.draw_samples(rng, SAMPLE_BLOCK)
 
 
-def _clip_blocks(m: Vec, d: int, nx: float, ny: float,
+def _clip_blocks(m: Vec, m_x: Vec, m_y: Vec, nx: float, ny: float,
                  schedule: HyperSchedule) -> Tuple[Vec, bool, bool]:
-    """HCMM-1's clipping of each block of m by its own norm: (m_clipped,
-    clipped_x, clipped_y), with m itself when neither block was clipped."""
+    """HCMM-1's clipping of each block of m (the views m_x and m_y, of
+    norms nx and ny) by its own norm: (m_clipped, clipped_x, clipped_y),
+    with m itself when neither block was clipped."""
     N, N1 = schedule.clip_threshold, schedule.clip_norm
-    m_x, m_y = m[:d], m[d:]
     mc_x = clip_momentum(m_x, N, N1, nx)
     mc_y = clip_momentum(m_y, N, N1, ny)
     # clip_momentum returns its argument itself when it does not rescale
@@ -202,8 +190,9 @@ def init_run(kind: OptimizerKind, problem: MinimaxProblem, js: JointSchedule,
         m = np.zeros_like(z0)
     else:
         m = problem.sample_gradient(z0, next(samples))
-    nx, ny = norm2(m[:d]), norm2(m[d:])
-    mc, cx, cy = _clip_blocks(m, d, nx, ny, js.schedule) if hcmm1 \
+    m_x, m_y = m[:d], m[d:]
+    nx, ny = norm2(m_x), norm2(m_y)
+    mc, cx, cy = _clip_blocks(m, m_x, m_y, nx, ny, js.schedule) if hcmm1 \
         else (m, False, False)
     return StepState(z0, z0, m, mc, cx, cy, nx, ny, 0, d)
 
@@ -212,35 +201,39 @@ def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
          problem: MinimaxProblem, samples: Iterator[SampleId]) -> StepState:
     """One iteration of `kind` from `s`, drawing its samples from `samples`;
     the shared recursion is in the module docstring."""
-    if not isinstance(kind, KINDS):
+    if (t := type(kind)) not in KINDS:
         raise TypeError(f"unknown optimizer kind: {kind!r}")
     d, z = js.dim_x, s.z
     xi = next(samples)
     g = problem.sample_gradient(z, xi)
     m, mc, cx, cy = s.m, s.m_clipped, False, False
-    if isinstance(kind, Sagda):
+    if t is Sagda:
         # alternating: the ascent gradient is taken at the already-updated x
+        gx = g[:d]
         z_next = z.copy()
-        z_next[:d] -= js.mu_x * g[:d]
+        z_next[:d] -= js.mu_x * gx
         gy = problem.sample_gradient(z_next, next(samples))[d:]
         z_next[d:] += js.mu_y * gy
-        nx, ny = norm2(g[:d]), norm2(gy)
+        nx, ny = sqrt(gx.dot(gx)), sqrt(gy.dot(gy))
     else:
-        if isinstance(kind, StormGda):
+        if t is StormGda:
             # g + (1 - beta)(m - g_prev), not the HCMM form: the last bits
             # of every STORM trace depend on this operation order
             c = problem.sample_gradient(s.z_prev, xi)
-            np.subtract(s.m, c, out=c)
+            np.subtract(m, c, out=c)
             c *= js.keep
             m = np.add(g, c, out=c)
         else:
-            h = problem.sample_hvp(z, xi, z - s.z_prev)
-            from_clipped = isinstance(kind, Hcmm1) and kind.update_from_clipped
-            m = hcmm_momentum_update(s.m_clipped if from_clipped else s.m,
-                                     js, g, h)
-        nx, ny = norm2(m[:d]), norm2(m[d:])
+            # (1 - beta)(m + H d) + beta g in place, in the expression's order
+            if t is Hcmm1 and kind.update_from_clipped:
+                m = mc
+            m = m + problem.sample_hvp(z, xi, z - s.z_prev)
+            m *= js.keep
+            m += js.beta * g
+        m_x, m_y = m[:d], m[d:]
+        nx, ny = sqrt(m_x.dot(m_x)), sqrt(m_y.dot(m_y))
         mc = m
-        if isinstance(kind, Hcmm2):
+        if t is Hcmm2:
             u = js.move * m
             if nx > NORM_FLOOR:
                 u[:d] /= nx
@@ -253,8 +246,8 @@ def step(kind: OptimizerKind, s: StepState, js: JointSchedule,
             if ny <= NORM_FLOOR:
                 z_next[d:] = z[d:]
         else:
-            if isinstance(kind, Hcmm1):
-                mc, cx, cy = _clip_blocks(m, d, nx, ny, js.schedule)
+            if t is Hcmm1:
+                mc, cx, cy = _clip_blocks(m, m_x, m_y, nx, ny, js.schedule)
             z_next = js.move * mc
             z_next += z
     y_next = z_next[d:]

@@ -100,7 +100,13 @@ class MinimaxProblem:
         raise NotImplementedError
 
     def grad_p(self, x: Vec) -> Vec:
-        return self.inner_max(x).grad_p
+        """grad P(x), or each row's of a (k, dim_x) stack: an inner max a row."""
+        if x.ndim == 1:
+            return self.inner_max(x).grad_p
+        out = np.empty_like(x)
+        for i, row in enumerate(x):
+            out[i] = self.inner_max(row).grad_p
+        return out
 
     def p_value(self, x: Vec) -> float:
         """P(x) alone: the inner max's value, without grad P where that

@@ -495,7 +495,8 @@ class QuadraticMinimaxProblem(MinimaxProblem):
                               self.grad_p(x))
 
     def grad_p(self, x: Vec) -> Vec:
-        return self.p_hessian.dot(x)
+        """grad P(x), or of each row of a stack, bit-equal to p_hessian.dot."""
+        return np.matmul(self.p_hessian, x[..., None])[..., 0]
 
 
 class PlToyProblem(QuadraticMinimaxProblem):

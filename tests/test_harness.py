@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 import hcmm.harness
 import hcmm.problems
-from hcmm.core import ConfigError
+from hcmm.core import ConfigError, norm2
 from hcmm.harness import (OPTIMIZER_LABELS, SCHEDULE_KEYS, TRACE_COLUMNS,
                           build_config, build_problem, build_schedule,
                           emit_plot, grid_search, optimizer_label,
@@ -790,6 +792,112 @@ class TestRateStudy:
         assert [len(r) for r in rated] == [20, 20, 40, 40, 80, 80]
         assert rated == runs
 
+    # theorem-schedule mappings of each testbed for the tests below
+    THEOREM1 = {"optimizer.kind": "hcmm1", "schedule.kind": "theorem1",
+                "schedule.N1": "2", "constants.L_f": "1.5",
+                "constants.L_h": "0.01", "constants.nu": "1",
+                "constants.sigma_h": "0.05", "problem.noise_sigma": "0.3",
+                "run.seeds": "1,2"}
+    THEOREM2 = {"optimizer.kind": "hcmm2", "schedule.kind": "theorem2",
+                "constants.L_f": "2.0", "constants.delta": "0.5",
+                "run.seeds": "1,2"}
+
+    @staticmethod
+    def per_step_averages(config, T_values):
+        """The rate study's averages from one norm2(grad P(x_i)) a step,
+        added in step order: the reference the blocked study must match."""
+        problem, x0, y0 = build_problem(config)
+        averages = []
+        for T in T_values:
+            schedule = build_schedule(config, T=T)
+            per_seed = []
+            for seed in config.seeds:
+                total = 0.0
+                for s in hcmm.harness._seed_steps(config, seed, problem, x0,
+                                                  y0, schedule, T)[1]:
+                    total += norm2(problem.grad_p(s.x))
+                per_seed.append(total / T)
+            averages.append(float(np.mean(per_seed)))
+        return averages
+
+    @pytest.mark.parametrize("testbed", ["quadratic", "pl_toy", "logistic"])
+    def test_averages_bit_equal_to_per_step_loop(self, tmp_path, monkeypatch,
+                                                 testbed):
+        # horizons of one x, a block - 1, a block + 1 and two blocks + 1,
+        # so the last block is partial, and one x or one block past a full
+        # one
+        if testbed == "logistic":
+            # grad P is the base class's, an inner max a row; a block of 8
+            # x's keeps the study short. 1200 rows and at most 18 draws:
+            # each (T, seed) steps on a pooled restriction
+            monkeypatch.setattr(hcmm.harness, "RATE_BLOCK_BYTES", 8 * 16 * 6)
+            path = logistic_file(tmp_path / "a.svm", n=1200, seed=3)
+            mapping = logistic_mapping(path, tmp_path, **self.THEOREM2)
+            stepped = spy_restrictions(monkeypatch)
+        elif testbed == "pl_toy":
+            mapping = quad_mapping(tmp_path, **{
+                "problem.kind": "pl_toy", "problem.d": "5", "problem.m": "6",
+                "problem.rank": "3", **self.THEOREM2})
+        else:
+            mapping = quad_mapping(tmp_path, **self.THEOREM1)
+        config = build_config(mapping)
+        problem = build_problem(config)[0]
+        rows = max(1, hcmm.harness.RATE_BLOCK_BYTES // (16 * problem.dim_x))
+        assert rows > 2
+        T_values = [1, rows - 1, rows + 1, 2 * rows + 1]
+        report = rate_study(config, T_values)
+        want = self.per_step_averages(config, T_values)
+        assert np.array(report.averaged_norms).tobytes() \
+            == np.array(want).tobytes()
+        if testbed == "logistic":
+            assert len(stepped) == 16
+            assert all(sub.pooled >= hcmm.problems.MIN_POOLED
+                       for sub in stepped)
+
+    def test_wide_file_allocates_one_block(self, tmp_path):
+        # d = 47236 (rcv1's width) over 30 rows: a block holds one x, so
+        # the study allocates at most one x and its grad P beyond the
+        # per-step loop, where a fixed 1024-row block would take 387 MB
+        rng = np.random.default_rng(0)
+        d = 47236
+        lines = [f"{(-1) ** i} " + " ".join(
+            f"{c}:{rng.standard_normal():.3f}"
+            for c in np.sort(rng.choice(d, 20, replace=False)) + 1)
+            for i in range(30)]
+        path = write_libsvm(tmp_path / "wide.svm", lines)
+        config = build_config(logistic_mapping(path, tmp_path, **{
+            **self.THEOREM2, "run.seeds": "1"}))
+        T_values = [3, 5, 8]
+        budget = max(hcmm.harness.RATE_BLOCK_BYTES, 16 * d)
+        peaks = []
+        for study in (self.per_step_averages, rate_study) * 2:
+            # the second round runs warm: the first filled the caches
+            tracemalloc.start()
+            try:
+                study(config, T_values)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] - peaks[2] <= budget, peaks
+
+    def test_slope_left_out_unless_every_average_positive(self, tmp_path):
+        # a noiseless quadratic started at its saddle stays there: every
+        # average is 0, which no log takes
+        cfg = build_config(quad_mapping(tmp_path, **{
+            **self.THEOREM1, "problem.noise_sigma": "0",
+            "problem.x0_scale": "0"}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = rate_study(cfg, [10, 100, 1000])
+        assert report.averaged_norms == (0.0, 0.0, 0.0)
+        assert report.slope is None and report.unfit == [10, 100, 1000]
+        assert (tmp_path / "rate_hcmm1.csv").read_text() == (
+            "T,mean_time_avg_grad_p\n10,0.0\n100,0.0\n1000,0.0\nslope,\n")
+        # every average finite and > 0 but one
+        ok = hcmm.harness.RateReport((10, 100, 1000), (0.5, math.nan, 0.1),
+                                     None)
+        assert ok.unfit == [100]
+
 
 class TestPlot:
     def test_svg_deterministic_and_wellformed(self, tmp_path):
@@ -1180,6 +1288,26 @@ class TestCli:
         assert "error: rate study needs at least 3 distinct integer " \
             "horizons >= 1" in capsys.readouterr().err
 
+    def test_rate_without_slope_is_an_error(self, tmp_path, capsys):
+        # a noiseless quadratic started at its saddle: every average is 0,
+        # so the command prints them, names each horizon and exits 1,
+        # without a numpy warning and without a nan slope
+        extra = "".join(f"{k} = {v}\n" for k, v in {
+            **TestRateStudy.THEOREM1, "problem.noise_sigma": "0",
+            "problem.x0_scale": "0"}.items())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["rate", "--config", self.write_cfg(tmp_path, extra),
+                           "--T", "10,100,1000"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "T=1000: time-avg ||grad P|| = 0" in out
+        assert "slope" not in out and "nan" not in out + err
+        assert err == ("error: no log-log slope: the time average is not "
+                       "finite and > 0 at T = [10, 100, 1000]\n")
+        assert (tmp_path / "out" / "rate_hcmm1.csv").read_text() \
+            .endswith("1000,0.0\nslope,\n")
+
     def test_rate_explicit_schedule_is_an_error(self, tmp_path, capsys):
         rc = cli.main(["rate", "--config", self.write_cfg(tmp_path),
                        "--T", "10,100,1000"])
@@ -1228,7 +1356,9 @@ def test_golden_outputs_script(tmp_path):
     for name in ("results.txt", "quadratic_seed0/plot.svg",
                  "pl_toy_seed1/trace_hcmm2_seed1.csv",
                  "grid/leaderboard_storm_gda.csv", "rate_theorem1/rate_hcmm1.csv",
-                 "rate_theorem2/rate_hcmm2.csv", "rate_quad_rate/rate_hcmm1.csv",
+                 "rate_theorem2/rate_hcmm2.csv",
+                 "rate_pl_toy_blocks/rate_hcmm2.csv",
+                 "rate_quad_rate/rate_hcmm1.csv",
                  "logistic/summary_sagda.csv",
                  "logistic/trace_hcmm1_seed1.csv",
                  "logistic_declined/summary_hcmm1.csv",

@@ -1,6 +1,6 @@
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 from itertools import islice
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +8,8 @@ import pytest
 import hcmm.problems
 from hcmm.core import HyperSchedule, clip_momentum
 from hcmm.optimizers import (SAMPLE_BLOCK, Hcmm1, Hcmm2, JointSchedule, Sagda,
-                             StepState, StormGda, hcmm_momentum_update,
-                             iterate_steps, sample_stream, samples_per_run,
-                             step)
+                             StepState, StormGda, iterate_steps,
+                             sample_stream, samples_per_run, step)
 from hcmm.problems import PlToyProblem, QuadraticMinimaxProblem
 
 from conftest import join, make_logistic, make_quadratic, stream
@@ -46,11 +45,37 @@ def first_samples(problem, seed, count=2):
     return list(islice(stream(problem, seed), count))
 
 
-def weights(beta, n):
-    """beta and keep = 1 - beta over n coordinates, the two fields of a
-    JointSchedule that hcmm_momentum_update reads (beta = 0 included)."""
-    b = np.full(n, float(beta))
-    return SimpleNamespace(beta=b, keep=1.0 - b)
+class FixedOracle:
+    """A problem whose sample gradient is always g and whose sample HVP is
+    always c, the same arrays on every call, so that a step's momentum is
+    the recursion on given vectors."""
+
+    def __init__(self, dim_x, g, c):
+        self.dim_x, self.dim_y = dim_x, g.size - dim_x
+        self.g, self.c = g, c
+
+    def sample_gradient(self, z, xi):
+        return self.g
+
+    def sample_hvp(self, z, xi, dz):
+        return self.c
+
+    def project_y(self, y):
+        return y
+
+
+def momentum_step(kind, m, beta, g, c):
+    """The momentum `step` forms from momentum m on FixedOracle(g, c), from
+    a state at z = z_prev = 0 with x the first half of z, with beta and
+    keep = 1 - beta one per coordinate when beta is a vector and one scalar
+    otherwise (beta = 0 included, which no HyperSchedule takes)."""
+    d = (g.size + 1) // 2
+    p = FixedOracle(d, g, c)
+    js = replace(JointSchedule.expand(explicit_schedule(N=1e300, N1=1e300),
+                                      d, p.dim_y), beta=beta, keep=1.0 - beta)
+    z = np.zeros(g.size)
+    state = StepState(z, z, m, m, False, False, 0.0, 0.0, 0, d)
+    return step(kind, state, js, p, iter([None])).m
 
 
 def blocks(s, v):
@@ -88,17 +113,21 @@ class CountingProblem:
 
 
 class TestMomentumUpdate:
+    # the HCMM recursion (1 - beta)(m + H d) + beta g, as `step` forms it
+    # for HCMM-1 and HCMM-2
     def test_beta_one_returns_gradient(self):
         g = np.array([1.0, 2.0])
-        out = hcmm_momentum_update(np.array([9.0, 9.0]), weights(1.0, 2), g,
-                                   np.array([5.0, 5.0]))
-        np.testing.assert_array_equal(out, g)
+        for kind in (Hcmm1(), Hcmm2()):
+            out = momentum_step(kind, np.array([9.0, 9.0]), np.ones(2), g,
+                                np.array([5.0, 5.0]))
+            np.testing.assert_array_equal(out, g)
 
     def test_beta_zero_no_hvp_keeps_history(self):
         m = np.array([1.0, -1.0])
-        out = hcmm_momentum_update(m, weights(0.0, 2), np.array([7.0, 7.0]),
-                                   np.zeros(2))
-        np.testing.assert_array_equal(out, m)
+        for kind in (Hcmm1(), Hcmm2()):
+            out = momentum_step(kind, m, np.zeros(2), np.array([7.0, 7.0]),
+                                np.zeros(2))
+            np.testing.assert_array_equal(out, m)
 
     def test_bit_equal_to_expression_inputs_untouched(self):
         rng = np.random.default_rng(3)
@@ -109,12 +138,12 @@ class TestMomentumUpdate:
                 ref = (1.0 - beta) * (m + c) + beta * g
                 # per-coordinate vectors, and the scalars a JointSchedule
                 # keeps when both blocks share beta
-                for js in (weights(beta, n),
-                           SimpleNamespace(beta=beta, keep=1.0 - beta)):
-                    out = hcmm_momentum_update(m, js, g, c)
-                    assert out.tobytes() == ref.tobytes()
-                    for v, v0 in zip((m, g, c), saved):
-                        assert v.tobytes() == v0.tobytes()
+                for kind in (Hcmm1(), Hcmm2()):
+                    for b in (np.full(n, beta), np.array(beta)):
+                        out = momentum_step(kind, m, b, g, c)
+                        assert out.tobytes() == ref.tobytes()
+                        for v, v0 in zip((m, g, c), saved):
+                            assert v.tobytes() == v0.tobytes()
 
     @pytest.mark.parametrize("kind", [Hcmm1(update_from_clipped=True),
                                       Hcmm2(), StormGda()])
@@ -170,6 +199,22 @@ class TestMomentumUpdate:
             want_x = (1.0 - bx) * (m0x + hx) + bx * gx
             want_y = (1.0 - by) * (m0y + hy) + by * gy
         assert s.m.tobytes() == join(want_x, want_y).tobytes()
+
+
+class TestDispatch:
+    def test_unknown_kind_raises_before_any_sample(self):
+        # a kind is matched on its exact type: neither another object nor a
+        # subclass of a kind is a kind, and nothing is drawn for it
+        q = make_quadratic(d=3, m=2, seed=1)
+        s = make_state(np.ones(3), np.zeros(2), np.ones(3), np.ones(2))
+
+        class Clipped(Hcmm1):
+            pass
+
+        for kind in ("hcmm1", Hcmm1, Clipped(), None):
+            with pytest.raises(TypeError, match=re.escape(
+                    f"unknown optimizer kind: {kind!r}")):
+                run_step(kind, s, explicit_schedule(N=1.0, N1=1.0), q, [])
 
 
 class TestHcmm1:

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hcmm.harness
 import hcmm.problems
-from hcmm.core import HyperSchedule
+from hcmm.core import HyperSchedule, norm2, norm2_rows
 from hcmm.optimizers import Hcmm2, iterate_steps, samples_per_run
 from hcmm.problems import (PlToyProblem, QuadraticMinimaxProblem,
                            RobustLogisticProblem)
@@ -581,6 +582,41 @@ class TestProductBits:
                     == (p.M @ dz).tobytes()
                 assert p.full_gradient(z).tobytes() == (p.M @ z).tobytes()
                 assert p.grad_p(x).tobytes() == (p.p_hessian @ x).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 10, 64, 112])
+    @pytest.mark.parametrize("pl", [False, True], ids=["quadratic", "pl_toy"])
+    def test_stacked_forms_bit_equal_to_rows(self, d, pl):
+        # grad_p on a (k, d) stack is the 1-D call row for row, and the
+        # stacked self-dot (norm2_rows) is v.dot(v), for stacks around the
+        # rate study's block of x's
+        m = max(1, d // 2)
+        p = PlToyProblem.random(d, m, max(1, m // 2), 0.5, 1.5, 1.0, seed=d) \
+            if pl else QuadraticMinimaxProblem.random(d, m, 2.0, 1.0, seed=d)
+        rows = hcmm.harness.RATE_BLOCK_BYTES // (16 * d)
+        rng = np.random.default_rng(d)
+        for scale in (1e-150, 1e-5, 1.0, 1e5, 1e150):
+            for k in (1, 2, rows - 1, rows, rows + 1):
+                X = scale * rng.standard_normal((k, d))
+                G = p.grad_p(X)
+                assert G.shape == (k, d)
+                assert G.tobytes() == np.array([p.grad_p(x)
+                                                for x in X]).tobytes()
+                dots = (G[:, None, :] @ G[:, :, None]).ravel()
+                assert dots.tobytes() == np.array([v.dot(v)
+                                                   for v in G]).tobytes()
+                assert norm2_rows(G).tobytes() == np.array(
+                    [norm2(v) for v in G]).tobytes()
+
+    def test_base_class_stack_is_inner_max_row_by_row(self):
+        # robust logistic has no grad_p of its own: the base class takes
+        # one inner max a row
+        p = make_logistic(n=30, d=8, seed=4)
+        X = np.random.default_rng(1).standard_normal((5, p.d))
+        G = p.grad_p(X)
+        assert G.shape == (5, p.d)
+        assert G.tobytes() == np.array([p.inner_max(x).grad_p
+                                        for x in X]).tobytes()
+        assert p.grad_p(X[2]).tobytes() == G[2].tobytes()
 
 
 class TestRestriction:
