@@ -13,13 +13,13 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .core import (ConfigError, HyperSchedule, ProblemConstants, norm2,
                    norm2_rows, schedule_hcmm1, schedule_hcmm2)
-from .libsvm import Dataset, load_dataset
+from .libsvm import load_dataset
 from .optimizers import (Hcmm1, Hcmm2, OptimizerKind, Sagda, StormGda,
                          iterate_steps, sample_stream, samples_per_run)
 from .oracle import MinimaxProblem, evaluate_P, metric_ci
@@ -242,47 +242,46 @@ def build_config(mapping: Dict[str, str]) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def resolve_dataset_path(path: str) -> str:
-    if os.path.isabs(path) or os.path.exists(path):
-        return path
+    """problem.dataset_path as written or, when it is relative and not
+    found, under $MINIMAX_DATA_DIR; a ConfigError names both if neither
+    exists."""
     root = os.environ.get("MINIMAX_DATA_DIR")
-    if root:
-        candidate = os.path.join(root, path)
+    tried = [path] + ([os.path.join(root, path)]
+                      if root and not os.path.isabs(path) else [])
+    for candidate in tried:
         if os.path.exists(candidate):
             return candidate
-    return path
+    raise ConfigError(f"problem.dataset_path = {path}: no such file"
+                      + (f" (nor {tried[1]} under $MINIMAX_DATA_DIR)"
+                         if len(tried) > 1 else ""))
 
 
-# the last dataset parsed, keyed by (SHA-256 of the file, subsample, seed),
-# so runs of several configs on one file parse it once; one entry, so it
-# holds at most one parsed file in memory
-_last_dataset: Dict[tuple, Dataset] = {}
-# the last robust-logistic problem built, keyed by its dataset's key and
-# (lambda1, lambda2, rho): a problem is never changed once built, and it
-# shares its rows with the dataset. A parse empties it.
+# the last robust-logistic problem built, keyed by (SHA-256 of the file,
+# subsample, seed, lambda1, lambda2, rho): runs of several configs on one
+# file parse it once, and a problem is never changed once built. One entry,
+# so at most one parsed file is held in memory.
 _last_problem: Dict[tuple, RobustLogisticProblem] = {}
 
 
 def _logistic_problem(p: Dict[str, Any]) -> RobustLogisticProblem:
     """The robust-logistic problem of the problem.* values `p`, reused
-    while the file's bytes, subsample, seed and lambda1, lambda2, rho stay
-    the same; its dataset is reused while the first three do."""
+    while the file's bytes and all five values stay the same. Other
+    lambda1, lambda2 or rho on the same data build a problem on the held
+    one's rows; other data empty the cache before the parse."""
     path = resolve_dataset_path(p["dataset_path"])
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    data_key = (digest.digest(), p["subsample"], p["seed"])
-    if data_key not in _last_dataset:
-        _last_dataset.clear()
-        _last_problem.clear()
-        _last_dataset[data_key] = load_dataset(path, subsample=p["subsample"],
-                                               seed=p["seed"])
-    key = (data_key, p["lambda1"], p["lambda2"], p["rho"])
+    key = (digest.digest(), p["subsample"], p["seed"], p["lambda1"],
+           p["lambda2"], p["rho"])
     if key not in _last_problem:
+        same_data = [q for k, q in _last_problem.items() if k[:3] == key[:3]]
         _last_problem.clear()
-        ds = _last_dataset[data_key]
+        data = same_data[0] if same_data else load_dataset(
+            path, subsample=p["subsample"], seed=p["seed"])
         _last_problem[key] = RobustLogisticProblem(
-            ds.X, ds.labels, lambda1=p["lambda1"], lambda2=p["lambda2"],
+            data.X, data.labels, lambda1=p["lambda1"], lambda2=p["lambda2"],
             rho=p["rho"])
     return _last_problem[key]
 
@@ -346,11 +345,17 @@ def build_schedule(config: ExperimentConfig, T: Optional[int] = None,
         return schedule_hcmm2(T, config.constants)
     needs_clip = isinstance(config.optimizer, Hcmm1)
     required = ("mu_x", "mu_y", "N", "N1") if needs_clip else ("mu_x", "mu_y")
-    missing = [f"schedule.{k}" for k in required if k not in params]
+    missing = [k for k in required if k not in params]
     if missing:
-        raise ConfigError(f"explicit {optimizer_label(config.optimizer)} "
-                          f"schedule needs {', '.join(missing)} (or the "
-                          f"matching grid.* key)")
+        label = optimizer_label(config.optimizer)
+        hint = ""
+        if overrides is not None:  # a grid combo, which a grid.* list feeds
+            hint = " (or the matching grid.* key)"
+        elif set(missing) & set(config.grid):
+            hint = (f"; a run reads no grid.* key: run `hcmm grid` on this "
+                    f"config, then `hcmm run` on its best_{label}.cfg")
+        raise ConfigError(f"explicit {label} schedule needs "
+                          f"{', '.join('schedule.' + k for k in missing)}{hint}")
     return HyperSchedule(
         mu_x=params["mu_x"], mu_y=params["mu_y"],
         beta_x=params.get("beta_x", 1.0), beta_y=params.get("beta_y", 1.0),
@@ -367,15 +372,18 @@ def _fmt_float(x: Optional[float]) -> str:
     return repr(float(x))
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Every output file: its directory made, LF-ended lines written to a
+    temporary file that then replaces `path`."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
+    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     os.replace(tmp, path)
 
 
-def _config_text(mapping: Dict[str, str]) -> str:
+def _config_lines(mapping: Dict[str, str]) -> List[str]:
     """A config mapping as `key = value` lines, in key order."""
-    return "".join(f"{k} = {v}\n" for k, v in sorted(mapping.items()))
+    return [f"{k} = {v}" for k, v in sorted(mapping.items())]
 
 
 def _seed_steps(config: ExperimentConfig, seed: int, problem: MinimaxProblem,
@@ -430,6 +438,25 @@ def final_p(config: ExperimentConfig, problem: MinimaxProblem,
     return problem.p_value(x)
 
 
+def _seed_finals(config: ExperimentConfig, problem: MinimaxProblem,
+                 x0: np.ndarray, y0: np.ndarray, schedule: HyperSchedule,
+                 trace_dir: Optional[Path] = None) -> List[float]:
+    """Final P(x) of each seed's run of `schedule`, in seed order, through
+    `run_single` and `final_p`; with `trace_dir`, each seed's trace CSV is
+    written there as its run ends."""
+    finals = []
+    for seed in config.seeds:
+        rows, info = run_single(config, seed, problem, x0, y0, schedule,
+                                collect_rows=trace_dir is not None)
+        if trace_dir is not None:
+            label = optimizer_label(config.optimizer)
+            _write_lines(trace_dir / f"trace_{label}_seed{seed}.csv",
+                         map(",".join, [TRACE_COLUMNS, *rows]))
+        finals.append(final_p(config, problem, info["final_x"],
+                              info["final_y"]))
+    return finals
+
+
 def run_experiment(config: ExperimentConfig) -> Dict[str, float]:
     """Run every seed; write one trace CSV per seed plus a summary CSV.
 
@@ -439,28 +466,16 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, float]:
     problem, x0, y0 = build_problem(config)
     schedule = build_schedule(config)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     label = optimizer_label(config.optimizer)
-
-    finals: Dict[str, float] = {}
-    for seed in config.seeds:
-        rows, info = run_single(config, seed, problem, x0, y0, schedule)
-        text = ",".join(TRACE_COLUMNS) + "\n" + \
-            "\n".join(",".join(r) for r in rows) + "\n"
-        _write_atomic(out_dir / f"trace_{label}_seed{seed}.csv", text)
-        finals[str(seed)] = final_p(config, problem, info["final_x"],
-                                    info["final_y"])
-
-    values = np.array([finals[str(s)] for s in config.seeds])
-    finals["mean"] = float(values.mean())
-    finals["std"] = float(values.std())
+    values = _seed_finals(config, problem, x0, y0, schedule, out_dir)
+    finals = dict(zip(map(str, config.seeds), values))
+    finals["mean"] = float(np.mean(values))
+    finals["std"] = float(np.std(values))
     lines = ["optimizer,seed,final_p_x"]
-    for seed in config.seeds:
-        lines.append(f"{label},{seed},{_fmt_float(finals[str(seed)])}")
-    lines.append(f"{label},mean,{_fmt_float(finals['mean'])}")
-    lines.append(f"{label},std,{_fmt_float(finals['std'])}")
-    _write_atomic(out_dir / f"summary_{label}.csv", "\n".join(lines) + "\n")
-    _write_atomic(out_dir / f"config_{label}.echo", _config_text(config.raw))
+    for key, value in finals.items():
+        lines.append(f"{label},{key},{_fmt_float(value)}")
+    _write_lines(out_dir / f"summary_{label}.csv", lines)
+    _write_lines(out_dir / f"config_{label}.echo", _config_lines(config.raw))
     return finals
 
 
@@ -514,12 +529,7 @@ def grid_search(config: ExperimentConfig) -> Tuple[Dict[str, float], List[dict]]
     keys = sorted(config.grid)
     leaderboard: List[dict] = []
     for overrides, schedule in schedules:
-        finals = []
-        for seed in config.seeds:
-            _, info = run_single(config, seed, problem, x0, y0, schedule,
-                                 collect_rows=False)
-            finals.append(final_p(config, problem, info["final_x"],
-                                  info["final_y"]))
+        finals = _seed_finals(config, problem, x0, y0, schedule)
         leaderboard.append({**overrides,
                             "mean_final_p": float(np.mean(finals)),
                             "std_final_p": float(np.std(finals))})
@@ -528,19 +538,18 @@ def grid_search(config: ExperimentConfig) -> Tuple[Dict[str, float], List[dict]]
                      if np.isfinite(r["mean_final_p"]) else (1, 0.0))
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     label = optimizer_label(config.optimizer)
     header = keys + ["mean_final_p", "std_final_p"]
     lines = [",".join(header)]
     for row in leaderboard:
         lines.append(",".join(_fmt_float(row[k]) for k in header))
-    _write_atomic(out_dir / f"leaderboard_{label}.csv", "\n".join(lines) + "\n")
+    _write_lines(out_dir / f"leaderboard_{label}.csv", lines)
     best = {k: leaderboard[0][k] for k in keys}
     best_path = out_dir / f"best_{label}.cfg"
     if math.isfinite(leaderboard[0]["mean_final_p"]):
         rerun = {k: v for k, v in config.raw.items() if not k.startswith("grid.")}
         rerun.update((f"schedule.{k}", repr(v)) for k, v in best.items())
-        _write_atomic(best_path, _config_text(rerun))
+        _write_lines(best_path, _config_lines(rerun))
     else:
         best_path.unlink(missing_ok=True)
     return best, leaderboard
@@ -612,13 +621,11 @@ def rate_study(config: ExperimentConfig, T_values: Sequence[float]) -> RateRepor
     if not report.unfit:
         report = replace(report, slope=float(np.polyfit(
             np.log10(T_values), np.log10(averages), 1)[0]))
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["T,mean_time_avg_grad_p"]
     for T, value in [*zip(T_values, averages), ("slope", report.slope)]:
         lines.append(f"{T},{_fmt_float(value)}")
-    _write_atomic(out_dir / f"rate_{optimizer_label(config.optimizer)}.csv",
-                  "\n".join(lines) + "\n")
+    _write_lines(Path(config.output_dir)
+                 / f"rate_{optimizer_label(config.optimizer)}.csv", lines)
     return report
 
 
@@ -730,4 +737,4 @@ def emit_plot(trace_dir: str, out_path: str) -> None:
         parts.append(f'<text x="{ml + pw - 90}" y="{ly}" '
                      f'font-family="sans-serif" font-size="11">{label}</text>')
     parts.append("</svg>")
-    _write_atomic(Path(out_path), "\n".join(parts) + "\n")
+    _write_lines(Path(out_path), parts)

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import itertools
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -306,7 +308,7 @@ class TestDatasetReuse:
         monkeypatch.setattr(hcmm.harness, "load_dataset",
                             lambda path, **kw: calls.append(path)
                             or load(path, **kw))
-        monkeypatch.setattr(hcmm.harness, "_last_dataset", {})
+        monkeypatch.setattr(hcmm.harness, "_last_problem", {})
         return calls
 
     def test_one_parse_per_file(self, tmp_path, loads):
@@ -335,6 +337,29 @@ class TestDatasetReuse:
         after = build_problem(cfg)[0]
         assert loads == [path, path]
         assert after.labels[0] == -before.labels[0]
+
+    def test_new_file_frees_the_old_before_its_parse(self, tmp_path, loads,
+                                                     monkeypatch):
+        # one entry: by the time a second file is parsed, nothing holds the
+        # first file's problem or its rows, so at most one parsed file is
+        # in memory
+        first = build_problem(build_config(logistic_mapping(
+            logistic_file(tmp_path / "a.svm"), tmp_path)))[0]
+        refs = [weakref.ref(first), weakref.ref(first.X.data)]
+        del first
+        load, alive = hcmm.harness.load_dataset, []
+
+        def checked(path, **kw):
+            gc.collect()
+            alive.append([r() is not None for r in refs])
+            return load(path, **kw)
+
+        monkeypatch.setattr(hcmm.harness, "load_dataset", checked)
+        second = build_problem(build_config(logistic_mapping(
+            logistic_file(tmp_path / "b.svm", seed=1), tmp_path)))[0]
+        assert alive == [[False, False]]
+        assert loads == [str(tmp_path / "a.svm"), str(tmp_path / "b.svm")]
+        assert second.n == 40
 
     @pytest.mark.parametrize("key,value", [("problem.subsample", "30"),
                                            ("problem.seed", "3")])
@@ -369,7 +394,6 @@ class TestProblemReuse:
         # the bound's pass over the rows, a block of rows at a time
         monkeypatch.setattr(hcmm.problems, "_largest_row_norm",
                             counted("bound", hcmm.problems._largest_row_norm))
-        monkeypatch.setattr(hcmm.harness, "_last_dataset", {})
         monkeypatch.setattr(hcmm.harness, "_last_problem", {})
         return counts
 
@@ -1185,6 +1209,47 @@ class TestCli:
         assert cli.main(["validate", "--config", str(cfg)]) == 0
         assert "ok" in capsys.readouterr().out.lower()
 
+    def test_run_names_the_schedule_key_a_grid_supplies(self, tmp_path,
+                                                        capsys):
+        # run reads no grid.* key: its error names schedule.mu_x and the
+        # grid-then-rerun recipe, which then works
+        m = quad_mapping(tmp_path / "out", **{"schedule.mu_y": "0.1",
+                                              "grid.mu_x": "0.1,0.01"})
+        del m["schedule.mu_x"]
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in m.items()))
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert ("explicit storm_gda schedule needs schedule.mu_x; a run reads "
+                "no grid.* key: run `hcmm grid` on this config, then "
+                "`hcmm run` on its best_storm_gda.cfg") in err
+        assert not (tmp_path / "out").exists()
+        assert cli.main(["grid", "--config", str(cfg)]) == 0
+        best = tmp_path / "out" / "best_storm_gda.cfg"
+        assert cli.main(["run", "--config", str(best)]) == 0
+
+    @pytest.mark.parametrize("data_dir", [False, True], ids=["plain", "env"])
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_missing_dataset_names_its_key(self, tmp_path, capsys,
+                                           monkeypatch, command, data_dir):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MINIMAX_DATA_DIR", raising=False)
+        if data_dir:
+            monkeypatch.setenv("MINIMAX_DATA_DIR", str(tmp_path / "data"))
+        cfg = self.write_cfg(tmp_path, "problem.kind = robust_logistic\n"
+                             "problem.dataset_path = nothere.svm\n"
+                             "grid.mu_x = 0.01,0.02\n")
+        # validate does not look for the file
+        assert cli.main(["validate", "--config", cfg]) == 0
+        assert "dataset" not in capsys.readouterr().err
+        assert cli.main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        tried = f" (nor {tmp_path / 'data' / 'nothere.svm'} under " \
+            "$MINIMAX_DATA_DIR)" if data_dir else ""
+        assert err == (f"error: problem.dataset_path = nothere.svm: no such "
+                       f"file{tried}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["validate", "grid"])
     def test_empty_grid_list(self, tmp_path, capsys, command):
         cfg = self.write_cfg(tmp_path, "grid.mu_x =\n")
@@ -1368,6 +1433,18 @@ def test_golden_outputs_script(tmp_path):
                  "load_errors.txt", "parse_hashes.txt",
                  "lipschitz_L_f.txt", "data_mixed.libsvm.gz"):
         assert name in trees[0]
+    # and equal to the committed digest, on the environment it was made on
+    spec = importlib.util.spec_from_file_location(
+        "golden_digest", ROOT / "scripts" / "golden_digest.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    committed = (ROOT / "tests" / "golden.sha256").read_text(encoding="utf-8")
+    made_on = committed.splitlines()[0].removeprefix("# fingerprint: ")
+    if made_on != golden.fingerprint():
+        pytest.skip(f"tests/golden.sha256 was made on {made_on}, this is "
+                    f"{golden.fingerprint()}")
+    assert golden.digest(tmp_path / "golden").splitlines() == \
+        committed.splitlines()
 
 
 def readme_table_keys():
