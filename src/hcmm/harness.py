@@ -244,12 +244,12 @@ def build_config(mapping: Dict[str, str]) -> ExperimentConfig:
 def resolve_dataset_path(path: str) -> str:
     """problem.dataset_path as written or, when it is relative and not
     found, under $MINIMAX_DATA_DIR; a ConfigError names both if neither
-    exists."""
+    is a file."""
     root = os.environ.get("MINIMAX_DATA_DIR")
     tried = [path] + ([os.path.join(root, path)]
                       if root and not os.path.isabs(path) else [])
     for candidate in tried:
-        if os.path.exists(candidate):
+        if os.path.isfile(candidate):
             return candidate
     raise ConfigError(f"problem.dataset_path = {path}: no such file"
                       + (f" (nor {tried[1]} under $MINIMAX_DATA_DIR)"

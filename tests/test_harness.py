@@ -1228,25 +1228,30 @@ class TestCli:
         best = tmp_path / "out" / "best_storm_gda.cfg"
         assert cli.main(["run", "--config", str(best)]) == 0
 
-    @pytest.mark.parametrize("data_dir", [False, True], ids=["plain", "env"])
-    @pytest.mark.parametrize("command", ["run", "grid"])
+    @pytest.mark.parametrize("command,data_dir,name", [
+        ("run", False, "nothere.svm"), ("run", True, "nothere.svm"),
+        ("grid", False, "nothere.svm"), ("grid", True, "nothere.svm"),
+        ("run", False, "adir")],
+        ids=["run", "run-env", "grid", "grid-env", "run-directory"])
     def test_missing_dataset_names_its_key(self, tmp_path, capsys,
-                                           monkeypatch, command, data_dir):
+                                           monkeypatch, command, data_dir,
+                                           name):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("MINIMAX_DATA_DIR", raising=False)
         if data_dir:
             monkeypatch.setenv("MINIMAX_DATA_DIR", str(tmp_path / "data"))
+        (tmp_path / "adir").mkdir()
         cfg = self.write_cfg(tmp_path, "problem.kind = robust_logistic\n"
-                             "problem.dataset_path = nothere.svm\n"
+                             f"problem.dataset_path = {name}\n"
                              "grid.mu_x = 0.01,0.02\n")
         # validate does not look for the file
         assert cli.main(["validate", "--config", cfg]) == 0
         assert "dataset" not in capsys.readouterr().err
         assert cli.main([command, "--config", cfg]) == 1
         err = capsys.readouterr().err
-        tried = f" (nor {tmp_path / 'data' / 'nothere.svm'} under " \
+        tried = f" (nor {tmp_path / 'data' / name} under " \
             "$MINIMAX_DATA_DIR)" if data_dir else ""
-        assert err == (f"error: problem.dataset_path = nothere.svm: no such "
+        assert err == (f"error: problem.dataset_path = {name}: no such "
                        f"file{tried}\n")
         assert not (tmp_path / "out").exists()
 
