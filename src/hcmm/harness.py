@@ -281,7 +281,7 @@ def _logistic_problem(p: Dict[str, Any]) -> RobustLogisticProblem:
         data = same_data[0] if same_data else load_dataset(
             path, subsample=p["subsample"], seed=p["seed"])
         _last_problem[key] = RobustLogisticProblem(
-            data.X, data.labels, lambda1=p["lambda1"], lambda2=p["lambda2"],
+            data.csr, data.labels, lambda1=p["lambda1"], lambda2=p["lambda2"],
             rho=p["rho"])
     return _last_problem[key]
 

@@ -21,8 +21,9 @@ and only that chunk, through `parse_line` line by line. So the rows, and
 the error at the first bad line (with its line and column), are
 `parse_line`'s; only the time and the transient memory differ.
 
-scipy is imported by `load_dataset` when it builds the matrix, not with
-this module, so a run that loads no file never imports it.
+`load_dataset` returns the parsed CSR arrays as a `Csr`; a subsample is a
+row gather of them. Only `Csr.X`, the scipy matrix over the same arrays,
+imports scipy, on first access.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
@@ -57,13 +59,63 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
+class Csr:
+    """A sparse matrix with n = indptr.size - 1 rows and d columns, as CSR
+    arrays: float64 data, 0-based column indices sorted and distinct
+    within each row, and indptr."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    d: int
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    def positions(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(the positions in data of the rows' entries, row after row, and
+        each row's entry count)."""
+        start = self.indptr[rows]
+        counts = self.indptr[rows + 1] - start
+        return np.arange(counts.sum()) + np.repeat(
+            start - np.cumsum(counts) + counts, counts), counts
+
+    def take(self, rows: np.ndarray) -> Csr:
+        """The rows `rows` (an index array), with the bytes of scipy's
+        X[rows]."""
+        pos, counts = self.positions(rows)
+        indptr = np.zeros(rows.size + 1, dtype=self.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        return Csr(self.data[pos], self.indices[pos], indptr, self.d)
+
+    @cached_property
+    def X(self) -> sp.csr_matrix:
+        """The scipy matrix over the same arrays, made on first access."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=(self.n, self.d))
+
+
+@dataclass(frozen=True)
 class Dataset:
     """Sparse design matrix plus labels; indices stored 0-based internally."""
 
-    n: int
-    d: int
-    X: sp.csr_matrix
+    csr: Csr
     labels: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.csr.n
+
+    @property
+    def d(self) -> int:
+        return self.csr.d
+
+    @property
+    def X(self) -> sp.csr_matrix:
+        return self.csr.X
 
 
 def _error(message: str, body: str, k: int, lineno: int,
@@ -332,9 +384,9 @@ def load_dataset(path: str, subsample: Optional[int] = None,
     in file order.
 
     The (decompressed) bytes are read whole and parsed into arrays sized
-    once (`_parse_text`), then released before the matrix is built. So the
-    parse's peak is the text plus the arrays (12 bytes a nonzero and 12 a
-    row) plus one chunk's transients, against two copies of the arrays
+    once (`_parse_text`), then released before a subsample is gathered.
+    So the parse's peak is the text plus the arrays (12 bytes a nonzero and
+    12 a row) plus one chunk's transients, against two copies of the arrays
     plus a chunk's transients for a parse that keeps each chunk's arrays
     and then concatenates them. That is lower whenever the text is no
     longer than its arrays: a binary one-hot file (mushrooms, a9a, w8a)
@@ -353,12 +405,9 @@ def load_dataset(path: str, subsample: Optional[int] = None,
     n = len(labels)
     if not n:
         raise ParseError("no data rows", 1, path=str(path))
-    import scipy.sparse as sp
-
-    X = sp.csr_matrix((values, indices, indptr),
-                      shape=(n, int(indices.max(initial=-1)) + 1))
+    csr = Csr(values, indices, indptr, int(indices.max(initial=-1)) + 1)
     lab = np.where(labels > 0, 1.0, -1.0)
     if subsample is not None and subsample < n:
-        keep = sorted(np.random.default_rng(seed).permutation(n)[:subsample].tolist())
-        X, lab = X[keep], lab[keep]
-    return Dataset(n=X.shape[0], d=X.shape[1], X=X, labels=lab)
+        keep = np.sort(np.random.default_rng(seed).permutation(n)[:subsample])
+        csr, lab = csr.take(keep), lab[keep]
+    return Dataset(csr, lab)

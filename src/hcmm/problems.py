@@ -9,7 +9,10 @@ oracle.py); x and y are views into z.
   the surrogate Q(x, y; i) = n*y_i*Q_i(x) - V(y) + g(x), which is unbiased
   for the full objective under uniform i. The inner max is a simplex
   projection in closed form. A run steps on the restriction to the rows it
-  draws, with one pooled y coordinate for the rest (`restrict`).
+  draws, with one pooled y coordinate for the rest (`restrict`). It holds
+  its rows as CSR arrays (`libsvm.Csr`); scipy is imported only when a
+  problem past MAX_NUMPY_NNZ nonzeros is built, or one is built from a
+  scipy matrix or an array, or `.X` is read.
 - QuadraticMinimaxProblem: strongly concave quadratic testbed with closed
   forms for the inner max, P(x) and grad P(x); optional additive Gaussian
   gradient noise, where the noise draw itself is the sample; its oracles
@@ -27,6 +30,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .core import Vec
+from .libsvm import Csr
 from .oracle import InnerMaxReport, MinimaxProblem, SampleId
 from .simplex import project_simplex
 
@@ -61,6 +65,18 @@ MAX_SUPPORT_SHARE = 0.1
 # 52-70 ms in total, against 101-114 ms with every row screened.
 SCREEN_ROWS = 1024
 
+# most nonzeros at which a problem forms X x, X'c and the vector expit with
+# numpy, bit for bit as scipy's csr_matvec, csc_matvec and special.expit,
+# and never imports scipy; past it scipy is imported, and its matrix built,
+# when the problem is built. Importing scipy.sparse and scipy.special took
+# 0.19-0.29 s in a fresh process. Measured on a 2-vCPU VM (Python 3.11,
+# numpy 2.4, scipy 1.17, BLAS 1 thread) on datagen rows (22 nonzeros a
+# row): numpy made an evaluated trace row (inner max and metric_ci) about
+# 0.11, 0.37 and 0.79 ms slower at 2^14, 2^15 and 2^16 nonzeros. So up to
+# 2^15 the 303 evaluated rows of a shipped robust_logistic config's
+# `hcmm run` cost less than the import; at 2^16 about as much.
+MAX_NUMPY_NNZ = 1 << 15
+
 # rows whose sums of squares `_largest_row_norm` takes at a time: the squared
 # data of one block is all it allocates (about 0.7 MB at 22 nonzeros a row)
 BOUND_ROWS = 4096
@@ -68,26 +84,34 @@ BOUND_ROWS = 4096
 
 def _expit(u: float) -> float:
     """scipy.special.expit of a scalar, bit for bit: 1 / (1 + exp(-u)),
-    which is 0.0 where exp(-u) overflows. scipy is imported only for robust
-    logistic, and a per-step oracle cannot pay an import per call."""
+    which is 0.0 where exp(-u) overflows; without scipy's per-call cost on
+    a scalar, which a per-step oracle cannot pay."""
     try:
         return 1.0 / (1.0 + math.exp(-u))
     except OverflowError:
         return 0.0
 
 
-def _largest_row_norm(X: sp.csr_matrix) -> float:
+def _expits(u: np.ndarray) -> np.ndarray:
+    """scipy.special.expit(u), bit for bit, without scipy: `_expit` of each
+    entry, with the sums and quotients taken as vectors."""
+    try:
+        e = np.fromiter(map(math.exp, (-u).tolist()), np.float64, u.size)
+    except OverflowError:  # an entry below about -709.78
+        return np.array([_expit(v) for v in u.tolist()], dtype=np.float64)
+    return 1.0 / (1.0 + e)
+
+
+def _largest_row_norm(X: Csr) -> float:
     """The largest Euclidean norm of a row of X, with the bits of
     float(np.sqrt(X.power(2).sum(axis=1).max())).
 
     scipy's row sum is one np.add.reduceat over the squared data, at the
     start of each non-empty row (an empty row sums to 0); this takes the
     same reductions BOUND_ROWS rows at a time, so it squares one block's
-    data, not a copy of X. Like X.power, it first sums duplicate entries
-    of X in place."""
-    X.sum_duplicates()
+    data, not a copy of X."""
     largest = np.float64(0.0)
-    for r in range(0, X.shape[0], BOUND_ROWS):
+    for r in range(0, X.n, BOUND_ROWS):
         ptr = X.indptr[r:r + BOUND_ROWS + 1]
         rows = np.flatnonzero(np.diff(ptr))
         if rows.size:
@@ -122,16 +146,24 @@ class RobustLogisticProblem(MinimaxProblem):
     `restrict` gives the instance a run steps on: the same class, so the
     same oracle code, holding only the rows the run draws. On the full
     problem `rows` is None and `pooled` is 0.
+
+    The rows are a `Csr`, held as given, or anything scipy.sparse.csr_matrix
+    takes, of which a sorted copy with each row's repeated columns summed
+    is held: a row's gradient adds into its columns at once, and the
+    caller's arrays are never written.
     """
 
-    def __init__(self, rows: sp.spmatrix, labels: np.ndarray,
-                 lambda1: Optional[float] = None, lambda2: float = 0.001,
-                 rho: float = 10.0):
-        import scipy.sparse as sp
+    def __init__(self, rows: Union[Csr, sp.spmatrix, np.ndarray],
+                 labels: np.ndarray, lambda1: Optional[float] = None,
+                 lambda2: float = 0.001, rho: float = 10.0):
+        if not isinstance(rows, Csr):
+            import scipy.sparse as sp
 
-        X = sp.csr_matrix(rows, dtype=np.float64)
+            X = sp.csr_matrix(rows, dtype=np.float64, copy=True)
+            X.sum_duplicates()
+            rows = Csr(X.data, X.indices, X.indptr, X.shape[1])
         labels = np.asarray(labels, dtype=np.float64)
-        n, d = X.shape
+        n, d = rows.n, rows.d
         if n < 1 or d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {(n, d)}")
         if labels.shape != (n,):
@@ -144,7 +176,7 @@ class RobustLogisticProblem(MinimaxProblem):
             raise ValueError(
                 f"need lambda1 > 0, lambda2 >= 0, rho > 0; got "
                 f"lambda1={lambda1}, lambda2={lambda2}, rho={rho}")
-        self.X = X
+        self.csr = rows
         self.labels = labels
         self.lambda1 = float(lambda1)
         self.lambda2 = float(lambda2)
@@ -164,6 +196,20 @@ class RobustLogisticProblem(MinimaxProblem):
         # X.indices as intp, made by the first `_row`: an int32 index array
         # is cast on every fancy index
         self._row_indices: Optional[np.ndarray] = None
+        # X x, X'c and the vector expit: past MAX_NUMPY_NNZ scipy's, on
+        # this matrix; else numpy's, on the row of each nonzero
+        self._matrix: Optional[sp.csr_matrix] = None
+        self._row_of: Optional[np.ndarray] = None
+        if rows.data.size > MAX_NUMPY_NNZ:
+            self._matrix = rows.X
+        else:
+            self._row_of = np.repeat(np.arange(n), np.diff(rows.indptr))
+
+    @property
+    def X(self) -> sp.csr_matrix:
+        """The rows as a scipy matrix over the held arrays (imports
+        scipy)."""
+        return self.csr.X
 
     @property
     def lipschitz_L_f(self) -> float:
@@ -173,7 +219,7 @@ class RobustLogisticProblem(MinimaxProblem):
         It is computed on first read; a restriction holds its parent's."""
         if self._lipschitz_L_f is None:
             n = self.n
-            rmax = _largest_row_norm(self.X)
+            rmax = _largest_row_norm(self.csr)
             self._lipschitz_L_f = (n * rmax ** 2 / 4.0
                                    + 2.0 * self.lambda2 * self.rho
                                    + self.lambda1 * n ** 2 + n * rmax)
@@ -185,9 +231,9 @@ class RobustLogisticProblem(MinimaxProblem):
         if not (0 <= i < held):
             raise IndexError(f"sample index {i} out of range [0, {held})")
         if self._row_indices is None:
-            self._row_indices = self.X.indices.astype(np.intp)
-        s, e = self.X.indptr[i], self.X.indptr[i + 1]
-        return self._row_indices[s:e], self.X.data[s:e]
+            self._row_indices = self.csr.indices.astype(np.intp)
+        s, e = self.csr.indptr[i], self.csr.indptr[i + 1]
+        return self._row_indices[s:e], self.csr.data[s:e]
 
     def _margin(self, i: SampleId, x: Vec) -> float:
         idx, val = self._row(i)
@@ -255,7 +301,7 @@ class RobustLogisticProblem(MinimaxProblem):
         # built by __init__, not copied: a copied instance keeps its
         # attributes in a plain dict, which makes every attribute read in
         # the oracles slower
-        sub = RobustLogisticProblem(self.X[rows], self.labels[rows],
+        sub = RobustLogisticProblem(self.csr.take(rows), self.labels[rows],
                                     self.lambda1, self.lambda2, self.rho)
         sub.n = self.n
         sub._lipschitz_L_f = self.lipschitz_L_f
@@ -312,7 +358,29 @@ class RobustLogisticProblem(MinimaxProblem):
         return h
 
     def _margins(self, x: Vec) -> np.ndarray:
-        return self.labels * (self.X @ x)
+        # each row's sum adds its data * x in order into a +0.0 start, as
+        # scipy's csr_matvec does
+        if self._matrix is not None:
+            return self.labels * (self._matrix @ x)
+        csr = self.csr
+        return self.labels * np.bincount(
+            self._row_of, csr.data * x.take(csr.indices), minlength=csr.n)
+
+    def _rmatvec(self, c: np.ndarray) -> np.ndarray:
+        # X'c: each column's sum adds data * c in row order into a +0.0
+        # start, as scipy's csc_matvec does
+        if self._matrix is not None:
+            return self._matrix.T @ c
+        return np.bincount(self.csr.indices, self.csr.data * c[self._row_of],
+                           minlength=self.d)
+
+    def _vector_expit(self, u: np.ndarray) -> np.ndarray:
+        # scipy's vector expit, whose bits np.exp does not give
+        if self._matrix is None:
+            return _expits(u)
+        from scipy.special import expit
+
+        return expit(u)
 
     # J and grad_x J from the margins t (and the losses q = q(t))
     def _objective_at(self, q: np.ndarray, x: Vec, y: Vec) -> float:
@@ -325,24 +393,17 @@ class RobustLogisticProblem(MinimaxProblem):
         # each data * coef into a +0.0 start in row order, and the rows
         # left out add exact zeros, unless a margin is nan (then nan * 0
         # is not zero, so the dense product runs).
-        # scipy's vector expit, whose bits np.exp does not give
-        from scipy.special import expit
-
         held = y != 0
         if (np.count_nonzero(held) > MAX_SUPPORT_SHARE * y.size
                 or np.isnan(t.min())):
-            coef = -self.labels * expit(-t) * y
-            return np.asarray(self.X.T @ coef).ravel() + self._g_grad(x)
+            coef = -self.labels * self._vector_expit(-t) * y
+            return self._rmatvec(coef) + self._g_grad(x)
         rows = np.flatnonzero(held)
-        X = self.X
-        start = X.indptr[rows]
-        counts = X.indptr[rows + 1] - start
-        # the rows' positions in X.data, row after row
-        pos = np.arange(counts.sum()) + np.repeat(
-            start - np.cumsum(counts) + counts, counts)
-        coef = -self.labels[rows] * expit(-t[rows]) * y[rows]
-        return np.bincount(X.indices[pos], minlength=self.d,
-                           weights=X.data[pos] * np.repeat(coef, counts)) \
+        csr = self.csr
+        pos, counts = csr.positions(rows)
+        coef = -self.labels[rows] * self._vector_expit(-t[rows]) * y[rows]
+        return np.bincount(csr.indices[pos], minlength=self.d,
+                           weights=csr.data[pos] * np.repeat(coef, counts)) \
             + self._g_grad(x)
 
     def full_gradient(self, z: Vec) -> Vec:

@@ -618,6 +618,33 @@ class TestRestrictedRun:
             assert [s.rows for s in stepped] == [None]
             assert len(written[0]) == 2 and written[0] == written[1]
 
+    @pytest.mark.parametrize("n", [40, 2000], ids=["unpooled", "pooled"])
+    def test_numpy_and_scipy_kernels_write_identical_files(self, tmp_path,
+                                                           monkeypatch, n):
+        # every problem on one side of MAX_NUMPY_NNZ, then on the other:
+        # X x, X'c and the vector expit of numpy and of scipy give the same
+        # traces, summary and config echo
+        path = logistic_file(tmp_path / "a.svm", n=n, seed=3)
+        out = tmp_path / "out"
+        for optimizer in ("hcmm1", "hcmm2", "storm_gda", "sagda"):
+            written = []
+            for most in (0, 1 << 62):
+                with monkeypatch.context() as m:
+                    m.setattr(hcmm.problems, "MAX_NUMPY_NNZ", most)
+                    m.setattr(hcmm.harness, "_last_problem", {})
+                    stepped = spy_restrictions(m)
+                    run_experiment(build_config(self.mapping(
+                        path, out, optimizer, 120)))
+                    (problem,) = hcmm.harness._last_problem.values()
+                assert (problem._matrix is None) == bool(most)
+                assert (stepped[0].rows is not None) == (n == 2000)
+                written.append(sorted((f.name, f.read_bytes())
+                                      for f in out.iterdir()))
+            assert {f"config_{optimizer}.echo", f"summary_{optimizer}.csv",
+                    f"trace_{optimizer}_seed2.csv"} \
+                <= {name for name, _ in written[0]}
+            assert written[0] == written[1]
+
 
 class TestInnerMaxOnce:
     def test_evaluate_p_on_logistic(self, tmp_path):
@@ -1492,8 +1519,9 @@ def test_readme_key_table_matches_reader(monkeypatch):
     assert sorted(read - table) == []
 
 
-# imports hcmm, runs the synthetic testbeds in every mode, then builds a
-# robust-logistic problem; prints the scipy modules loaded before and after
+# imports hcmm, runs the synthetic testbeds in every mode and robust
+# logistic on a small file, then builds a robust-logistic problem on a file
+# past MAX_NUMPY_NNZ; prints the scipy modules loaded before and after
 SCIPY_PROBE = """
 import json, sys
 import hcmm, hcmm.harness, hcmm.cli
@@ -1505,7 +1533,7 @@ for name, mapping in mappings.items():
     build_problem(config)
     if name == "rate":
         rate_study(config, [20, 40, 80])
-    elif name == "grid":
+    elif name.endswith("grid"):
         grid_search(config)
     else:
         run_experiment(config)
@@ -1526,6 +1554,7 @@ print(json.dumps([before, after]))
 def test_synthetic_runs_never_import_scipy(tmp_path):
     # conftest imports scipy, so the probe runs in a fresh interpreter
     out = str(tmp_path)
+    small = logistic_file(tmp_path / "small.svm")
     mappings = {
         "quadratic": quad_mapping(out, **{"run.T": "30"}),
         "pl_toy": quad_mapping(out, **{"problem.kind": "pl_toy",
@@ -1542,9 +1571,14 @@ def test_synthetic_runs_never_import_scipy(tmp_path):
                                      "run.seeds": "1"}),
         "grid": quad_mapping(out, **{"grid.mu_x": "0.01,0.02",
                                      "run.T": "20"}),
+        # a grid, and a run with trace rows, on 120 nonzeros
+        "logistic_grid": logistic_mapping(small, out, **{
+            "grid.mu_x": "0.01,0.05", "run.seeds": "1,2"}),
+        "logistic": logistic_mapping(small, out),
     }
-    logistic = write_libsvm(tmp_path / "tiny.svm",
-                            ["+1 1:1 3:2", "-1 2:0.5", "+1 3:1"])
+    rows = hcmm.problems.MAX_NUMPY_NNZ + 1
+    logistic = write_libsvm(tmp_path / "past.svm",
+                            ["+1 1:1 3:2", "-1 2:0.5"] + ["+1 3:1"] * (rows - 3))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
@@ -1554,3 +1588,6 @@ def test_synthetic_runs_never_import_scipy(tmp_path):
     before, after = json.loads(proc.stdout)
     assert before == []
     assert "scipy.sparse" in after
+    trace = (tmp_path / "trace_hcmm2_seed1.csv").read_text()
+    assert trace.count("\n") == 1 + 25  # a header and a row a step
+    assert (tmp_path / "plot.svg").read_text().count("<polyline") == 3

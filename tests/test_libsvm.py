@@ -227,7 +227,8 @@ def reference_load(path, subsample=None, seed=0):
         keep = sorted(np.random.default_rng(seed).permutation(len(labels))
                       [:subsample].tolist())
         X, lab = X[keep], lab[keep]
-    return libsvm.Dataset(n=X.shape[0], d=X.shape[1], X=X, labels=lab)
+    return libsvm.Dataset(libsvm.Csr(X.data, X.indices, X.indptr,
+                                     X.shape[1]), lab)
 
 
 def _outcome(load, path, **kw):

@@ -240,7 +240,44 @@ class TestRobustLogisticClosedForms:
                           shape=(2, 3))
         rmax = float(np.sqrt(X.copy().power(2).sum(axis=1).max()))
         assert rmax == math.sqrt(9.25)
-        assert hcmm.problems._largest_row_norm(X) == rmax
+        p = RobustLogisticProblem(X, np.array([1.0, -1.0]))
+        assert hcmm.problems._largest_row_norm(p.csr) == rmax
+
+    @staticmethod
+    def repeated_column():
+        """A 2 x 3 CSR whose row 0 holds column 0 twice, and its
+        canonical form."""
+        import scipy.sparse as sp
+        X = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0]),
+                           np.array([1, 0, 0, 2], dtype=np.int32),
+                           np.array([0, 3, 4], dtype=np.int32)),
+                          shape=(2, 3))
+        canonical = X.copy()
+        canonical.sum_duplicates()
+        return X, canonical
+
+    def test_repeated_column_oracles_are_the_canonical_ones(self):
+        X, canonical = self.repeated_column()
+        labels = np.array([1.0, -1.0])
+        p, q = (RobustLogisticProblem(X, labels),
+                RobustLogisticProblem(canonical, labels))
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            z, dz = rng.standard_normal(5), rng.standard_normal(5)
+            for i in (0, 1):
+                assert p.sample_gradient(z, i).tobytes() \
+                    == q.sample_gradient(z, i).tobytes()
+                assert p.sample_hvp(z, i, dz).tobytes() \
+                    == q.sample_hvp(z, i, dz).tobytes()
+
+    def test_bound_leaves_the_callers_arrays(self):
+        X, _ = self.repeated_column()
+        arrays = (X.data, X.indices, X.indptr)
+        before = [a.copy() for a in arrays]
+        p = RobustLogisticProblem(X, np.array([1.0, -1.0]))
+        assert p.lipschitz_L_f > 0
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
 
     def test_lipschitz_first_read_allocates_a_block(self):
         # a 20000-row one-hot X: the first read allocates under a quarter of
@@ -1004,3 +1041,93 @@ class TestScalarHelpers:
         assert math.isnan(scalar(math.nan))
         with np.errstate(invalid="ignore"):
             assert np.isnan(vector(np.nan))
+
+
+class TestNumpyKernels:
+    """At most MAX_NUMPY_NNZ nonzeros, X x, X'c and the vector expit are
+    numpy's, with the bits of scipy's X @ x, X.T @ c and
+    scipy.special.expit; past it they are scipy's own."""
+
+    @pytest.fixture(scope="class")
+    def problem(self, tmp_path_factory):
+        # empty rows (first, inside and last) and explicit zeros, read
+        # straight into CSR arrays
+        from conftest import write_libsvm
+        from hcmm.libsvm import load_dataset
+        rng = np.random.default_rng(9)
+        lines = ["-1"]
+        for i in range(80):
+            cols = np.flatnonzero(rng.random(15) < 0.4) + 1
+            vals = rng.standard_normal(cols.size) * 10.0 ** rng.integers(
+                -3, 3, cols.size)
+            vals[::4] = 0.0
+            lines.append(" ".join([("+1", "-1")[i % 2]] + [
+                f"{c}:{v!r}" for c, v in zip(cols, vals.tolist())]))
+        lines[40] = "+1"
+        lines.append("-1")
+        ds = load_dataset(write_libsvm(
+            tmp_path_factory.mktemp("kernels") / "k.svm", lines))
+        p = RobustLogisticProblem(ds.csr, ds.labels)
+        assert p._matrix is None and 0.0 in ds.csr.data
+        assert np.diff(ds.csr.indptr)[[0, 40, -1]].tolist() == [0, 0, 0]
+        return p
+
+    @staticmethod
+    def vectors(size, seed):
+        """Vectors with nan, +-inf and -0.0 entries, at scales up to margins
+        far beyond +-710, and finite ones."""
+        rng = np.random.default_rng(seed)
+        for scale in (0.0, 1.0, 1e3, 1e6):
+            v = scale * rng.standard_normal(size)
+            v[::3] = -0.0
+            yield v
+            for special in (np.nan, np.inf, -np.inf):
+                w = v.copy()
+                w[1] = special
+                yield w
+
+    def test_margins(self, problem):
+        p = problem
+        with np.errstate(invalid="ignore"):
+            for x in self.vectors(p.d, 1):
+                want = p.labels * (p.X @ x)
+                assert p._margins(x).tobytes() == want.tobytes()
+
+    def test_transposed_product(self, problem):
+        p = problem
+        with np.errstate(invalid="ignore"):
+            for c in self.vectors(p.n, 2):
+                assert p._rmatvec(c).tobytes() == (p.X.T @ c).tobytes()
+
+    def test_vector_expit(self, problem):
+        from scipy.special import expit
+        # the scalars of `_expit`, with and without an exp overflow in them
+        u = TestScalarHelpers.scalars()
+        for part in (u, u[np.abs(u) < 700.0], u[:0]):
+            assert hcmm.problems._expits(part).tobytes() \
+                == expit(part).tobytes()
+            assert problem._vector_expit(part).tobytes() \
+                == expit(part).tobytes()
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(hcmm.problems._expits(np.array([np.nan]))).all()
+
+    @pytest.mark.parametrize("most", [0, 1 << 62], ids=["scipy", "numpy"])
+    def test_side_follows_the_nonzero_count(self, problem, monkeypatch,
+                                            most):
+        monkeypatch.setattr(hcmm.problems, "MAX_NUMPY_NNZ", most)
+        p = RobustLogisticProblem(problem.csr, problem.labels)
+        assert (p._matrix is None) == bool(most)
+        assert (p._row_of is None) == (not most)
+        # the evaluations of both sides have the same bits
+        rng = np.random.default_rng(4)
+        for scale in (0.0, 0.1, 3.0, 1e3):
+            x = scale * rng.standard_normal(p.d)
+            got, want = p.inner_max(x), problem.inner_max(x)
+            for a, b in zip((got.y_star, got.grad_p, got.margins,
+                             np.float64(got.p_value)),
+                            (want.y_star, want.grad_p, want.margins,
+                             np.float64(want.p_value))):
+                assert a.tobytes() == b.tobytes()
+            y = rng.dirichlet(np.ones(p.n))
+            z = np.concatenate((x, y))
+            assert p.grad_x(z).tobytes() == problem.grad_x(z).tobytes()
