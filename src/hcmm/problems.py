@@ -68,13 +68,15 @@ SCREEN_ROWS = 1024
 # most nonzeros at which a problem forms X x, X'c and the vector expit with
 # numpy, bit for bit as scipy's csr_matvec, csc_matvec and special.expit,
 # and never imports scipy; past it scipy is imported, and its matrix built,
-# when the problem is built. Importing scipy.sparse and scipy.special took
-# 0.19-0.29 s in a fresh process. Measured on a 2-vCPU VM (Python 3.11,
-# numpy 2.4, scipy 1.17, BLAS 1 thread) on datagen rows (22 nonzeros a
-# row): numpy made an evaluated trace row (inner max and metric_ci) about
-# 0.11, 0.37 and 0.79 ms slower at 2^14, 2^15 and 2^16 nonzeros. So up to
-# 2^15 the 303 evaluated rows of a shipped robust_logistic config's
-# `hcmm run` cost less than the import; at 2^16 about as much.
+# when the problem is built. Measured with perfbench on a 2-vCPU VM (Python
+# 3.11, numpy 2.4, scipy 1.17, BLAS 1 thread; medians of 10 paired runs).
+# logistic_grid (about 11k nonzeros) sets up in 0.140 s with numpy against
+# 0.292 s with scipy, and its run time does not move. logistic_scale
+# (1.1M) with numpy runs in 0.567 s against 0.255 s and peaks at 84.1 MB
+# against 77.9 MB; it sets up in 0.267 s against 0.398 s.
+# The logistic_scale job, on a file of its shape cut to fewer rows (median
+# of 16 warm jobs a side), runs 0.6, 4, 13, 34 and 87 ms slower with numpy
+# at 2^14, ..., 2^18 nonzeros: 3% of a 134 ms job at 2^15, 10% at 2^16.
 MAX_NUMPY_NNZ = 1 << 15
 
 # rows whose sums of squares `_largest_row_norm` takes at a time: the squared
